@@ -55,6 +55,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.n < 1:
+        raise ParseError(f"family order must be a positive integer, got {args.n}")
     rep = report(args.n)
     if args.json:
         print(json.dumps(rep.to_json_dict(), indent=2))
@@ -102,6 +104,8 @@ def cmd_regions(args) -> int:
 
         exps = chi_integer_roots(arr)
         if args.base is not None:
+            if not 0 <= args.base < len(regs):
+                raise ParseError(f"base index {args.base} out of range for {len(regs)} regions")
             z = zeta_polynomial(regs, args.base)
             print(json.dumps({"base_index": args.base, "coefficients": list(z)}))
         elif args.all_bases:
@@ -122,7 +126,14 @@ def cmd_regions(args) -> int:
 def cmd_free(args) -> int:
     arr = _load(args.file)
     if args.certificate:
-        cert = json.loads(Path(args.certificate).read_text())
+        try:
+            cert = json.loads(Path(args.certificate).read_text())
+        except OSError as exc:
+            raise ParseError(f"cannot read {args.certificate}: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"malformed certificate {args.certificate}: {exc}") from exc
+        if not isinstance(cert, dict):
+            raise ParseError(f"malformed certificate {args.certificate}: not a JSON object")
         try:
             replay = verify_free_certificate(arr, cert)
         except CertificateError as exc:
@@ -179,6 +190,9 @@ def cmd_formal(args) -> int:
 def cmd_genclose(args) -> int:
     arr = _load(args.file)
     seed = _indices(args.seed)
+    for i in seed:
+        if not 0 <= i < len(arr):
+            raise ParseError(f"seed index {i} out of range for {len(arr)} hyperplanes")
     gc = gen_closure(arr, seed)
     covers = len(gc.generated) == len(arr)
     print(json.dumps({

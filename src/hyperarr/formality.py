@@ -23,7 +23,6 @@ certify is marked undecided rather than excluded.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -206,20 +205,15 @@ def _spans_hyperplane_exact(
 ) -> bool:
     """Exact membership test: do the flats of the sub-lattice of the current
     hyperplanes that lie inside hyperplane h span it?"""
-    sub = arr.subset(current)
-    uni = universe(sub)
+    uni = universe(arr.subset(current))
     ch = arr.covectors[h]
     d = arr.dim
     ech = IntEchelon(d)
     for f in range(uni.flat_count()):
-        basis = uni.flat_subspace(f)
-        if not basis.rows:
-            continue
-        if any(sum(x * y for x, y in zip(ch, row)) != 0 for row in basis.rows):
-            continue
-        for row in basis.rows:
-            dens = math.lcm(*(x.denominator for x in row))
-            ech.add(tuple(int(x * dens) for x in row))
+        if not uni._basis[f].contains(ch):
+            continue  # h is not in the span of f's normals: f is not inside H_h
+        for v in uni.flat_kernel(f):
+            ech.add(v)
             if ech.rank == d - 1:
                 return True
     return ech.rank == d - 1

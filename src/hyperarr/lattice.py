@@ -10,9 +10,21 @@ of one master lattice:
     lattice of any subarrangement is walked with the master's cover table;
   * the lattice of the restriction A^X is the interval above X.
 
+The build reads the second fact backwards: the covers of a flat X are the
+hyperplanes of A^X.  Each normal h not in X is reduced once against the
+integer echelon basis of X; the residue, made primitive with its first
+nonzero entry positive, is the canonical trace of h on X, and equal traces
+are the same hyperplane of A^X.  So one pass per flat groups the normals into
+its covers (cover bits = bits of X | group), and an echelon is copied and
+extended only when a cover is a flat not seen before.
+
 Consequently the characteristic polynomial of any (restriction of a)
 subarrangement is an interval Moebius computation over one shared structure,
-keyed by (flat, hyperplane mask).
+keyed by (flat, hyperplane mask).  Moebius values come from Weisner's
+theorem: for Y above x and an atom a of [x, Y], mu(x, Y) = -sum mu(x, P) over
+the flats P covered by Y that do not lie above a.  This reads only the local
+cover lists of the interval walk, so it costs O(cover edges) time and O(flats)
+memory.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, hyperplane_subspace, restrict_to_subspace
-from .exactlinalg import IntEchelon, SubspaceBasis
+from .exactlinalg import IntEchelon, SubspaceBasis, primitive_kernel_basis
 from .polynomials import IntPoly, monic_linear_roots, trim
 
 
@@ -58,7 +70,7 @@ class Universe:
         self._full_mask = (1 << self.m) - 1
         self._node_chi: dict[tuple[int, int], IntPoly] = {}
         self._node_roots: dict[tuple[int, int], tuple[int, ...] | None] = {}
-        self._rank_bits_memo: dict[int, int] = {0: 0}
+        self._kernels: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.built_to = 0
         limit = arr.rank if up_to_rank is None else min(up_to_rank, arr.rank)
         self._build(limit)
@@ -67,37 +79,43 @@ class Universe:
     # -- construction ------------------------------------------------------
 
     def _build(self, limit: int) -> None:
+        normals = self.normals
+        m = self.m
         while self.built_to < limit:
             level = self.by_rank[self.built_to]
             nxt: list[int] = []
             for f in level:
                 bf = self.bits[f]
-                row = self.T[f]
-                for h in range(self.m):
-                    if row[h] != -1 or (bf >> h) & 1:
+                basis = self._basis[f]
+                # canonical trace of every hyperplane not in f -> its group mask
+                groups: dict[tuple[int, ...], int] = {}
+                for h in range(m):
+                    if (bf >> h) & 1:
                         continue
-                    ech = self._basis[f].copy()
-                    ech.add(self.normals[h])
-                    nb = bf
-                    for j in range(self.m):
-                        if not (nb >> j) & 1 and ech.contains(self.normals[j]):
-                            nb |= 1 << j
+                    trace = basis.residue(normals[h])
+                    if next(x for x in trace if x) < 0:
+                        trace = tuple(-x for x in trace)
+                    groups[trace] = groups.get(trace, 0) | (1 << h)
+                row = self.T[f]
+                for group in groups.values():
+                    nb = bf | group
                     g = self.index_of_bits.get(nb)
                     if g is None:
                         g = len(self.bits)
+                        ech = basis.copy()
+                        ech.add(normals[(group & -group).bit_length() - 1])
                         self.bits.append(nb)
                         self.rank.append(self.built_to + 1)
                         self._basis.append(ech)
-                        self.T.append([-1] * self.m)
+                        self.T.append([-1] * m)
                         self.parents.append([])
                         self.index_of_bits[nb] = g
                         nxt.append(g)
                     self.parents[g].append(f)
-                    new_hs = nb & ~bf
-                    while new_hs:
-                        low = new_hs & -new_hs
+                    while group:
+                        low = group & -group
                         row[low.bit_length() - 1] = g
-                        new_hs &= new_hs - 1
+                        group &= group - 1
             self.by_rank.append(nxt)
             self.built_to += 1
         if not self.by_rank[-1]:
@@ -108,26 +126,17 @@ class Universe:
     def flat_count(self) -> int:
         return len(self.bits)
 
-    def rank_of_bits(self, mask: int) -> int:
-        memo = self._rank_bits_memo
-        r = memo.get(mask)
-        if r is None:
-            ech = IntEchelon(self.dim)
-            rest = mask
-            while rest:
-                low = rest & -rest
-                ech.add(self.normals[low.bit_length() - 1])
-                rest &= rest - 1
-            r = ech.rank
-            memo[mask] = r
-        return r
+    def flat_kernel(self, f: int) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer basis of the flat as a subspace (memoized)."""
+        kernel = self._kernels.get(f)
+        if kernel is None:
+            kernel = tuple(primitive_kernel_basis(self._basis[f].rows, self.dim))
+            self._kernels[f] = kernel
+        return kernel
 
     def flat_subspace(self, f: int) -> SubspaceBasis:
         """The flat as a subspace (intersection of its hyperplanes)."""
-        rows = [self.normals[h] for h in bit_indices(self.bits[f])]
-        if not rows:
-            return SubspaceBasis.full(self.dim)
-        return SubspaceBasis.from_vectors(rows, self.dim).kernel()
+        return SubspaceBasis.from_vectors(self.flat_kernel(f), self.dim)
 
     # -- interval / submask engine ------------------------------------------
 
@@ -177,24 +186,23 @@ class Universe:
         return order, parents, ranks
 
     def node_mobius(self, x: int, mask: int) -> tuple[list[int], list[int]]:
-        """(master flat ids, Moebius values) for the interval/submask node."""
+        """(master flat ids, Moebius values) for the interval/submask node.
+
+        Weisner's theorem with the atom of the lowest hyperplane of Y in the
+        node: mu(Y) = -sum of mu(P) over the covers P below Y missing it.
+        """
         order, parents, _ = self.node_walk(x, mask)
-        n = len(order)
-        down = [0] * n
-        mob = [0] * n
-        for i in range(n):
-            d = 0
-            for p in parents[i]:
-                d |= down[p] | (1 << p)
-            down[i] = d
-            if i == 0:
-                mob[0] = 1
-                continue
+        mask &= ~self.bits[x]
+        bits = self.bits
+        local_bits = [bits[f] for f in order]
+        mob = [1] * len(order)
+        for i in range(1, len(order)):
+            own = local_bits[i] & mask
+            atom = own & -own
             acc = 0
-            while d:
-                low = d & -d
-                acc += mob[low.bit_length() - 1]
-                d &= d - 1
+            for p in parents[i]:
+                if not local_bits[p] & atom:
+                    acc += mob[p]
             mob[i] = -acc
         return order, mob
 
@@ -312,15 +320,6 @@ class IntersectionLattice:
     def chi(self) -> IntPoly:
         return self._uni.chi()
 
-    def poincare(self) -> IntPoly:
-        """pi(A,t) = sum mu(X) (-t)^{r(X)} over all flats."""
-        order, mob = self._uni.node_mobius(0, self._uni._full_mask)
-        coeffs = [0] * (self.arrangement.rank + 1)
-        for f, mu in zip(order, mob):
-            r = self._uni.rank[f]
-            coeffs[r] += mu * (-1) ** r
-        return trim(coeffs)
-
     def to_json_dict(self) -> dict:
         flats = sorted(self.flats(), key=lambda fl: (fl.rank, fl.contains))
         return {
@@ -384,18 +383,28 @@ def modular_flat_indices(arr: Arrangement) -> list[int]:
 
 
 def _is_modular(uni: Universe, x: int) -> bool:
-    bx = uni.bits[x]
     rx = uni.rank[x]
-    flats = range(uni.flat_count())
+    if rx <= 1 or rx == len(uni.by_rank) - 1:
+        return True  # ambient space, hyperplanes and the centre
+    bits, rank, T = uni.bits, uni.rank, uni.T
+    bx = bits[x]
     # same-rank flats violate most often; scan them first
-    ordered = sorted(flats, key=lambda y: (uni.rank[y] != rx, uni.rank[y]))
-    for y in ordered:
-        by = uni.bits[y]
-        meet = uni.index_of_bits.get(bx & by)
-        if meet is None:  # closed sets are intersection-closed; must exist
-            raise AssertionError("flat intersection missing from lattice")
-        if rx + uni.rank[y] != uni.rank_of_bits(bx | by) + uni.rank[meet]:
-            return False
+    levels = [uni.by_rank[rx]] + [lv for k, lv in enumerate(uni.by_rank) if k != rx]
+    for level in levels:
+        for y in level:
+            by = bits[y]
+            meet = uni.index_of_bits.get(bx & by)
+            if meet is None:  # closed sets are intersection-closed; must exist
+                raise AssertionError("flat intersection missing from lattice")
+            # the join X v Y: walk the cover table from x over y's hyperplanes
+            join = x
+            hs = by & ~bx
+            while hs:
+                low = hs & -hs
+                join = T[join][low.bit_length() - 1]
+                hs &= ~bits[join]
+            if rx + rank[y] != rank[join] + rank[meet]:
+                return False
     return True
 
 

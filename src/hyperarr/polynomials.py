@@ -58,10 +58,11 @@ def monic_linear_roots(p: Sequence[int]) -> tuple[int, ...] | None:
     while len(p) > 1 and p[0] == 0:
         roots.append(0)
         p = p[1:]
-    bound = sum(abs(c) for c in p)
-    b = 1
-    while len(p) > 1 and b <= bound:
-        if evaluate(p, b) == 0:
+    # a positive integer root divides the constant term (nonzero from here on)
+    for b in _positive_divisors(abs(p[0])):
+        if len(p) == 1:
+            break
+        while len(p) > 1 and evaluate(p, b) == 0:
             # synthetic division by (t - b)
             q = [0] * (len(p) - 1)
             carry = p[-1]
@@ -72,11 +73,23 @@ def monic_linear_roots(p: Sequence[int]) -> tuple[int, ...] | None:
                 raise AssertionError("inexact synthetic division")
             p = q
             roots.append(b)
-        else:
-            b += 1
     if len(p) > 1:
         return None
     return tuple(sorted(roots))
+
+
+def _positive_divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1 in increasing order."""
+    small: list[int] = []
+    large: list[int] = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def from_roots(roots: Sequence[int]) -> IntPoly:

@@ -244,3 +244,13 @@ def test_parse_errors_carry_line_numbers():
         parse_arrangement_text("dimension 2\n1 0\n")
     with pytest.raises(ParseError):
         parse_arrangement_text("")
+
+
+# -- package exports -----------------------------------------------------------
+
+
+def test_star_import_exposes_certificate_replay_and_rank2_flats():
+    namespace = {}
+    exec("from hyperarr import *", namespace)
+    assert namespace["verify_free_certificate"].__name__ == "verify_free_certificate"
+    assert namespace["rank2_flats"].__name__ == "rank2_flats"

@@ -196,3 +196,38 @@ def test_bad_index_list_exit_code(tmp_path, capsys):
     path = write_family(tmp_path, 3)
     assert cli.main(["genclose", path, "--seed", "0,x"]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def _assert_parse_exit(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_report_bad_order_exit_code(capsys):
+    _assert_parse_exit(capsys, ["report", "0"])
+
+
+def test_free_malformed_certificate_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 4)
+    cert = tmp_path / "cert.json"
+    cert.write_text("{not json")
+    _assert_parse_exit(capsys, ["free", path, "--certificate", str(cert)])
+    cert.write_text("[]")  # valid JSON, but not a certificate object
+    _assert_parse_exit(capsys, ["free", path, "--certificate", str(cert)])
+
+
+def test_free_missing_certificate_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 4)
+    _assert_parse_exit(capsys, ["free", path, "--certificate", str(tmp_path / "missing.json")])
+
+
+def test_genclose_seed_out_of_range_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 3)
+    _assert_parse_exit(capsys, ["genclose", path, "--seed", "0,1,99"])
+
+
+def test_regions_zeta_base_out_of_range_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    _assert_parse_exit(capsys, ["regions", path, "--zeta", "--base", "8"])

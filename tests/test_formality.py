@@ -16,6 +16,8 @@ from hyperarr import (
     relation_space_dim,
 )
 
+import oracles
+
 
 def natural_seed(n, size):
     return tuple(range(n - 1)) + (n, size - 1)
@@ -153,3 +155,63 @@ def test_projective_uniqueness_witness_input_contract():
         projective_uniqueness_witness(
             from_vectors(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
         )
+
+
+# -- differential check of the exact generation step ---------------------------------
+
+
+def _fraction_spans_exact(arr, current, h):
+    """The previous exact step: Fraction kernels of every sub-lattice flat,
+    keeping those orthogonal to h, then the rank of their union."""
+    from hyperarr import SubspaceBasis, build_lattice
+
+    sub = arr.subset(current)
+    vectors = []
+    for flat in build_lattice(sub).flats():
+        rows = [sub.covectors[i] for i in flat.contains]
+        if rows:
+            basis = SubspaceBasis.from_vectors(rows, arr.dim).kernel()
+        else:
+            basis = SubspaceBasis.full(arr.dim)
+        if all(sum(x * y for x, y in zip(arr.covectors[h], row)) == 0 for row in basis.rows):
+            vectors.extend(basis.rows)
+    return oracles.frac_rank(vectors) == arr.dim - 1
+
+
+def _reference_gen_closure(arr, seed):
+    current = set(seed)
+    rounds = []
+    while True:
+        entered = [
+            h for h in range(len(arr))
+            if h not in current and _fraction_spans_exact(arr, sorted(current), h)
+        ]
+        if not entered:
+            return tuple(sorted(current)), tuple(rounds)
+        rounds.append(tuple(entered))
+        current |= set(entered)
+
+
+def test_gen_closure_matches_fraction_reference():
+    import random
+
+    rng = random.Random(11)
+    cases = []
+    for d, covs in oracles.random_arrangements(30, seed=47, max_size=8):
+        arr = from_vectors(d, covs)
+        for _ in range(2):
+            cases.append((arr, tuple(rng.sample(range(len(arr)), min(len(arr), arr.rank + 1)))))
+    for n in range(2, 6):
+        arr = hyperpolygonal(n)
+        cases.append((arr, natural_seed(n, len(arr))))
+        if n in (3, 4):
+            cases.append((arr, tuple(range(n + 1))))
+            for _ in range(4):
+                cases.append((arr, tuple(sorted(rng.sample(range(len(arr)), n + 1)))))
+    grew = 0
+    for arr, seed in cases:
+        g = gen_closure(arr, seed)
+        assert g.complete
+        assert (g.generated, g.rounds) == _reference_gen_closure(arr, seed)
+        grew += bool(g.rounds)
+    assert grew >= 5  # the comparison must include closures that add hyperplanes

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 
 from hyperarr import (
@@ -14,7 +17,7 @@ from hyperarr import (
     restriction,
     zaslavsky_region_count,
 )
-from hyperarr.lattice import universe
+from hyperarr.lattice import bit_indices, universe
 from hyperarr.polynomials import from_roots
 
 import oracles
@@ -213,3 +216,152 @@ def test_zaslavsky_count(h2, h3, bool3):
     assert zaslavsky_region_count(h2) == 8
     assert zaslavsky_region_count(h3) == 32
     assert zaslavsky_region_count(bool3) == 8
+
+
+# -- differential checks of the rewritten layers ------------------------------------
+#
+# The build groups canonical traces, joins walk the cover table, and Moebius
+# values come from Weisner's theorem.  Each is checked against tests/oracles.py
+# and, for the build, against a local copy of the closure-by-membership build
+# it replaced, which must give the same flat ids, cover table and parents.
+
+
+def _differential_pool():
+    randoms = oracles.random_arrangements(16, seed=31, max_size=7)
+    pool = [from_vectors(d, covs) for d, covs in randoms] + [hyperpolygonal(n) for n in range(1, 6)]
+    # the braid arrangement x_i - x_j in Q^5: rank 4 with modular flats of every rank
+    pairs = itertools.combinations(range(5), 2)
+    return pool + [from_vectors(5, [tuple((k == i) - (k == j) for k in range(5)) for i, j in pairs])]
+
+
+@functools.cache
+def _brute_flats(covectors):
+    return oracles.brute_flat_sets(covectors)
+
+
+def _membership_build(arr):
+    """The previous build: every (flat, hyperplane) closure by m membership tests."""
+    from hyperarr.exactlinalg import IntEchelon
+
+    m = len(arr)
+    bits, rank, T, parents, by_rank = [0], [0], [[-1] * m], [[]], [[0]]
+    basis = [IntEchelon(arr.dim)]
+    index = {0: 0}
+    for k in range(arr.rank):
+        nxt = []
+        for f in by_rank[k]:
+            for h in range(m):
+                if T[f][h] != -1 or (bits[f] >> h) & 1:
+                    continue
+                ech = basis[f].copy()
+                ech.add(arr.covectors[h])
+                nb = bits[f]
+                for j in range(m):
+                    if ech.contains(arr.covectors[j]):
+                        nb |= 1 << j
+                g = index.get(nb)
+                if g is None:
+                    g = index[nb] = len(bits)
+                    bits.append(nb)
+                    rank.append(k + 1)
+                    basis.append(ech)
+                    T.append([-1] * m)
+                    parents.append([])
+                    nxt.append(g)
+                parents[g].append(f)
+                for j in range(m):
+                    if (nb >> j) & 1 and not (bits[f] >> j) & 1:
+                        T[f][j] = g
+        by_rank.append(nxt)
+    return bits, rank, T, parents, by_rank
+
+
+def _node_flat_sets(arr, x_bits, mask):
+    """Closures of x + S over every subset S of mask, by Fraction rank."""
+    covs = arr.covectors
+    base = [i for i in range(len(arr)) if (x_bits >> i) & 1]
+    free = [i for i in range(len(arr)) if (mask >> i) & 1 and not (x_bits >> i) & 1]
+    out = set()
+    for k in range(len(free) + 1):
+        for sub in itertools.combinations(free, k):
+            rows = [covs[i] for i in base + list(sub)]
+            r = oracles.frac_rank(rows)
+            closed = (i for i in range(len(arr)) if oracles.frac_rank(rows + [covs[i]]) == r)
+            out.add(frozenset(closed))
+    return out
+
+
+def test_trace_grouped_build_matches_membership_build_and_oracle():
+    for arr in _differential_pool():
+        uni = universe(arr)
+        bits, rank, T, parents, by_rank = _membership_build(arr)
+        assert uni.bits == bits and uni.rank == rank
+        assert uni.T == T and uni.parents == parents
+        assert uni.by_rank == [lv for lv in by_rank if lv]
+        if len(arr) <= 8:  # the subset sweep takes 18 s on H_4's 12 hyperplanes
+            engine = {frozenset(f.contains) for f in build_lattice(arr).flats()}
+            assert engine == _brute_flats(arr.covectors)
+
+
+def test_weisner_mobius_matches_brute_oracle_on_random_nodes():
+    import random
+
+    rng = random.Random(5)
+    for arr in _differential_pool():
+        uni = universe(arr)
+        for _ in range(4):
+            x = rng.randrange(uni.flat_count())
+            outside = [h for h in range(len(arr)) if not (uni.bits[x] >> h) & 1]
+            picked = rng.sample(outside, min(len(outside), rng.randint(0, 5)))
+            mask = sum(1 << h for h in picked)
+            order, mob = uni.node_mobius(x, mask)
+            sets = _node_flat_sets(arr, uni.bits[x], mask)
+            assert {frozenset(bit_indices(uni.bits[f])) for f in order} == sets
+            brute = oracles.brute_mobius(sets)
+            for f, mu in zip(order, mob):
+                assert brute[frozenset(bit_indices(uni.bits[f]))] == mu
+
+
+def _brute_modular_sets(arr, flats):
+    @functools.cache
+    def r(s):
+        return oracles.frac_rank([arr.covectors[i] for i in s])
+
+    return {
+        x
+        for x in flats
+        if all(r(x) + r(y) == r(x | y) + r(x & y) for y in flats)
+    }
+
+
+def _brute_supersolvable(arr, modular):
+    def extend(x, k):
+        if k == arr.rank:
+            return True
+        return any(
+            x < y and oracles.frac_rank([arr.covectors[i] for i in y]) == k + 1 and extend(y, k + 1)
+            for y in modular
+        )
+
+    return extend(frozenset(), 0)
+
+
+def test_modular_flats_and_supersolvability_match_brute_rank_formula():
+    # rank 4 is the first rank where joins take more than one cover step
+    pool = [arr for arr in _differential_pool() if len(arr) <= 8 or arr.rank == 4] + [boolean(4)]
+    for arr in pool:
+        lat = build_lattice(arr)
+        engine = {frozenset(lat.flats()[i].contains) for i in modular_flat_indices(arr)}
+        if len(arr) <= 8:
+            flats = _brute_flats(arr.covectors)
+        else:  # the build test checks these flat sets against the previous build
+            flats = {frozenset(f.contains) for f in lat.flats()}
+        brute = _brute_modular_sets(arr, flats)
+        assert engine == brute
+        ok, chain_sets = is_supersolvable(arr)
+        assert ok == _brute_supersolvable(arr, brute)
+        if ok:
+            assert chain_sets[0] == ()
+            for rank, step in enumerate(chain_sets):
+                assert frozenset(step) in brute
+                assert oracles.frac_rank([arr.covectors[i] for i in step]) == rank
