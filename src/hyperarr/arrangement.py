@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactlinalg import (
-    IntEchelon,
     SubspaceBasis,
     canonicalize,
     primitive_kernel_basis,
@@ -177,24 +176,20 @@ def is_generic(arr: Arrangement, subset_cap: int = 10**6) -> bool:
 
     Genericity is measured against the rank, not the ambient dimension, so a
     non-essential arrangement is generic exactly when its essentialization is.
-    A quick uniformity pre-check (no overfull low-rank flat through a pair)
-    avoids subset enumeration in most negative cases; enumeration beyond
-    subset_cap raises rather than guessing.
+    A quick uniformity pre-check (no rank-2 flat of the lattice build holds
+    three hyperplanes) avoids subset enumeration in most negative cases;
+    enumeration beyond subset_cap raises rather than guessing.
     """
+    from .lattice import universe
+
     m = len(arr)
     r = arr.rank
     if m <= r:
         return False
     if r >= 3:
-        # any pair whose span captures a third covector breaks uniformity
-        for i in range(m):
-            for j in range(i + 1, m):
-                ech = IntEchelon(arr.dim)
-                ech.add(arr.covectors[i])
-                ech.add(arr.covectors[j])
-                for k in range(m):
-                    if k != i and k != j and ech.contains(arr.covectors[k]):
-                        return False
+        uni = universe(arr, up_to_rank=2)
+        if any(uni.bits[f].bit_count() >= 3 for f in uni.by_rank[2]):
+            return False
     if math.comb(m, r) > subset_cap:
         raise RuntimeError(
             f"genericity check needs {math.comb(m, r)} subset ranks (cap {subset_cap})"

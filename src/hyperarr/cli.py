@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lattice", help="intersection lattice as JSON")
     sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_lattice)
 
     sp = sub.add_parser("regions", help="enumerate regions; optional simpliciality and zeta")

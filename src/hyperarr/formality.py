@@ -6,7 +6,9 @@ arrangement is (combinatorially) formal when the dependencies supported on
 rank-2 flats already span the whole relation space; this is decided exactly
 by stacking local kernels.  A line-closure basis certifies formality
 combinatorially: a set of rank-many independent hyperplanes whose iterated
-rank-2-flat closure recovers the whole arrangement.
+rank-2-flat closure recovers the whole arrangement.  The rank-2 flats (lines)
+behind every query here are read off one shared lattice build,
+universe(arr, up_to_rank=2).
 
 Generation closure: starting from a seed set of hyperplanes, a hyperplane H
 of the arrangement enters the next round when the flats of the intersection
@@ -15,9 +17,9 @@ rank + 1 hyperplanes in general position is projectively rigid, and rigidity
 propagates along generation rounds, so a connected such seed whose closure
 reaches every hyperplane is a witness of projective uniqueness.  Rounds over
 small current sets are decided exactly by walking the full sub-lattice; over
-large current sets a sound pairwise certificate is used (two codimension-2
-intersections inside H that together span it), and any hyperplane it cannot
-certify is marked undecided rather than excluded.
+large current sets a sound certificate is used (the lines through H that hold
+two current hyperplanes, read from the covers of H's atom, together span H),
+and any hyperplane it cannot certify is marked undecided rather than excluded.
 """
 
 from __future__ import annotations
@@ -28,31 +30,16 @@ from typing import Iterable, Literal, Sequence
 
 from .arrangement import Arrangement
 from .exactlinalg import IntEchelon, primitive_kernel_basis, rank_of
-from .lattice import universe
+from .lattice import bit_indices, mask_of, universe
 
 
 def rank2_flats(arr: Arrangement) -> list[tuple[int, ...]]:
-    """All rank-2 flats as sorted index tuples, by pairwise span scan."""
-    m = len(arr)
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    done_pairs: set[tuple[int, int]] = set()
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (i, j) in done_pairs:
-                continue
-            ech = IntEchelon(arr.dim)
-            ech.add(arr.covectors[i])
-            ech.add(arr.covectors[j])
-            members = tuple(
-                k for k in range(m) if ech.contains(arr.covectors[k])
-            )
-            for a, b in itertools.combinations(members, 2):
-                done_pairs.add((a, b))
-            if members not in seen:
-                seen.add(members)
-                out.append(members)
-    return out
+    """All rank-2 flats as sorted index tuples, read off the lattice build
+    (ordered by their two lowest members)."""
+    uni = universe(arr, up_to_rank=2)
+    if len(uni.by_rank) < 3:
+        return []
+    return [bit_indices(uni.bits[f]) for f in uni.by_rank[2]]
 
 
 def relation_space_dim(arr: Arrangement) -> int:
@@ -97,34 +84,20 @@ def line_closure(
     for i in current:
         if not 0 <= i < m:
             raise IndexError(f"hyperplane index {i} out of range")
+    lines = [mask_of(members) for members in rank2_flats(arr)]
+    cur = mask_of(current)
     rounds: list[tuple[int, ...]] = []
-    line_cache: dict[tuple[int, int], tuple[int, ...]] = {}
     while True:
-        new: set[int] = set()
-        cur = sorted(current)
-        for ai in range(len(cur)):
-            for bi in range(ai + 1, len(cur)):
-                i, j = cur[ai], cur[bi]
-                line = line_cache.get((i, j))
-                if line is None:
-                    ech = IntEchelon(arr.dim)
-                    ech.add(arr.covectors[i])
-                    ech.add(arr.covectors[j])
-                    if ech.rank < 2:
-                        line = (i, j)
-                    else:
-                        line = tuple(
-                            k for k in range(m) if ech.contains(arr.covectors[k])
-                        )
-                    line_cache[(i, j)] = line
-                for k in line:
-                    if k not in current:
-                        new.add(k)
+        new = 0
+        for line in lines:
+            held = line & cur
+            if held & (held - 1):  # at least two current hyperplanes
+                new |= line & ~cur
         if not new:
             break
-        rounds.append(tuple(sorted(new)))
-        current |= new
-    return tuple(sorted(current)), tuple(rounds)
+        rounds.append(bit_indices(new))
+        cur |= new
+    return bit_indices(cur), tuple(rounds)
 
 
 def is_lc_basis(arr: Arrangement, seed: Iterable[int]) -> bool:
@@ -222,25 +195,19 @@ def _spans_hyperplane_exact(
 def _spans_hyperplane_pairwise(
     arr: Arrangement, current: Sequence[int], h: int
 ) -> bool:
-    """Sound shortcut: codimension-2 intersections of current hyperplanes
-    lying inside h that together span h.  A miss proves nothing."""
-    ch = arr.covectors[h]
+    """Sound shortcut: rank-2 flats through h that hold two current
+    hyperplanes and together span h.  A miss proves nothing."""
+    uni = universe(arr, up_to_rank=2)
     d = arr.dim
     ech = IntEchelon(d)
-    cur = list(current)
-    for ai in range(len(cur)):
-        ci = arr.covectors[cur[ai]]
-        for bi in range(ai + 1, len(cur)):
-            cj = arr.covectors[cur[bi]]
-            span = IntEchelon(d)
-            span.add(ci)
-            span.add(cj)
-            if span.rank != 2 or not span.contains(ch):
-                continue
-            for v in primitive_kernel_basis([ci, cj], d):
-                ech.add(v)
-            if ech.rank == d - 1:
-                return True
+    # the lines through h are the covers of its atom
+    for f, held in uni.node_elements(uni.T[0][h], mask_of(current)):
+        if not held & (held - 1):
+            continue
+        for v in uni.flat_kernel(f):
+            ech.add(v)
+        if ech.rank == d - 1:
+            return True
     return ech.rank == d - 1
 
 

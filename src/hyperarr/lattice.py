@@ -30,7 +30,7 @@ memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arrangement import Arrangement, hyperplane_subspace, restrict_to_subspace
 from .exactlinalg import IntEchelon, SubspaceBasis, primitive_kernel_basis
@@ -467,22 +467,11 @@ def find_generic_rank3_localization(arr: Arrangement) -> Flat | None:
         k = len(members)
         if k < 4:
             continue
-        if _localization_is_generic_rank3(uni, members):
+        # generic exactly when no line below the flat holds three hyperplanes
+        if all(uni.bits[p].bit_count() == 2 for p in uni.parents[f]):
             loc = universe(uni.arr.subset(members))
             order, mob_vals = loc.node_mobius(0, (1 << len(members)) - 1)
             top = max(range(len(order)), key=lambda i: loc.rank[order[i]])
             mob = mob_vals[top]
             return Flat(index=f, rank=3, contains=members, dim=uni.dim - 3, mobius=mob)
     return None
-
-
-def _localization_is_generic_rank3(uni: Universe, members: Sequence[int]) -> bool:
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            ech = IntEchelon(uni.dim)
-            ech.add(uni.normals[members[a]])
-            ech.add(uni.normals[members[b]])
-            for c in members:
-                if c != members[a] and c != members[b] and ech.contains(uni.normals[c]):
-                    return False
-    return True

@@ -66,6 +66,14 @@ def test_lattice_json(tmp_path, capsys):
     assert len(data["flats"]) == 6
 
 
+def test_lattice_rejects_json_flag(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lattice", path, "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
 def test_regions_with_simpliciality(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     assert cli.main(["regions", path, "--simplicial"]) == 0

@@ -1,5 +1,7 @@
 """Tests for formality, line closure, generation closure, and uniqueness witnesses."""
 
+import itertools
+
 import pytest
 
 from hyperarr import (
@@ -215,3 +217,175 @@ def test_gen_closure_matches_fraction_reference():
         assert (g.generated, g.rounds) == _reference_gen_closure(arr, seed)
         grew += bool(g.rounds)
     assert grew >= 5  # the comparison must include closures that add hyperplanes
+
+
+# -- differential check of the rank-2 queries against the pairwise span scans -------
+
+
+def _pair_echelon(arr, i, j):
+    from hyperarr.exactlinalg import IntEchelon
+
+    ech = IntEchelon(arr.dim)
+    ech.add(arr.covectors[i])
+    ech.add(arr.covectors[j])
+    return ech
+
+
+def _scan_rank2_flats(arr):
+    """The previous rank2_flats: the span of every pair, first-seen order."""
+    m = len(arr)
+    out, done = [], set()
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (i, j) in done:
+                continue
+            ech = _pair_echelon(arr, i, j)
+            members = tuple(k for k in range(m) if ech.contains(arr.covectors[k]))
+            done.update(itertools.combinations(members, 2))
+            if members not in out:
+                out.append(members)
+    return out
+
+
+def _scan_line_closure(arr, seed):
+    """The previous line_closure: every pair's span, recomputed per round."""
+    current = set(seed)
+    rounds = []
+    while True:
+        new = set()
+        for i, j in itertools.combinations(sorted(current), 2):
+            ech = _pair_echelon(arr, i, j)
+            new.update(
+                k for k in range(len(arr))
+                if k not in current and ech.contains(arr.covectors[k])
+            )
+        if not new:
+            return tuple(sorted(current)), tuple(rounds)
+        rounds.append(tuple(sorted(new)))
+        current |= new
+
+
+def _scan_has_overfull_line(arr, members):
+    """The previous uniformity scan: a pair whose span holds a third member."""
+    for i, j in itertools.combinations(members, 2):
+        ech = _pair_echelon(arr, i, j)
+        if any(k not in (i, j) and ech.contains(arr.covectors[k]) for k in members):
+            return True
+    return False
+
+
+def _scan_is_generic(arr):
+    from hyperarr.exactlinalg import rank_of
+
+    m, r = len(arr), arr.rank
+    if m <= r:
+        return False
+    if r >= 3 and _scan_has_overfull_line(arr, range(m)):
+        return False
+    return all(rank_of(s, arr.dim) == r for s in itertools.combinations(arr.covectors, r))
+
+
+def _scan_generic_rank3_localization(arr):
+    """(index, contains, mobius) of the first rank-3 flat with >= 4 members
+    and no overfull line among them, by the previous pairwise scan."""
+    from hyperarr.lattice import bit_indices, universe
+
+    if arr.rank < 3:
+        return None
+    uni = universe(arr, up_to_rank=3)
+    for f in uni.by_rank[3]:
+        members = bit_indices(uni.bits[f])
+        if len(members) >= 4 and not _scan_has_overfull_line(arr, members):
+            loc = universe(arr.subset(members))
+            order, mob = loc.node_mobius(0, (1 << len(members)) - 1)
+            top = max(range(len(order)), key=lambda i: loc.rank[order[i]])
+            return f, members, mob[top]
+    return None
+
+
+def _scan_spans_pairwise(arr, current, h):
+    """The previous sound shortcut: kernels of current pairs whose span holds h."""
+    from hyperarr.exactlinalg import IntEchelon, primitive_kernel_basis
+
+    ech = IntEchelon(arr.dim)
+    for i, j in itertools.combinations(current, 2):
+        if _pair_echelon(arr, i, j).contains(arr.covectors[h]):
+            for v in primitive_kernel_basis([arr.covectors[i], arr.covectors[j]], arr.dim):
+                ech.add(v)
+    return ech.rank == arr.dim - 1
+
+
+def _scan_gen_closure(arr, seed, cap):
+    from hyperarr.formality import _spans_hyperplane_exact
+
+    current, rounds, complete = set(seed), [], True
+    while len(current) < len(arr):
+        exact = len(current) <= cap
+        step = _spans_hyperplane_exact if exact else _scan_spans_pairwise
+        cur = sorted(current)
+        entered = [h for h in range(len(arr)) if h not in current and step(arr, cur, h)]
+        if not entered:
+            complete = exact
+            break
+        rounds.append(tuple(entered))
+        current |= set(entered)
+    return tuple(sorted(current)), tuple(rounds), complete
+
+
+def test_rank2_queries_match_pairwise_scans(generic4):
+    import random
+
+    from hyperarr import find_generic_rank3_localization, is_generic, rank2_flats
+    from hyperarr.formality import _spans_hyperplane_pairwise
+
+    rng = random.Random(5)
+    arrs = [from_vectors(d, covs) for d, covs in oracles.random_arrangements(16, seed=61)]
+    arrs += [generic4, from_vectors(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)])]
+    # one overfull line, and it is the first line below the centre
+    arrs.append(from_vectors(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]))
+    arrs += [hyperpolygonal(n) for n in range(1, 7)]
+    seen = {"grew": 0, "generic": 0, "localization": 0, "certified": 0, "missed": 0}
+    for arr in arrs:
+        m = len(arr)
+        lines = rank2_flats(arr)
+        assert lines == _scan_rank2_flats(arr)
+        if m <= 8:
+            oracle = {
+                tuple(sorted(s)) for s in oracles.brute_flat_sets(arr.covectors)
+                if oracles.frac_rank([arr.covectors[i] for i in s]) == 2
+            }
+            assert set(lines) == oracle and len(lines) == len(oracle)
+        for _ in range(3):
+            seed = rng.sample(range(m), rng.randint(1, min(m, arr.rank + 1)))
+            closure = line_closure(arr, seed)
+            assert closure == _scan_line_closure(arr, seed)
+            seen["grew"] += bool(closure[1])
+        generic = is_generic(arr)
+        assert generic == _scan_is_generic(arr)
+        seen["generic"] += generic
+        flat = find_generic_rank3_localization(arr)
+        got = None if flat is None else (flat.index, flat.contains, flat.mobius)
+        assert got == _scan_generic_rank3_localization(arr)
+        seen["localization"] += flat is not None
+        if m > 30:
+            continue  # H_6: the pairwise step itself is checked below
+        for _ in range(2):
+            seed = tuple(sorted(rng.sample(range(m), min(m, arr.rank + 1))))
+            cap = rng.randint(0, len(seed))
+            g = gen_closure(arr, seed, exact_current_cap=cap)
+            assert (g.generated, g.rounds, g.complete) == _scan_gen_closure(arr, seed, cap)
+    for arr in arrs:
+        m = len(arr)
+        if m < 3:
+            continue
+        for _ in range(4 if m <= 30 else 12):
+            current = sorted(rng.sample(range(m), rng.randint(2, m - 1)))
+            for h in range(m):
+                if h in current:
+                    continue
+                ok = _spans_hyperplane_pairwise(arr, current, h)
+                assert ok == _scan_spans_pairwise(arr, current, h)
+                seen["certified" if ok else "missed"] += 1
+    # every branch must be exercised in both directions
+    assert seen["grew"] >= 10 and seen["generic"] >= 2 and seen["localization"] >= 3
+    assert seen["certified"] >= 20 and seen["missed"] >= 20
