@@ -50,6 +50,8 @@ def _indices(raw: str) -> list[int]:
 
 
 def cmd_build(args) -> int:
+    if args.n < 1:
+        raise ParseError(f"family order must be a positive integer, got {args.n}")
     sys.stdout.write(format_arrangement_text(hyperpolygonal(args.n)))
     return EXIT_OK
 
@@ -177,6 +179,9 @@ def cmd_formal(args) -> int:
     arr = _load(args.file)
     if args.lc_basis is not None:
         seed = _indices(args.lc_basis)
+        for i in seed:
+            if not 0 <= i < len(arr):
+                raise ParseError(f"lc-basis index {i} out of range for {len(arr)} hyperplanes")
         ok = is_lc_basis(arr, seed)
         print(f"lc-basis {seed}: {ok}")
         closed, rounds = line_closure(arr, seed)

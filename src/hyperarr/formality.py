@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .arrangement import Arrangement
 from .exactlinalg import IntEchelon, primitive_kernel_basis, rank_of
-from .lattice import bit_indices, mask_of, universe
+from .lattice import Universe, bit_indices, mask_of, universe
 
 
 def rank2_flats(arr: Arrangement) -> list[tuple[int, ...]]:
@@ -102,8 +103,12 @@ def line_closure(
 
 def is_lc_basis(arr: Arrangement, seed: Iterable[int]) -> bool:
     """A line-closure basis: rank-many independent hyperplanes whose line
-    closure is the whole arrangement."""
+    closure is the whole arrangement.  An index out of range raises
+    IndexError."""
     seed = tuple(sorted(set(seed)))
+    for i in seed:
+        if not 0 <= i < len(arr):
+            raise IndexError(f"hyperplane index {i} out of range")
     r = arr.rank
     if len(seed) != r:
         return False
@@ -173,19 +178,17 @@ class GenClosure:
     complete: bool  # every round decided exactly (no sound-only shortcuts)
 
 
-def _spans_hyperplane_exact(
-    arr: Arrangement, current: Sequence[int], h: int
-) -> bool:
-    """Exact membership test: do the flats of the sub-lattice of the current
-    hyperplanes that lie inside hyperplane h span it?"""
-    uni = universe(arr.subset(current))
-    ch = arr.covectors[h]
-    d = arr.dim
+def _spans_hyperplane_exact(uni: Universe, ch: Sequence[int]) -> bool:
+    """Exact membership test: do the flats of the sub-lattice uni (of the
+    current hyperplanes) that lie inside the hyperplane with normal ch span
+    it?"""
+    d = uni.dim
     ech = IntEchelon(d)
     for f in range(uni.flat_count()):
-        if not uni._basis[f].contains(ch):
-            continue  # h is not in the span of f's normals: f is not inside H_h
-        for v in uni.flat_kernel(f):
+        kernel = uni.flat_kernel(f)
+        if any(sum(map(mul, ch, k)) for k in kernel):
+            continue  # f is not inside the hyperplane
+        for v in kernel:
             ech.add(v)
             if ech.rank == d - 1:
                 return True
@@ -242,9 +245,11 @@ def gen_closure(
         entered: list[int] = []
         uncertified: list[int] = []
         cur_sorted = sorted(current)
+        # built per round, not cached: another seed rarely meets the same set
+        sub = Universe(arr.subset(cur_sorted)) if exact else None
         for h in pool:
             if exact:
-                ok = _spans_hyperplane_exact(arr, cur_sorted, h)
+                ok = _spans_hyperplane_exact(sub, arr.covectors[h])
             else:
                 ok = _spans_hyperplane_pairwise(arr, cur_sorted, h)
             if ok:

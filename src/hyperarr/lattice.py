@@ -11,29 +11,36 @@ of one master lattice:
   * the lattice of the restriction A^X is the interval above X.
 
 The build reads the second fact backwards: the covers of a flat X are the
-hyperplanes of A^X.  Each normal h not in X is reduced once against the
-integer echelon basis of X; the residue, made primitive with its first
-nonzero entry positive, is the canonical trace of h on X, and equal traces
-are the same hyperplane of A^X.  So one pass per flat groups the normals into
-its covers (cover bits = bits of X | group), and an echelon is copied and
-extended only when a cover is a flat not seen before.
+hyperplanes of A^X.  Each flat stores an integer basis K_X of X as a subspace
+(dim - rank X primitive vectors; the identity at the ambient flat).  The trace
+of a hyperplane h not in X is its linear form read in these coordinates,
+(c_h . k for k in K_X), made primitive with its first nonzero entry positive;
+equal traces are the same hyperplane of A^X.  So one pass per flat groups the
+normals into its covers (cover bits = bits of X | group), and a new cover's
+basis is cut from X's by the kernel of the group's trace.  A flat of
+dimension one has the centre as its only cover and needs no traces.  The
+build records each flat's distinct covers in children[f], the mirror of
+parents[f].
 
 Consequently the characteristic polynomial of any (restriction of a)
 subarrangement is an interval Moebius computation over one shared structure,
-keyed by (flat, hyperplane mask).  Moebius values come from Weisner's
-theorem: for Y above x and an atom a of [x, Y], mu(x, Y) = -sum mu(x, P) over
-the flats P covered by Y that do not lie above a.  This reads only the local
-cover lists of the interval walk, so it costs O(cover edges) time and O(flats)
-memory.
+keyed by (flat, hyperplane mask).  The interval walk goes up the stored
+covers, keeping a cover g of f when g holds a node hyperplane that f does
+not.  Moebius values come from Weisner's theorem: for Y above x and an atom
+a of [x, Y], mu(x, Y) = -sum mu(x, P) over the flats P covered by Y that do
+not lie above a.  This reads only the local cover lists of the interval
+walk, so it costs O(cover edges) time and O(flats) memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import Iterable
 
 from .arrangement import Arrangement, hyperplane_subspace, restrict_to_subspace
-from .exactlinalg import IntEchelon, SubspaceBasis, primitive_kernel_basis
+from .exactlinalg import SubspaceBasis
 from .polynomials import IntPoly, monic_linear_roots, trim
 
 
@@ -62,15 +69,17 @@ class Universe:
         self.normals = list(arr.covectors)
         self.bits: list[int] = [0]
         self.rank: list[int] = [0]
-        self._basis: list[IntEchelon] = [IntEchelon(self.dim)]
+        self._basis: list[tuple[tuple[int, ...], ...]] = [
+            tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
+        ]
         self.T: list[list[int]] = [[-1] * self.m]
         self.parents: list[list[int]] = [[]]
+        self.children: list[list[int]] = [[]]
         self.by_rank: list[list[int]] = [[0]]
         self.index_of_bits: dict[int, int] = {0: 0}
         self._full_mask = (1 << self.m) - 1
         self._node_chi: dict[tuple[int, int], IntPoly] = {}
         self._node_roots: dict[tuple[int, int], tuple[int, ...] | None] = {}
-        self._kernels: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.built_to = 0
         limit = arr.rank if up_to_rank is None else min(up_to_rank, arr.rank)
         self._build(limit)
@@ -81,37 +90,50 @@ class Universe:
     def _build(self, limit: int) -> None:
         normals = self.normals
         m = self.m
+        full = self._full_mask
         while self.built_to < limit:
             level = self.by_rank[self.built_to]
             nxt: list[int] = []
             for f in level:
                 bf = self.bits[f]
                 basis = self._basis[f]
-                # canonical trace of every hyperplane not in f -> its group mask
                 groups: dict[tuple[int, ...], int] = {}
-                for h in range(m):
-                    if (bf >> h) & 1:
-                        continue
-                    trace = basis.residue(normals[h])
-                    if next(x for x in trace if x) < 0:
-                        trace = tuple(-x for x in trace)
-                    groups[trace] = groups.get(trace, 0) | (1 << h)
+                if len(basis) == 1:
+                    # a line meets every hyperplane not holding it in the centre
+                    if full & ~bf:
+                        groups[(1,)] = full & ~bf
+                else:
+                    # canonical trace of every hyperplane not in f -> its group mask
+                    cols = [[sum(map(mul, c, k)) for c in normals] for k in basis]
+                    for h, trace in enumerate(zip(*cols)):
+                        if (bf >> h) & 1:
+                            continue
+                        g = gcd(*trace)
+                        for x in trace:
+                            if x:
+                                break
+                        if x < 0:
+                            g = -g
+                        if g != 1:
+                            trace = tuple([y // g for y in trace])
+                        groups[trace] = groups.get(trace, 0) | (1 << h)
                 row = self.T[f]
-                for group in groups.values():
+                kids = self.children[f]
+                for trace, group in groups.items():
                     nb = bf | group
                     g = self.index_of_bits.get(nb)
                     if g is None:
                         g = len(self.bits)
-                        ech = basis.copy()
-                        ech.add(normals[(group & -group).bit_length() - 1])
                         self.bits.append(nb)
                         self.rank.append(self.built_to + 1)
-                        self._basis.append(ech)
+                        self._basis.append(_cut_basis(basis, trace))
                         self.T.append([-1] * m)
                         self.parents.append([])
+                        self.children.append([])
                         self.index_of_bits[nb] = g
                         nxt.append(g)
                     self.parents[g].append(f)
+                    kids.append(g)
                     while group:
                         low = group & -group
                         row[low.bit_length() - 1] = g
@@ -127,12 +149,12 @@ class Universe:
         return len(self.bits)
 
     def flat_kernel(self, f: int) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer basis of the flat as a subspace (memoized)."""
-        kernel = self._kernels.get(f)
-        if kernel is None:
-            kernel = tuple(primitive_kernel_basis(self._basis[f].rows, self.dim))
-            self._kernels[f] = kernel
-        return kernel
+        """Primitive integer vectors spanning the flat as a subspace.
+
+        This is the Q-basis the build fixed for the flat, cut down from its
+        first parent's basis; it is not canonical (flat_subspace is).
+        """
+        return self._basis[f]
 
     def flat_subspace(self, f: int) -> SubspaceBasis:
         """The flat as a subspace (intersection of its hyperplanes)."""
@@ -151,7 +173,8 @@ class Universe:
         """
         if not self.is_full:
             raise RuntimeError("interval walk requires a fully built lattice")
-        mask &= ~self.bits[x]
+        bits, children = self.bits, self.children
+        mask &= ~bits[x]
         order = [x]
         local = {x: 0}
         parents: list[list[int]] = [[]]
@@ -163,16 +186,10 @@ class Universe:
             nxt: list[int] = []
             for f in frontier:
                 fl = local[f]
-                row = self.T[f]
-                hs = mask & ~self.bits[f]
-                seen_children: set[int] = set()
-                while hs:
-                    low = hs & -hs
-                    hs &= hs - 1
-                    g = row[low.bit_length() - 1]
-                    if g in seen_children:
-                        continue
-                    seen_children.add(g)
+                out = mask & ~bits[f]
+                for g in children[f]:
+                    if not bits[g] & out:
+                        continue  # no node hyperplane leads from f to g
                     gl = local.get(g)
                     if gl is None:
                         gl = len(order)
@@ -241,6 +258,26 @@ class Universe:
 
     def chi(self, mask: int | None = None) -> IntPoly:
         return self.node_chi(0, self._full_mask if mask is None else mask)
+
+
+def _cut_basis(basis: tuple[tuple[int, ...], ...], trace: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Basis of X meet H from a basis of X and the trace t of H on it.
+
+    With p the first nonzero index of t, the vectors t_p*k_j - t_j*k_p (j != p)
+    span the kernel of t; each is made primitive.
+    """
+    p = next(i for i, x in enumerate(trace) if x)
+    tp, kp = trace[p], basis[p]
+    out = []
+    for j, (k, tj) in enumerate(zip(basis, trace)):
+        if j == p:
+            continue
+        if tj:
+            v = [tp * a - tj * b for a, b in zip(k, kp)]
+            g = gcd(*v)
+            k = tuple(x // g for x in v) if g > 1 else tuple(v)
+        out.append(k)
+    return tuple(out)
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:

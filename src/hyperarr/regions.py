@@ -231,15 +231,25 @@ def q_integer_product(exponents: tuple[int, ...]) -> IntPoly:
 
 def zeta_product_bases(regs: RegionSet, exponents: tuple[int, ...]) -> list[int]:
     """Indices of base regions whose rank generating function equals the
-    product of q-integers of the exponents."""
+    product of q-integers of the exponents.
+
+    The regions of a central arrangement come in antipodal pairs {B, -B},
+    and negation maps the regions k hyperplanes from B onto those k
+    hyperplanes from -B, so each pair is scanned once.
+    """
     target = q_integer_product(exponents)
     masks = regs.masks
     mlen = len(regs.arrangement) + 1
-    out: list[int] = []
+    full = (1 << len(regs.arrangement)) - 1
+    index = {mk: i for i, mk in enumerate(masks)}
+    hit = [False] * len(masks)
     for bi, base in enumerate(masks):
+        twin = index.get(base ^ full)
+        if twin is not None and twin < bi:
+            hit[bi] = hit[twin]
+            continue
         coeffs = [0] * mlen
         for mk in masks:
             coeffs[(base ^ mk).bit_count()] += 1
-        if trim(coeffs) == target:
-            out.append(bi)
-    return out
+        hit[bi] = trim(coeffs) == target
+    return [bi for bi, ok in enumerate(hit) if ok]

@@ -236,6 +236,17 @@ def test_genclose_seed_out_of_range_exit_code(tmp_path, capsys):
     _assert_parse_exit(capsys, ["genclose", path, "--seed", "0,1,99"])
 
 
+def test_build_bad_order_exit_code(capsys):
+    _assert_parse_exit(capsys, ["build", "0"])
+    _assert_parse_exit(capsys, ["build", "-1"])
+
+
+def test_formal_lc_basis_out_of_range_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 3)
+    _assert_parse_exit(capsys, ["formal", path, "--lc-basis", "0,1,99"])
+    _assert_parse_exit(capsys, ["formal", path, "--lc-basis", "0,1,-1"])
+
+
 def test_regions_zeta_base_out_of_range_exit_code(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     _assert_parse_exit(capsys, ["regions", path, "--zeta", "--base", "8"])

@@ -64,6 +64,9 @@ def test_lc_basis(h2, h3, h4, h5):
     assert not is_lc_basis(h3, (0, 1))
     assert not is_lc_basis(h3, (0, 3, 4))
     assert not is_lc_basis(h3, (0, 1, 2))
+    for bad in ((0, 1, -1), (0, 1, 7), (0, 99)):  # h3 has 7 hyperplanes
+        with pytest.raises(IndexError):
+            is_lc_basis(h3, bad)
 
 
 def test_gen_closure_trivial_and_errors(h3):
@@ -157,6 +160,20 @@ def test_projective_uniqueness_witness_input_contract():
         projective_uniqueness_witness(
             from_vectors(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
         )
+
+
+def test_witness_scan_pins_no_sub_lattices():
+    from hyperarr import lattice
+
+    # an essential irreducible 8-hyperplane arrangement in dimension 4 with no
+    # witness, so the scan runs gen_closure on every connected candidate
+    arr = from_vectors(4, [
+        (0, 2, 0, 1), (1, 1, -2, 2), (1, 0, 2, -1), (2, 0, -1, 2),
+        (2, 1, 0, 1), (1, 1, 2, -2), (2, 1, -2, 0), (0, 1, -2, -2),
+    ])
+    before = set(lattice._universe_cache)
+    assert projective_uniqueness_witness(arr) == (False, None)
+    assert set(lattice._universe_cache) - before <= {arr}
 
 
 # -- differential check of the exact generation step ---------------------------------
@@ -317,13 +334,19 @@ def _scan_spans_pairwise(arr, current, h):
 
 def _scan_gen_closure(arr, seed, cap):
     from hyperarr.formality import _spans_hyperplane_exact
+    from hyperarr.lattice import Universe
 
     current, rounds, complete = set(seed), [], True
     while len(current) < len(arr):
         exact = len(current) <= cap
-        step = _spans_hyperplane_exact if exact else _scan_spans_pairwise
         cur = sorted(current)
-        entered = [h for h in range(len(arr)) if h not in current and step(arr, cur, h)]
+        sub = Universe(arr.subset(cur)) if exact else None
+        entered = [
+            h for h in range(len(arr)) if h not in current and (
+                _spans_hyperplane_exact(sub, arr.covectors[h]) if exact
+                else _scan_spans_pairwise(arr, cur, h)
+            )
+        ]
         if not entered:
             complete = exact
             break

@@ -365,3 +365,106 @@ def test_modular_flats_and_supersolvability_match_brute_rank_formula():
             for rank, step in enumerate(chain_sets):
                 assert frozenset(step) in brute
                 assert oracles.frac_rank([arr.covectors[i] for i in step]) == rank
+
+
+# The build stores an integer basis of every flat and reads traces on it, and
+# the interval walk goes up the stored covers.  The bases are checked against
+# the Fraction rank oracle, the walk against a local copy of the walk over
+# every hyperplane of each cover-table row that it replaced.
+
+
+def test_flat_bases_span_each_flat_and_children_mirror_the_cover_table(h6):
+    import math
+    import random
+
+    rng = random.Random(7)
+    ran = {"gcd_split": 0, "dimension_one": 0}
+    for arr in _differential_pool() + [h6]:
+        uni = universe(arr)
+        flats = range(uni.flat_count())
+        if arr is h6:  # the Fraction rank of all 12,426 bases takes seconds
+            flats = rng.sample(flats, 1500)
+        for f in flats:
+            basis = uni.flat_kernel(f)
+            assert len(basis) == arr.dim - uni.rank[f]
+            assert oracles.frac_rank(basis) == len(basis)
+            for h, c in enumerate(arr.covectors):
+                trace = [sum(x * y for x, y in zip(c, k)) for k in basis]
+                if (uni.bits[f] >> h) & 1:
+                    assert not any(trace)  # a member normal annihilates the flat
+                else:
+                    assert any(trace)  # a non-member misses it
+                    ran["gcd_split"] += len(basis) >= 2 and math.gcd(*trace) > 1
+            ran["dimension_one"] += len(basis) == 1 and bool(uni.children[f])
+        for f in range(uni.flat_count()):
+            assert uni.children[f] == list(dict.fromkeys(g for g in uni.T[f] if g >= 0))
+    assert ran["gcd_split"] >= 20 and ran["dimension_one"] >= 20
+
+
+def _row_walk(uni, x, mask):
+    """The previous interval walk: every node hyperplane of each T row."""
+    mask &= ~uni.bits[x]
+    order, local, parents, ranks = [x], {x: 0}, [[]], [0]
+    frontier, rel = [x], 0
+    while frontier:
+        rel += 1
+        nxt = []
+        for f in frontier:
+            seen = set()
+            for h in bit_indices(mask & ~uni.bits[f]):
+                g = uni.T[f][h]
+                if g in seen:
+                    continue
+                seen.add(g)
+                if g not in local:
+                    local[g] = len(order)
+                    order.append(g)
+                    parents.append([])
+                    ranks.append(rel)
+                    nxt.append(g)
+                parents[local[g]].append(local[f])
+        frontier = nxt
+    mob = [1] * len(order)
+    for i in range(1, len(order)):
+        own = uni.bits[order[i]] & mask
+        atom = own & -own
+        mob[i] = -sum(mob[p] for p in parents[i] if not uni.bits[order[p]] & atom)
+    return order, parents, ranks, mob
+
+
+def _node_table(order, parents, ranks, mob):
+    return {
+        f: (frozenset(order[p] for p in parents[i]), ranks[i], mob[i])
+        for i, f in enumerate(order)
+    }
+
+
+def test_cover_walk_matches_row_walk_on_random_nodes(h5, h6):
+    import random
+
+    rng = random.Random(13)
+    nodes = []
+    for arr in _differential_pool():
+        uni = universe(arr)
+        for _ in range(6):
+            x = rng.randrange(uni.flat_count())
+            nodes.append((uni, x, rng.getrandbits(len(arr))))  # about half the bits
+    for arr, count in ((h5, 6), (h6, 3)):
+        uni = universe(arr)
+        full = (1 << len(arr)) - 1
+        for rank in range(1, arr.rank):  # restriction nodes, the whole mask
+            for x in rng.sample(uni.by_rank[rank], count):
+                nodes.append((uni, x, full))
+        for _ in range(count):  # many-bit submasks of the whole lattice
+            nodes.append((uni, 0, full & ~(1 << rng.randrange(len(arr)))))
+            nodes.append((uni, 0, full & ~rng.getrandbits(len(arr)) & ~rng.getrandbits(len(arr))))
+    full_nodes = 0
+    for uni, x, mask in nodes:
+        order, parents, ranks = uni.node_walk(x, mask)
+        got = _node_table(order, parents, ranks, uni.node_mobius(x, mask)[1])
+        old = _row_walk(uni, x, mask)
+        assert got == _node_table(*old)
+        if mask & uni._full_mask == uni._full_mask:  # same order on whole-mask nodes
+            assert order == old[0]
+            full_nodes += 1
+    assert full_nodes >= 20 and len(nodes) >= 150

@@ -147,6 +147,37 @@ def test_zeta_product_bases(h2, h3, h4, bool3):
     assert zeta_product_bases(rsb, (1, 1, 1)) == list(range(8))
 
 
+def _full_scan_zeta_bases(regs, exponents):
+    """The previous zeta_product_bases: every base region scanned."""
+    target = q_integer_product(exponents)
+    return [bi for bi in range(len(regs)) if zeta_polynomial(regs, bi) == target]
+
+
+def test_zeta_product_bases_matches_full_scan(h2, h3, h4):
+    import itertools
+    import random
+
+    cases = [(h2, (1, 3)), (h3, (1, 3, 3)), (h4, (1, 3, 3, 5)), (h4, (1, 3, 4, 4))]
+    rng = random.Random(3)
+    while len(cases) < 16:  # random subarrangements of H_4 with a q-product zeta
+        sub = h4.subset(rng.sample(range(len(h4)), rng.randint(5, 10)))
+        if sub.rank < 3:
+            continue
+        regs = enumerate_regions(sub)
+        zetas = {zeta_polynomial(regs, bi) for bi in range(len(regs))}
+        for exps in itertools.combinations_with_replacement(range(1, len(sub) + 1), sub.rank):
+            if sum(exps) == len(sub) and q_integer_product(exps) in zetas:
+                cases.append((sub, exps))
+    partial = 0
+    for arr, exps in cases:
+        regs = enumerate_regions(arr)
+        got = zeta_product_bases(regs, exps)
+        assert got == _full_scan_zeta_bases(regs, exps)
+        assert got == sorted(set(got))
+        partial += 0 < len(got) < len(regs)
+    assert partial >= 5  # only some bases qualify
+
+
 def test_q_integer_product_values():
     assert q_integer_product(()) == (1,)
     assert q_integer_product((2,)) == (1, 1, 1)
