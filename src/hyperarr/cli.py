@@ -93,6 +93,11 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_regions(args) -> int:
+    picks = (args.base is not None) + args.all_bases
+    if args.zeta and picks != 1:
+        raise ParseError("--zeta needs exactly one of --base and --all-bases")
+    if picks and not args.zeta:
+        raise ParseError("--base and --all-bases need --zeta")
     arr = _load(args.file)
     regs = enumerate_regions(arr)
     print(f"regions: {len(regs)}")

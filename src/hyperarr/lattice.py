@@ -506,7 +506,7 @@ def find_generic_rank3_localization(arr: Arrangement) -> Flat | None:
             continue
         # generic exactly when no line below the flat holds three hyperplanes
         if all(uni.bits[p].bit_count() == 2 for p in uni.parents[f]):
-            loc = universe(uni.arr.subset(members))
+            loc = Universe(uni.arr.subset(members))
             order, mob_vals = loc.node_mobius(0, (1 << len(members)) - 1)
             top = max(range(len(order)), key=lambda i: loc.rank[order[i]])
             mob = mob_vals[top]

@@ -10,13 +10,21 @@ weakly satisfies every sign constraint of a region is an extreme ray of its
 closure: the smallest face of the closure containing the candidate is the
 intersection with the flat it spans, which is one-dimensional.
 
+The candidates come straight from the lattice build, which stores a
+primitive integer basis of every flat: a one-dimensional flat's basis is one
+vector, turned so that its first nonzero entry is positive.
+
 That gives an exact enumeration with no numeric feasibility solver.  A sign
 vector, partial or full, admits a strictly feasible point if and only if the
 candidate rays compatible with it have full rank: a generic positive
 combination of a full-rank compatible set satisfies all assigned constraints
 strictly.  The depth-first search over sign assignments therefore prunes on
 "compatible rays have rank below the dimension" and visits exactly the
-prefixes of genuine regions.
+prefixes of genuine regions.  Each node carries a witness of its full rank,
+the mask of dim-many independent compatible rays.  A child that keeps every
+witness ray inherits the witness with no linear algebra; otherwise an
+echelon is seeded with the witness rays that survived and filled from the
+child's other compatible rays, and failing to reach full rank prunes it.
 
 The rank generating function of the poset of regions based at B counts
 regions by the number of hyperplanes separating them from B; it is compared
@@ -26,9 +34,10 @@ against the product of q-integers built from the exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .arrangement import Arrangement, essentialize
-from .exactlinalg import IntEchelon, primitive_kernel_basis
+from .exactlinalg import IntEchelon
 from .lattice import bit_indices, universe
 from .polynomials import IntPoly, multiply, trim
 
@@ -62,15 +71,20 @@ class RegionSet:
 
 
 def _candidate_rays(ess: Arrangement) -> list[tuple[int, ...]]:
-    """Both signed primitive spanning vectors of every one-dimensional flat."""
+    """Both signed primitive spanning vectors of every one-dimensional flat.
+
+    The lattice build stores one primitive basis vector per line; it is turned
+    so that its first nonzero entry is positive, then listed with its negative.
+    """
     ell = ess.dim
-    uni = universe(ess)
     out: list[tuple[int, ...]] = []
     if ell == 0:
         return out
+    uni = universe(ess)
     for f in uni.by_rank[ell - 1]:
-        rows = [ess.covectors[h] for h in bit_indices(uni.bits[f])]
-        (v,) = primitive_kernel_basis(rows, ell)
+        (v,) = uni.flat_kernel(f)
+        if next(x for x in v if x) < 0:
+            v = tuple(-x for x in v)
         out.append(v)
         out.append(tuple(-x for x in v))
     return out
@@ -96,60 +110,65 @@ def enumerate_regions(arr: Arrangement) -> RegionSet:
     kill_if_minus = [0] * m
     for k, v in enumerate(cands):
         for i, c in enumerate(ess.covectors):
-            d = sum(ci * vi for ci, vi in zip(c, v))
+            d = sum(map(mul, c, v))
             if d < 0:
                 kill_if_plus[i] |= 1 << k
             elif d > 0:
                 kill_if_minus[i] |= 1 << k
 
-    def has_full_rank(alive: int) -> bool:
+    def witness(alive: int, kept: int) -> int:
+        """Mask of ell independent candidates of alive, starting from the
+        independent candidates kept (a subset of alive); 0 if alive has rank
+        below ell."""
         ech = IntEchelon(ell)
-        rest = alive
+        rest = kept
         while rest:
             low = rest & -rest
             ech.add(cands[low.bit_length() - 1])
-            if ech.rank == ell:
-                return True
-            rest &= rest - 1
-        return False
+            rest ^= low
+        out = kept
+        rest = alive & ~kept
+        while ech.rank < ell and rest:
+            low = rest & -rest
+            if ech.add(cands[low.bit_length() - 1]):
+                out |= low
+            rest ^= low
+        return out if ech.rank == ell else 0
 
-    if not has_full_rank(full_alive):
+    wit = witness(full_alive, 0)
+    if not wit:
         raise ValueError("arrangement is not essential")
 
     found: list[tuple[int, int]] = []  # (sign mask, alive candidate mask)
     # depth-first over sign assignments; antipodal symmetry fixes the first
-    # hyperplane positive and mirrors at the end
-    stack = [(0, 0, full_alive & ~kill_if_plus[0])]
-    if not has_full_rank(stack[0][2]):
-        stack = []
+    # hyperplane positive and mirrors at the end.  Each node carries a witness:
+    # ell independent alive candidates, kept by every child that keeps them.
+    alive = full_alive & ~kill_if_plus[0]
+    wit = witness(alive, alive & wit)
+    stack = [(0, 0, alive, wit)] if wit else []
     while stack:
-        i, smask, alive = stack.pop()
+        i, smask, alive, wit = stack.pop()
         i += 1
         if i == m:
             found.append((smask | 1, alive))
             continue
         for bit, kill in ((1 << i, kill_if_plus[i]), (0, kill_if_minus[i])):
             child = alive & ~kill
-            if child == alive or has_full_rank(child):
-                stack.append((i, smask | bit, child))
-
-    def mirror(mask: int) -> int:
-        # candidates are paired (v at 2t, -v at 2t+1); swap each pair
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out |= 1 << ((low.bit_length() - 1) ^ 1)
-            rest &= rest - 1
-        return out
+            if child & wit == wit:
+                stack.append((i, smask | bit, child, wit))
+            else:
+                child_wit = witness(child, child & wit)
+                if child_wit:
+                    stack.append((i, smask | bit, child, child_wit))
 
     full_m = (1 << m) - 1
     regions: list[Region] = []
     for smask, alive in found:
-        rays = tuple(cands[k] for k in bit_indices(alive))
-        regions.append(Region(smask, rays))
-        neg_rays = tuple(cands[k] for k in bit_indices(mirror(alive)))
-        regions.append(Region(smask ^ full_m, neg_rays))
+        idx = bit_indices(alive)
+        regions.append(Region(smask, tuple(cands[k] for k in idx)))
+        # a pointed cone never holds both v and -v, so swapping each pair
+        # (v at 2t, -v at 2t+1) keeps the order of the antipodal region's rays
+        regions.append(Region(smask ^ full_m, tuple(cands[k ^ 1] for k in idx)))
     regions.sort(key=lambda r: r.mask)
     return RegionSet(ess, tuple(regions))
 
@@ -233,23 +252,56 @@ def zeta_product_bases(regs: RegionSet, exponents: tuple[int, ...]) -> list[int]
     """Indices of base regions whose rank generating function equals the
     product of q-integers of the exponents.
 
+    The distances from one base to all regions are summed lane-wise: region r
+    is bit r of one big integer per hyperplane (its sign bit there, flipped
+    where the base is positive), and the m columns are added into a
+    bit-sliced counter of m.bit_length() planes, so each lane ends up holding
+    the separation of its region from the base.  The coefficient of t^k is
+    the number of lanes whose counter reads k; they are read for k = 0, 1, ...
+    up to the first that differs from the target.  Every base has exactly
+    len(regs) regions at distances 0..m, so a target that is longer than m+1
+    or does not sum to len(regs) matches no base.
+
     The regions of a central arrangement come in antipodal pairs {B, -B},
     and negation maps the regions k hyperplanes from B onto those k
     hyperplanes from -B, so each pair is scanned once.
     """
     target = q_integer_product(exponents)
     masks = regs.masks
-    mlen = len(regs.arrangement) + 1
-    full = (1 << len(regs.arrangement)) - 1
+    n = len(masks)
+    m = len(regs.arrangement)
+    if len(target) > m + 1 or sum(target) != n:
+        return []
+    lanes = (1 << n) - 1
+    cols = [0] * m
+    for r, mk in enumerate(masks):
+        for h in bit_indices(mk):
+            cols[h] |= 1 << r
+    flipped = [c ^ lanes for c in cols]
+    width = m.bit_length()
+    full = (1 << m) - 1
     index = {mk: i for i, mk in enumerate(masks)}
-    hit = [False] * len(masks)
+    hit = [False] * n
     for bi, base in enumerate(masks):
         twin = index.get(base ^ full)
         if twin is not None and twin < bi:
             hit[bi] = hit[twin]
             continue
-        coeffs = [0] * mlen
-        for mk in masks:
-            coeffs[(base ^ mk).bit_count()] += 1
-        hit[bi] = trim(coeffs) == target
+        planes = [0] * width
+        for h in range(m):
+            carry = flipped[h] if (base >> h) & 1 else cols[h]
+            for j in range(width):
+                p = planes[j]
+                planes[j] = p ^ carry
+                carry &= p
+                if not carry:
+                    break
+        for k, want in enumerate(target):
+            eq = lanes
+            for j, p in enumerate(planes):
+                eq &= p if (k >> j) & 1 else ~p
+            if eq.bit_count() != want:
+                break
+        else:
+            hit[bi] = True
     return [bi for bi, ok in enumerate(hit) if ok]

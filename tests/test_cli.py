@@ -250,3 +250,19 @@ def test_formal_lc_basis_out_of_range_exit_code(tmp_path, capsys):
 def test_regions_zeta_base_out_of_range_exit_code(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     _assert_parse_exit(capsys, ["regions", path, "--zeta", "--base", "8"])
+
+
+def test_regions_zeta_without_base_choice_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    _assert_parse_exit(capsys, ["regions", path, "--zeta"])
+
+
+def test_regions_base_choice_without_zeta_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    _assert_parse_exit(capsys, ["regions", path, "--base", "0"])
+    _assert_parse_exit(capsys, ["regions", path, "--all-bases"])
+
+
+def test_regions_base_with_all_bases_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    _assert_parse_exit(capsys, ["regions", path, "--zeta", "--base", "0", "--all-bases"])

@@ -196,6 +196,20 @@ def test_generic_rank3_localization_examples(h2, h5, h6):
     assert is_generic(loc.subset(range(len(loc)))) or is_generic(loc)
 
 
+def test_generic_rank3_localization_scan_pins_no_sub_lattice(h6):
+    from hyperarr import lattice
+
+    saved = dict(lattice._universe_cache)
+    lattice._universe_cache.clear()
+    try:
+        flat = find_generic_rank3_localization(h6)
+        assert flat is not None and flat.mobius != 0
+        assert set(lattice._universe_cache) == {h6}
+    finally:
+        lattice._universe_cache.clear()
+        lattice._universe_cache.update(saved)
+
+
 def test_explicit_four_sign_sum_localization_in_h6(h6):
     # the four sign-sum hyperplanes with I = {1}, {1,2,3}, {1,4,5}, {1,..,5}
     def form(I):

@@ -147,6 +147,153 @@ def test_zeta_product_bases(h2, h3, h4, bool3):
     assert zeta_product_bases(rsb, (1, 1, 1)) == list(range(8))
 
 
+# -- differential check of the chamber layer -----------------------------------
+
+
+def _fraction_line_vector(rows, n):
+    """Primitive spanning vector, first nonzero entry positive, of the null
+    space of rows, which must be one-dimensional (Fraction RREF)."""
+    from fractions import Fraction
+    from math import gcd, lcm
+
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    (free,) = [c for c in range(n) if c not in pivots]
+    v = [Fraction(0)] * n
+    v[free] = Fraction(1)
+    for row, p in zip(mat, pivots):
+        v[p] = -row[free]
+    d = lcm(*(x.denominator for x in v))
+    w = [int(x * d) for x in v]
+    g = gcd(*w)
+    w = [x // g for x in w]
+    if next(x for x in w if x) < 0:
+        w = [-x for x in w]
+    return tuple(w)
+
+
+def _fraction_candidate_rays(ess):
+    """The previous _candidate_rays: a Fraction kernel per line."""
+    from hyperarr.lattice import bit_indices, universe
+
+    uni = universe(ess)
+    cands = []
+    for f in uni.by_rank[ess.dim - 1]:
+        v = _fraction_line_vector([ess.covectors[h] for h in bit_indices(uni.bits[f])], ess.dim)
+        cands += [v, tuple(-x for x in v)]
+    return cands
+
+
+def _rank_test_regions(arr):
+    """The previous enumerate_regions: candidate rays from a Fraction kernel
+    per line, and a DFS that rebuilds an echelon at every pruned child.
+    Returns the regions and the candidate rays."""
+    from hyperarr.arrangement import essentialize
+    from hyperarr.exactlinalg import IntEchelon
+    from hyperarr.lattice import bit_indices
+    from hyperarr.regions import Region, RegionSet
+
+    ess = essentialize(arr) if not arr.is_essential else arr
+    m, ell = len(ess), ess.dim
+    if m == 0:
+        return RegionSet(ess, (Region(0, ()),)), []
+    cands = _fraction_candidate_rays(ess)
+    kill_if_plus, kill_if_minus = [0] * m, [0] * m
+    for k, v in enumerate(cands):
+        for i, c in enumerate(ess.covectors):
+            d = sum(a * b for a, b in zip(c, v))
+            if d < 0:
+                kill_if_plus[i] |= 1 << k
+            elif d > 0:
+                kill_if_minus[i] |= 1 << k
+
+    def has_full_rank(alive):
+        ech = IntEchelon(ell)
+        for k in bit_indices(alive):
+            ech.add(cands[k])
+            if ech.rank == ell:
+                return True
+        return False
+
+    full_alive = (1 << len(cands)) - 1
+    if not has_full_rank(full_alive):
+        raise ValueError("arrangement is not essential")
+    found = []
+    stack = [(0, 0, full_alive & ~kill_if_plus[0])]
+    if not has_full_rank(stack[0][2]):
+        stack = []
+    while stack:
+        i, smask, alive = stack.pop()
+        i += 1
+        if i == m:
+            found.append((smask | 1, alive))
+            continue
+        for bit, kill in ((1 << i, kill_if_plus[i]), (0, kill_if_minus[i])):
+            child = alive & ~kill
+            if child == alive or has_full_rank(child):
+                stack.append((i, smask | bit, child))
+    full_m = (1 << m) - 1
+    regions = []
+    for smask, alive in found:
+        regions.append(Region(smask, tuple(cands[k] for k in bit_indices(alive))))
+        mirrored = sum(1 << (k ^ 1) for k in bit_indices(alive))
+        regions.append(Region(smask ^ full_m, tuple(cands[k] for k in bit_indices(mirrored))))
+    regions.sort(key=lambda r: r.mask)
+    return RegionSet(ess, tuple(regions)), cands
+
+
+def _dim5_arrangement(seed, size):
+    import random
+
+    rng = random.Random(seed)
+    covs = set()
+    while len(covs) < size:
+        v = tuple(rng.randint(-2, 2) for _ in range(5))
+        if any(v):
+            covs.add(v)
+    return from_vectors(5, sorted(covs))
+
+
+def test_flat_basis_witness_dfs_matches_rank_test_dfs():
+    from hyperarr.lattice import universe
+    from hyperarr.regions import _candidate_rays
+
+    pool = [
+        from_vectors(dim, covs)
+        for dim, covs in oracles.random_arrangements(50, seed=606, max_dim=5, max_size=9)
+    ]
+    pool += [hyperpolygonal(n) for n in range(2, 6)]
+    pool += [_dim5_arrangement(seed, size) for seed, size in ((61, 12), (62, 13), (63, 14))]
+    assert {arr.dim for arr in pool} >= {2, 3, 4, 5}
+    flipped = 0
+    for arr in pool:
+        got = enumerate_regions(arr)
+        want, cands = _rank_test_regions(arr)
+        assert got == want
+        assert len(got) == zaslavsky_region_count(arr)
+        ess = got.arrangement
+        if len(ess):
+            # a region holds one ray of each pair, so only this list shows
+            # whether each pair is listed positive-first
+            assert _candidate_rays(ess) == cands
+            uni = universe(ess)
+            flipped += sum(next(x for x in uni.flat_kernel(f)[0] if x) < 0 for f in uni.by_rank[ess.dim - 1])
+    assert flipped  # some stored line bases start negative and get turned
+
+
 def _full_scan_zeta_bases(regs, exponents):
     """The previous zeta_product_bases: every base region scanned."""
     target = q_integer_product(exponents)
@@ -159,7 +306,10 @@ def test_zeta_product_bases_matches_full_scan(h2, h3, h4):
 
     cases = [(h2, (1, 3)), (h3, (1, 3, 3)), (h4, (1, 3, 3, 5)), (h4, (1, 3, 4, 4))]
     rng = random.Random(3)
+    draws = 0
     while len(cases) < 16:  # random subarrangements of H_4 with a q-product zeta
+        draws += 1
+        assert draws <= 100  # bounded, so a broken enumeration fails instead of looping
         sub = h4.subset(rng.sample(range(len(h4)), rng.randint(5, 10)))
         if sub.rank < 3:
             continue
@@ -168,6 +318,10 @@ def test_zeta_product_bases_matches_full_scan(h2, h3, h4):
         for exps in itertools.combinations_with_replacement(range(1, len(sub) + 1), sub.rank):
             if sum(exps) == len(sub) and q_integer_product(exps) in zetas:
                 cases.append((sub, exps))
+    # q-products longer than |A| + 1, shorter than it, and of that length
+    # (all but the last with the right region total, so only the coefficients
+    # can tell them apart)
+    cases += [(h3, (31,)), (h3, (1, 3, 4)), (h3, (1, 1, 1, 1, 1)), (h3, (3, 1, 1, 1)), (h3, (1, 2, 4))]
     partial = 0
     for arr, exps in cases:
         regs = enumerate_regions(arr)
