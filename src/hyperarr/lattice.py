@@ -506,7 +506,8 @@ def find_generic_rank3_localization(arr: Arrangement) -> Flat | None:
             continue
         # generic exactly when no line below the flat holds three hyperplanes
         if all(uni.bits[p].bit_count() == 2 for p in uni.parents[f]):
-            loc = Universe(uni.arr.subset(members))
+            # the centre of a rank-3 arrangement localizes to the whole of it
+            loc = uni if k == len(uni.arr) else Universe(uni.arr.subset(members))
             order, mob_vals = loc.node_mobius(0, (1 << len(members)) - 1)
             top = max(range(len(order)), key=lambda i: loc.rank[order[i]])
             mob = mob_vals[top]

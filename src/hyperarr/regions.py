@@ -34,7 +34,6 @@ against the product of q-integers built from the exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .arrangement import Arrangement, essentialize
 from .exactlinalg import IntEchelon
@@ -110,7 +109,7 @@ def enumerate_regions(arr: Arrangement) -> RegionSet:
     kill_if_minus = [0] * m
     for k, v in enumerate(cands):
         for i, c in enumerate(ess.covectors):
-            d = sum(map(mul, c, v))
+            d = sum(ci * vi for ci, vi in zip(c, v))
             if d < 0:
                 kill_if_plus[i] |= 1 << k
             elif d > 0:

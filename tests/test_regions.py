@@ -150,49 +150,15 @@ def test_zeta_product_bases(h2, h3, h4, bool3):
 # -- differential check of the chamber layer -----------------------------------
 
 
-def _fraction_line_vector(rows, n):
-    """Primitive spanning vector, first nonzero entry positive, of the null
-    space of rows, which must be one-dimensional (Fraction RREF)."""
-    from fractions import Fraction
-    from math import gcd, lcm
-
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        mat[r] = [x / mat[r][col] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    (free,) = [c for c in range(n) if c not in pivots]
-    v = [Fraction(0)] * n
-    v[free] = Fraction(1)
-    for row, p in zip(mat, pivots):
-        v[p] = -row[free]
-    d = lcm(*(x.denominator for x in v))
-    w = [int(x * d) for x in v]
-    g = gcd(*w)
-    w = [x // g for x in w]
-    if next(x for x in w if x) < 0:
-        w = [-x for x in w]
-    return tuple(w)
-
-
 def _fraction_candidate_rays(ess):
     """The previous _candidate_rays: a Fraction kernel per line."""
+    from hyperarr.exactlinalg import primitive_kernel_basis
     from hyperarr.lattice import bit_indices, universe
 
     uni = universe(ess)
     cands = []
     for f in uni.by_rank[ess.dim - 1]:
-        v = _fraction_line_vector([ess.covectors[h] for h in bit_indices(uni.bits[f])], ess.dim)
+        (v,) = primitive_kernel_basis([ess.covectors[h] for h in bit_indices(uni.bits[f])], ess.dim)
         cands += [v, tuple(-x for x in v)]
     return cands
 

@@ -1,17 +1,14 @@
 """Record alternating parent/change benchmark pairs into BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --number N --parent-rev REV \\
-        --pairs chambers:7101,7102,7103 --pairs analyze-h6:7201 [--seconds 20]
+        --pairs chambers:7101,7102,7103 --pairs analyze-h6:7201
 
 For each workload and seed it runs ``perfbench/run.py --trace 0`` once in the
-parent checkout and once in the change checkout, back to back, so that drift
-in host speed hits both sides of a pair alike; which side runs first
-alternates from pair to pair.  The parent checkout is either a
-directory (``--parent DIR``, for instance a ``git clone`` or ``git worktree``
-of the parent commit) or a revision of this repository (``--parent-rev REV``),
+parent checkout and once in this repository, back to back, so that drift in
+host speed hits both sides of a pair alike; which side runs first alternates
+from pair to pair.  The parent checkout is revision REV of this repository,
 exported with ``git archive`` into a temporary directory that is removed
-afterwards.  The change checkout is this repository unless ``--change DIR``
-names another.
+afterwards.  Each run lasts the ``run_seconds`` that BENCHMARK.json fixes.
 
 The output file holds, per workload: the seeds; for every pair the
 end-to-end metric values and the failed-operation counts of both sides; per
@@ -84,14 +81,15 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def record(parent: Path, change: Path, plan: dict[str, list[int]], seconds: int) -> dict:
-    better = {m["name"]: m["better"] for m in json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]}
+def record(parent: Path, plan: dict[str, list[int]], bench: dict) -> dict:
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     workloads = {}
     count = 0
     for name, seeds in plan.items():
         pairs = []
         for seed in seeds:
-            sides = [("parent", parent), ("change", change)]
+            sides = [("parent", parent), ("change", ROOT)]
             if count % 2:
                 sides.reverse()
             count += 1
@@ -106,45 +104,30 @@ def record(parent: Path, change: Path, plan: dict[str, list[int]], seconds: int)
     return workloads
 
 
-def git_rev(checkout: Path) -> str | None:
-    """Commit of a checkout, suffixed -dirty when it has uncommitted changes."""
-    proc = subprocess.run(
-        ["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=checkout, capture_output=True, text=True
-    )
-    return proc.stdout.strip() or None
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--number", type=int, required=True, help="N in the output name BENCH_<N>.json")
-    side = p.add_mutually_exclusive_group(required=True)
-    side.add_argument("--parent", type=Path, help="checkout of the parent commit")
-    side.add_argument("--parent-rev", help="parent revision of this repository, exported with git archive")
-    p.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this repository)")
+    p.add_argument("--parent-rev", required=True, help="parent revision of this repository")
     p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD:SEED[,SEED...]")
-    p.add_argument("--seconds", type=int, default=20)
     p.add_argument("--out", type=Path, default=None, help="output path (default: BENCH_<N>.json at the repository root)")
     args = p.parse_args(argv)
     plan = parse_pairs(args.pairs)
-    change = args.change.resolve()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        if args.parent_rev is not None:
-            parent = Path(tmp)
-            archive = subprocess.run(["git", "archive", args.parent_rev], cwd=ROOT, capture_output=True, check=True)
-            subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
-            parent_rev = subprocess.run(
-                ["git", "rev-parse", args.parent_rev], cwd=ROOT, capture_output=True, text=True, check=True
-            ).stdout.strip()
-        else:
-            parent = args.parent.resolve()
-            parent_rev = git_rev(parent)
-        workloads = record(parent, change, plan, args.seconds)
+        parent = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.parent_rev], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        workloads = record(parent, plan, bench)
     out = {
         "number": args.number,
         "command": "perfbench/run.py --trace 0",
-        "seconds": args.seconds,
-        "parent": parent_rev,
-        "change": git_rev(change),
+        "seconds": bench["run_seconds"],
+        "parent": git("rev-parse", args.parent_rev),
+        "change": git("describe", "--always", "--dirty", "--abbrev=40"),
         "workloads": workloads,
     }
     path = args.out or ROOT / f"BENCH_{args.number}.json"
