@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = analysis completed; 2 = input could not be parsed;
-3 = a capped search was exhausted and the output contains "undecided".
+3 = the output contains "undecided": a capped search was exhausted, or
+projective uniqueness found no witness and no motion refutation.
 Property values (true/false) never drive exit codes.
 """
 

@@ -1,5 +1,5 @@
 """Formality, line closure, generation closure, and projective-uniqueness
-witnesses.
+witnesses and refutations.
 
 Relation space: the linear dependencies among the defining covectors.  An
 arrangement is (combinatorially) formal when the dependencies supported on
@@ -20,6 +20,15 @@ small current sets are decided exactly by walking the full sub-lattice; over
 large current sets a sound certificate is used (the lines through H that hold
 two current hyperplanes, read from the covers of H's atom, together span H),
 and any hyperplane it cannot certify is marked undecided rather than excluded.
+
+Motion refutation: a hyperplane h moved to a new covector without changing
+the labelled lattice, while the other hyperplanes span and have a connected
+matroid, refutes projective uniqueness (verify_motion_refutation checks it
+with one lattice build and gives the argument).  The moves that keep every
+flat h is forced through form a space L_h read off the full lattice; when it
+has dimension >= 2, a lattice-preserving move exists.  The decision runs the
+natural seed, then this search, then the witness scan, and reports
+"undecided" when none of them settles it.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .arrangement import Arrangement
-from .exactlinalg import IntEchelon, primitive_kernel_basis, rank_of
+from .exactlinalg import IntEchelon, canonicalize, primitive_kernel_basis, rank_of
 from .lattice import Universe, bit_indices, mask_of, universe
 
 
@@ -121,16 +130,24 @@ def is_lc_basis(arr: Arrangement, seed: Iterable[int]) -> bool:
 def fundamental_circuit(
     arr: Arrangement, basis: Sequence[int], extra: int
 ) -> tuple[int, ...]:
-    """The unique circuit inside basis + extra (extra dependent on the basis)."""
-    rows = [arr.covectors[i] for i in basis] + [arr.covectors[extra]]
-    k = len(rows)
-    transposed = [tuple(r[t] for r in rows) for t in range(arr.dim)]
-    kernel = primitive_kernel_basis(transposed, k)
-    if len(kernel) != 1:
-        raise ValueError("extra hyperplane is not spanned by the basis")
-    (lam,) = kernel
+    """The unique circuit inside basis + extra (extra dependent on the basis).
+
+    Each of the k = r + 1 covectors enters an integer echelon on d + k columns
+    as (c_i | e_i), with e_i the i-th unit vector.  A row whose pivot falls in
+    the last k columns has its first d entries zero, so its last k entries
+    are a relation among the covectors; the circuit is the support of the one
+    such row.  ValueError when the relations are not exactly one line.
+    """
     idx = list(basis) + [extra]
-    return tuple(sorted(idx[t] for t in range(k) if lam[t] != 0))
+    d, k = arr.dim, len(idx)
+    ech = IntEchelon(d + k)
+    for pos, i in enumerate(idx):
+        ech.add(arr.covectors[i] + tuple(int(t == pos) for t in range(k)))
+    relations = [row[d:] for row, c in zip(ech.rows, ech.pivots) if c >= d]
+    if len(relations) != 1:
+        raise ValueError("extra hyperplane is not spanned by the basis")
+    (lam,) = relations
+    return tuple(sorted(idx[t] for t in range(k) if lam[t]))
 
 
 def is_matroid_connected(arr: Arrangement, subset: Iterable[int]) -> bool:
@@ -226,8 +243,9 @@ def gen_closure(
     remaining hyperplane goes uncertified (never excluded unsoundly).  In
     rank <= 2 no hyperplane can ever enter (the only sub-lattice flat inside
     a new hyperplane is the centre, of codimension 2), so every seed is
-    closed and projective_uniqueness_witness returns False for every
-    essential rank-2 arrangement with at least rank + 1 lines.
+    closed and no essential rank-2 arrangement of four or more lines has a
+    witness; projective_uniqueness_witness refutes each of them by moving
+    one line instead.
     """
     m = len(arr)
     seed = tuple(sorted(set(seed)))
@@ -271,6 +289,95 @@ class UniquenessWitness:
     closure: GenClosure
 
 
+@dataclass(frozen=True)
+class MotionRefutation:
+    """Hyperplane `hyperplane` moved to the canonical covector `covector`
+    without changing the labelled intersection lattice."""
+
+    hyperplane: int
+    covector: tuple[int, ...]
+
+
+def _rest_is_rigid(arr: Arrangement, h: int) -> bool:
+    """A minus hyperplane h spans and has a connected matroid, so a linear
+    map fixing each of its hyperplanes is a scalar."""
+    rest = [i for i in range(len(arr)) if i != h]
+    return rank_of([arr.covectors[i] for i in rest], arr.dim) == arr.dim and (
+        is_matroid_connected(arr, rest)
+    )
+
+
+def verify_motion_refutation(arr: Arrangement, ref: MotionRefutation) -> bool:
+    """Check that ref refutes the projective uniqueness of arr.
+
+    Accepts when the new covector c' is canonical, differs from c_h and from
+    every other covector, the arrangement with c' in place of c_h (same index
+    order) has exactly the flats (bits sets) of arr, and A minus h spans and
+    has a connected matroid.  Bad input gives False, never an exception.
+
+    Soundness.  Along the line c(t) = c_h + t (c' - c_h), each membership
+    event "c(t) lies in the span of the covectors of a flat" is linear in t,
+    so it holds everywhere or at one point at most; as the lattice agrees at
+    t = 0 and t = 1, it agrees at all but finitely many t.  A projectivity
+    fixing every hyperplane of a connected spanning A minus h has each of
+    their covectors as an eigenvector, with one eigenvalue along every
+    circuit and so one overall: it is a scalar, and it cannot carry c(t) to
+    c(s) for s != t.  Allowing the finitely many lattice automorphisms as
+    relabellings, each realization is equivalent to finitely many others, so
+    these realizations fall into infinitely many projective classes.
+    """
+    try:
+        h, c = ref.hyperplane, tuple(ref.covector)
+    except (AttributeError, TypeError):
+        return False
+    d, m = arr.dim, len(arr)
+    if not (isinstance(h, int) and 0 <= h < m):
+        return False
+    if len(c) != d or not all(isinstance(x, int) for x in c) or not any(c):
+        return False
+    if c != canonicalize(c) or c in arr.covectors:
+        return False  # not canonical, unmoved, or onto another hyperplane
+    if not _rest_is_rigid(arr, h):
+        return False
+    moved = Arrangement(d, arr.covectors[:h] + (c,) + arr.covectors[h + 1 :])
+    # built directly, not through universe(), so nothing is cached
+    return set(Universe(moved).bits) == set(universe(arr).bits)
+
+
+def _motion_search(arr: Arrangement) -> MotionRefutation | None:
+    """A lattice-preserving move of one hyperplane with a rigid rest, or None.
+
+    For a flat X holding h whose other hyperplanes already cut it out (X
+    minus h is not a flat), every realization with the same lattice puts h
+    through X.  L_h, the covectors vanishing on all such X, holds c_h; when
+    it has dimension >= 2, c_h + t v for v in L_h not parallel to c_h keeps
+    each of them, and each flat not holding h rules out one t at most, so
+    one of t = 1 .. flat_count() + 1 passes verify_motion_refutation.
+    Everything is read off the full lattice of arr.
+    """
+    uni = universe(arr)
+    d = arr.dim
+    spans = [IntEchelon(d) for _ in range(len(arr))]
+    for f in range(1, uni.flat_count()):
+        bf = uni.bits[f]
+        for h in bit_indices(bf):
+            ech = spans[h]
+            if ech.rank < d - 1 and bf ^ (1 << h) not in uni.index_of_bits:
+                for k in uni.flat_kernel(f):
+                    ech.add(k)
+    for h, ech in enumerate(spans):
+        if ech.rank == d - 1 or not _rest_is_rigid(arr, h):
+            continue  # dim L_h = 1: h cannot move without changing the lattice
+        ch = arr.covectors[h]
+        v = next(k for k in primitive_kernel_basis(ech.rows, d) if k != ch)
+        for t in range(1, uni.flat_count() + 2):
+            ref = MotionRefutation(h, canonicalize([a + t * b for a, b in zip(ch, v)]))
+            if verify_motion_refutation(arr, ref):
+                return ref
+        raise AssertionError(f"no lattice-preserving motion of hyperplane {h}")
+    return None
+
+
 def _natural_seed(arr: Arrangement) -> tuple[int, ...] | None:
     """The construction seed (first dim-1 coordinate kernels, the all-ones
     form, and the all-ones-but-last form) when the arrangement contains it."""
@@ -287,19 +394,36 @@ def _natural_seed(arr: Arrangement) -> tuple[int, ...] | None:
     return seed if len(seed) == n + 1 else None
 
 
+def _seed_witness(arr: Arrangement, seed: tuple[int, ...]) -> UniquenessWitness | None:
+    """The witness of a seed of full rank and connected matroid whose
+    generation closure covers the (essential) arrangement, or None."""
+    if rank_of([arr.covectors[i] for i in seed], arr.dim) != arr.dim:
+        return None
+    if not is_matroid_connected(arr, seed):
+        return None
+    gc = gen_closure(arr, seed)
+    return UniquenessWitness(seed, gc) if len(gc.generated) == len(arr) else None
+
+
 def projective_uniqueness_witness(
     arr: Arrangement, candidate_cap: int = 10**6
-) -> tuple[Literal[True, False, "undecided"], UniquenessWitness | None]:
-    """Search for a projective-uniqueness witness: rank+1 hyperplanes whose
-    generation closure covers the whole arrangement.
+) -> tuple[
+    Literal[True, False, "undecided"], UniquenessWitness | MotionRefutation | None
+]:
+    """Decide projective uniqueness with a checkable object.
+
+    True comes with a UniquenessWitness: rank+1 hyperplanes whose generation
+    closure covers the whole arrangement.  False comes with a
+    MotionRefutation that verify_motion_refutation accepts, or with None when
+    the arrangement is too small to host rank+1 hyperplanes.
 
     Requires an essential irreducible arrangement (the rigidity argument
-    breaks on products); an arrangement too small to host rank+1 hyperplanes
-    has no witness.  The natural construction seed is tried first, then
-    candidates in lexicographic order up to candidate_cap; an exhausted scan
-    refutes only if every candidate was decided exactly.  Subsets of
-    deficient rank or with a disconnected matroid are skipped: a generating
-    set of an irreducible essential arrangement has neither defect.
+    breaks on products).  The natural construction seed is tried first, then
+    the one-hyperplane motion search, then the other candidates in
+    lexicographic order, at most candidate_cap candidates in all.  A hit cap
+    or an exhausted scan gives "undecided".  Subsets of deficient rank or
+    with a disconnected matroid are skipped: a generating set of an
+    irreducible essential arrangement has neither defect.
     """
     r = arr.rank
     m = len(arr)
@@ -310,30 +434,22 @@ def projective_uniqueness_witness(
     if not is_matroid_connected(arr, range(m)):
         raise ValueError("witness search requires an irreducible arrangement")
 
-    def candidates():
-        nat = _natural_seed(arr)
-        if nat is not None:
-            yield nat
-        for S in itertools.combinations(range(m), r + 1):
-            if S != nat:
-                yield S
-
-    tried = 0
-    inconclusive = False
-    for S in candidates():
+    nat = _natural_seed(arr)
+    if nat is not None:
+        wit = _seed_witness(arr, nat)
+        if wit is not None:
+            return True, wit
+    ref = _motion_search(arr)
+    if ref is not None:
+        return False, ref
+    tried = int(nat is not None)
+    for S in itertools.combinations(range(m), r + 1):
+        if S == nat:
+            continue
         tried += 1
         if tried > candidate_cap:
             return "undecided", None
-        covs = [arr.covectors[i] for i in S]
-        if rank_of(covs, arr.dim) != r:
-            continue
-        if not is_matroid_connected(arr, S):
-            continue
-        gc = gen_closure(arr, S)
-        if len(gc.generated) == m:
-            return True, UniquenessWitness(tuple(S), gc)
-        if not gc.complete:
-            inconclusive = True
-    if inconclusive:
-        return "undecided", None
-    return False, None
+        wit = _seed_witness(arr, S)
+        if wit is not None:
+            return True, wit
+    return "undecided", None

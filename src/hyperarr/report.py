@@ -17,11 +17,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from math import comb
 from typing import Literal
 
 from .arrangement import Arrangement, hyperpolygonal
 from .factorization import is_inductively_factored
-from .formality import is_lc_basis, is_formal, projective_uniqueness_witness
+from .formality import (
+    MotionRefutation,
+    UniquenessWitness,
+    is_formal,
+    is_lc_basis,
+    projective_uniqueness_witness,
+)
 from .freeness import (
     CapExhausted,
     CertificateError,
@@ -155,6 +162,26 @@ def _aspherical_rule(
     return PropertyDecision("unknown", "no decision rule applies")
 
 
+def _uniqueness_decision(arr: Arrangement, candidate_cap: int) -> PropertyDecision:
+    """projectively_unique with its evidence in the provenance."""
+    try:
+        status, evidence = projective_uniqueness_witness(arr, candidate_cap=candidate_cap)
+    except ValueError as exc:  # not essential or not irreducible
+        return PropertyDecision("undecided", str(exc))
+    if isinstance(evidence, UniquenessWitness):
+        return PropertyDecision(status, f"generation-closure witness {list(evidence.indices)}")
+    if isinstance(evidence, MotionRefutation):
+        return PropertyDecision(
+            status,
+            f"motion refutation: hyperplane {evidence.hyperplane} -> {list(evidence.covector)}",
+        )
+    if status is False:
+        return PropertyDecision(False, "no subset of rank+1 hyperplanes exists")
+    if comb(len(arr), arr.rank + 1) > candidate_cap:
+        return PropertyDecision(status, "witness scan (candidate cap exhausted)")
+    return PropertyDecision(status, "no witness and no motion refutation")
+
+
 def analyze(
     arr: Arrangement,
     label: str = "arrangement",
@@ -166,8 +193,9 @@ def analyze(
     """Full decision ladder for an arbitrary arrangement, caps honored.
 
     Exponential searches (inductive freeness, nice partitions, witness scan)
-    are capped and report "undecided" when exhausted; every other flag is
-    decided exactly.
+    are capped and report "undecided" when exhausted, and projective
+    uniqueness is "undecided" when it finds neither a witness nor a motion
+    refutation; every other flag is decided exactly.
     """
     rep = PropertyReport(label, arr.dim, len(arr), arr.rank)
     props = rep.properties
@@ -231,29 +259,7 @@ def analyze(
 
     props["formal"] = PropertyDecision(is_formal(arr), "rank-2 relation span")
 
-    ess_ok = arr.is_essential
-    if len(arr) < arr.rank + 1:
-        props["projectively_unique"] = PropertyDecision(
-            False, "no subset of rank+1 hyperplanes exists"
-        )
-    elif not ess_ok:
-        props["projectively_unique"] = PropertyDecision(
-            "undecided", "witness route needs an essential arrangement"
-        )
-    else:
-        try:
-            status, wit = projective_uniqueness_witness(arr, candidate_cap=witness_cap)
-        except ValueError as exc:
-            status, wit = "undecided", None
-            props["projectively_unique"] = PropertyDecision("undecided", str(exc))
-        else:
-            provenance = (
-                f"generation-closure witness {list(wit.indices)}"
-                if wit
-                else "witness scan"
-                + (" (candidate cap exhausted)" if status == "undecided" else " exhausted: none exists")
-            )
-            props["projectively_unique"] = PropertyDecision(status, provenance)
+    props["projectively_unique"] = _uniqueness_decision(arr, witness_cap)
 
     rep.validate()
     return rep
@@ -334,16 +340,7 @@ def report(n: int) -> PropertyReport:
     else:
         props["formal"] = PropertyDecision(is_formal(arr), "rank-2 relation span")
 
-    if len(arr) < arr.rank + 1:
-        props["projectively_unique"] = PropertyDecision(
-            False, "no subset of rank+1 hyperplanes exists"
-        )
-    else:
-        status, wit = projective_uniqueness_witness(arr)
-        props["projectively_unique"] = PropertyDecision(
-            status,
-            f"generation-closure witness {list(wit.indices)}" if wit else "witness scan exhausted: none exists",
-        )
+    props["projectively_unique"] = _uniqueness_decision(arr, 10**6)
 
     rep.validate()
     return rep

@@ -40,6 +40,15 @@ def generic4() -> Arrangement:
 
 
 @pytest.fixture(scope="session")
+def rigid7() -> Arrangement:
+    """Essential and irreducible with no uniqueness witness, and no hyperplane
+    can move alone without changing the lattice (every L_h is a line)."""
+    return from_vectors(3, [
+        (0, 0, 1), (0, 2, 1), (1, 0, -1), (1, 0, 0), (1, 1, 0), (1, 2, 0), (2, 2, 1),
+    ])
+
+
+@pytest.fixture(scope="session")
 def bool3() -> Arrangement:
     return boolean(3)
 

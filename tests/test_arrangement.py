@@ -254,3 +254,5 @@ def test_star_import_exposes_certificate_replay_and_rank2_flats():
     exec("from hyperarr import *", namespace)
     assert namespace["verify_free_certificate"].__name__ == "verify_free_certificate"
     assert namespace["rank2_flats"].__name__ == "rank2_flats"
+    assert namespace["verify_motion_refutation"].__name__ == "verify_motion_refutation"
+    assert namespace["MotionRefutation"].__name__ == "MotionRefutation"

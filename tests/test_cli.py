@@ -49,6 +49,16 @@ def test_analyze_exit_codes_ignore_property_values(tmp_path, capsys):
     assert "free" in out
 
 
+def test_analyze_exit_code_when_uniqueness_is_open(tmp_path, capsys, rigid7):
+    path = tmp_path / "rigid.arr"
+    path.write_text(format_arrangement_text(rigid7))
+    assert cli.main(["analyze", str(path), "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["undecided"] == ["projectively_unique"]
+    assert data["properties"]["projectively_unique"] == {
+        "value": "undecided", "provenance": "no witness and no motion refutation"}
+
+
 def test_chi_output(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     assert cli.main(["chi", path]) == 0

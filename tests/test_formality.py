@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from hyperarr import (
+    MotionRefutation,
     boolean,
     canonicalize,
     from_vectors,
@@ -16,6 +17,7 @@ from hyperarr import (
     line_closure,
     projective_uniqueness_witness,
     relation_space_dim,
+    verify_motion_refutation,
 )
 
 import oracles
@@ -149,7 +151,9 @@ def test_projective_uniqueness_witness(h2, h3, h4, bool3):
     st4, w4 = projective_uniqueness_witness(h4)
     assert st4 is True and w4.indices == (0, 1, 2, 4, 11)
     assert len(w4.indices) == 5
-    assert projective_uniqueness_witness(h2) == (False, None)
+    st2, ref2 = projective_uniqueness_witness(h2)
+    assert st2 is False and isinstance(ref2, MotionRefutation)
+    assert verify_motion_refutation(h2, ref2)
     assert projective_uniqueness_witness(bool3) == (False, None)
 
 
@@ -162,18 +166,184 @@ def test_projective_uniqueness_witness_input_contract():
         )
 
 
-def test_witness_scan_pins_no_sub_lattices():
+def test_witness_scan_pins_no_sub_lattices(rigid7):
     from hyperarr import lattice
 
     # an essential irreducible 8-hyperplane arrangement in dimension 4 with no
-    # witness, so the scan runs gen_closure on every connected candidate
-    arr = from_vectors(4, [
+    # witness: the motion search refutes it from the ambient lattice
+    moved = from_vectors(4, [
         (0, 2, 0, 1), (1, 1, -2, 2), (1, 0, 2, -1), (2, 0, -1, 2),
         (2, 1, 0, 1), (1, 1, 2, -2), (2, 1, -2, 0), (0, 1, -2, -2),
     ])
     before = set(lattice._universe_cache)
-    assert projective_uniqueness_witness(arr) == (False, None)
-    assert set(lattice._universe_cache) - before <= {arr}
+    status, ref = projective_uniqueness_witness(moved)
+    assert status is False and verify_motion_refutation(moved, ref)
+    assert set(lattice._universe_cache) - before <= {moved}
+    # every dim L_h is 1, so the scan runs gen_closure on every connected
+    # candidate, finds no witness and leaves the question open
+    before = set(lattice._universe_cache)
+    assert projective_uniqueness_witness(rigid7) == ("undecided", None)
+    assert set(lattice._universe_cache) - before <= {rigid7}
+
+
+# -- motion refutations --------------------------------------------------------------
+
+
+def _uniqueness_pool(count, seed):
+    """Seeded random arrangements the witness routine accepts: essential,
+    irreducible, with at least rank + 1 hyperplanes (at most 8)."""
+    arrs = [from_vectors(d, covs) for d, covs in
+            oracles.random_arrangements(count, seed=seed, max_dim=4, max_size=8)]
+    return [arr for arr in arrs if arr.is_essential and len(arr) > arr.rank
+            and is_matroid_connected(arr, range(len(arr)))]
+
+
+def test_motion_refutations_replay_and_keep_the_brute_flats(h2):
+    from hyperarr.lattice import bit_indices, universe
+
+    found = 0
+    for arr in [h2] + _uniqueness_pool(40, seed=83):
+        status, ref = projective_uniqueness_witness(arr)
+        if not isinstance(ref, MotionRefutation):
+            continue
+        assert status is False and verify_motion_refutation(arr, ref)
+        moved = list(arr.covectors)
+        moved[ref.hyperplane] = ref.covector
+        flats = {frozenset(bit_indices(b)) for b in universe(arr).bits}
+        assert oracles.brute_flat_sets(moved) == flats
+        found += 1
+    assert found >= 18
+
+
+def _scan_witness(arr):
+    """The first connected full-rank (rank+1)-subset whose generation
+    closure covers the arrangement, by trying every one."""
+    r = arr.rank
+    for S in itertools.combinations(range(len(arr)), r + 1):
+        if oracles.frac_rank([arr.covectors[i] for i in S]) != r:
+            continue
+        if is_matroid_connected(arr, S) and len(gen_closure(arr, S).generated) == len(arr):
+            return S
+    return None
+
+
+def test_scan_finds_no_witness_where_a_motion_exists(h2, h3, generic4, rigid7):
+    from hyperarr.formality import _motion_search
+
+    seen = {"refuted": 0, "witnessed": 0, "neither": 0}
+    for arr in [h2, h3, generic4, rigid7] + _uniqueness_pool(60, seed=89):
+        ref = _motion_search(arr)
+        wit = _scan_witness(arr)
+        assert ref is None or wit is None, (arr, ref, wit)
+        seen["refuted" if ref else "witnessed" if wit else "neither"] += 1
+    assert seen["refuted"] >= 25 and seen["witnessed"] >= 5 and seen["neither"] >= 1
+
+
+def test_verify_motion_refutation_rejects(h2, h3, generic4):
+    from hyperarr.lattice import Universe
+
+    assert verify_motion_refutation(h2, MotionRefutation(0, (1, 2)))
+    # unmoved, onto another hyperplane, a multiple of one, zero, wrong length,
+    # not canonical, not integers
+    for c in ((1, 0), (1, 1), (2, 2), (0, 0), (1, 2, 0), (-1, -2), (1.0, 2.0)):
+        assert not verify_motion_refutation(h2, MotionRefutation(0, c))
+    for h in (-1, 4, "0", None):
+        assert not verify_motion_refutation(h2, MotionRefutation(h, (1, 2)))
+    for junk in (None, (0, (1, 2)), MotionRefutation(0, None), MotionRefutation(0, 5)):
+        assert not verify_motion_refutation(h2, junk)
+
+    def same_flats(arr, h, c):
+        moved = arr.covectors[:h] + (c,) + arr.covectors[h + 1:]
+        return oracles.brute_flat_sets(moved) == oracles.brute_flat_sets(arr.covectors)
+
+    # a move that changes the lattice, with a rest that spans and is connected
+    assert not same_flats(h3, 0, (1, 2, 5))
+    assert not verify_motion_refutation(h3, MotionRefutation(0, (1, 2, 5)))
+    # the lattice is kept, but the other three planes are a disconnected frame
+    assert same_flats(generic4, 3, (1, 2, 3))
+    assert not verify_motion_refutation(generic4, MotionRefutation(3, (1, 2, 3)))
+    assert projective_uniqueness_witness(generic4)[0] is True
+    # the lattice is kept, but the rest does not span
+    pencil = from_vectors(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    assert same_flats(pencil, 3, (1, 2, 3))
+    assert not verify_motion_refutation(pencil, MotionRefutation(3, (1, 2, 3)))
+    assert set(Universe(pencil).bits) == set(Universe(from_vectors(3, [
+        (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 3)])).bits)
+
+
+def test_natural_seed_runs_first_and_once(monkeypatch, h2, h3, h4, h5):
+    from hyperarr import formality
+
+    def refuse(arr):
+        raise AssertionError("the motion search ran before the natural seed")
+
+    monkeypatch.setattr(formality, "_motion_search", refuse)
+    for arr in (h3, h4, h5):
+        assert projective_uniqueness_witness(arr)[0] is True
+    # with no motion the scan runs, and it does not retry the natural seed
+    monkeypatch.setattr(formality, "_motion_search", lambda arr: None)
+    seeds = []
+    real = formality.gen_closure
+
+    def recording(arr, seed, *args, **kwargs):
+        seeds.append(tuple(seed))
+        return real(arr, seed, *args, **kwargs)
+
+    monkeypatch.setattr(formality, "gen_closure", recording)
+    assert projective_uniqueness_witness(h2) == ("undecided", None)
+    assert seeds[0] == (0, 2, 3)
+    assert sorted(seeds) == list(itertools.combinations(range(4), 3))
+
+
+def _kernel_circuit(arr, basis, extra):
+    """The previous route: the support of the one primitive kernel vector of
+    the covectors of basis + extra."""
+    from hyperarr.exactlinalg import primitive_kernel_basis
+
+    rows = [arr.covectors[i] for i in basis] + [arr.covectors[extra]]
+    transposed = [tuple(r[t] for r in rows) for t in range(arr.dim)]
+    kernel = primitive_kernel_basis(transposed, len(rows))
+    if len(kernel) != 1:
+        raise ValueError("extra hyperplane is not spanned by the basis")
+    idx = list(basis) + [extra]
+    return tuple(sorted(idx[t] for t in range(len(idx)) if kernel[0][t]))
+
+
+def test_fundamental_circuit_matches_kernel_route():
+    import random
+
+    from hyperarr.formality import fundamental_circuit
+
+    def both(basis, extra):
+        try:
+            want = _kernel_circuit(arr, basis, extra)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fundamental_circuit(arr, basis, extra)
+            return None
+        assert fundamental_circuit(arr, basis, extra) == want
+        return want
+
+    rng = random.Random(7)
+    arrs = [from_vectors(d, covs) for d, covs in
+            oracles.random_arrangements(60, seed=97, max_dim=5, max_size=10)]
+    arrs += [hyperpolygonal(n) for n in range(2, 6)]
+    circuits = raised = 0
+    for arr in arrs:
+        order = list(range(len(arr)))
+        rng.shuffle(order)
+        basis, others = [], []
+        for i in order:
+            grown = basis + [i]
+            (basis if oracles.frac_rank([arr.covectors[j] for j in grown]) == len(grown)
+             else others).append(i)
+        for e in others:
+            circuits += both(basis, e) is not None
+        if basis[1:]:  # a hyperplane outside the span of the rest of the basis
+            raised += both(basis[1:], basis[0]) is None
+        if len(others) >= 2:  # a dependent "basis": two relations
+            raised += both(basis + others[:1], others[1]) is None
+    assert circuits >= 150 and raised >= 75
 
 
 # -- differential check of the exact generation step ---------------------------------

@@ -12,6 +12,8 @@ from hyperarr import (
     report,
 )
 
+import oracles
+
 LADDER = {
     1: dict(supersolvable=True, inductively_factored=True, inductively_free=True,
             free=True, simplicial=True, aspherical="yes", projectively_unique=False),
@@ -146,3 +148,42 @@ def test_report_json_and_text_round_trip(h3):
     assert rep2.to_json_dict() == data
     rendered = rep.format_text()
     assert "supersolvable" in rendered and "exponents: [1, 3, 3]" in rendered
+
+
+def test_projectively_unique_provenance_names_its_evidence(h2, bool3, rigid7):
+    from hyperarr import MotionRefutation, from_vectors, verify_motion_refutation
+    from hyperarr.report import _uniqueness_decision
+
+    moved = PropertyDecision(False, "motion refutation: hyperplane 0 -> [1, 2]")
+    assert report(2).properties["projectively_unique"] == moved
+    assert analyze(h2).properties["projectively_unique"] == moved
+    assert report(3).properties["projectively_unique"].provenance == (
+        "generation-closure witness [0, 1, 3, 6]"
+    )
+    assert _uniqueness_decision(bool3, 10**6) == PropertyDecision(
+        False, "no subset of rank+1 hyperplanes exists"
+    )
+    assert _uniqueness_decision(rigid7, 10**6) == PropertyDecision(
+        "undecided", "no witness and no motion refutation"
+    )
+    assert _uniqueness_decision(rigid7, 3) == PropertyDecision(
+        "undecided", "witness scan (candidate cap exhausted)"
+    )
+    flat = from_vectors(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert _uniqueness_decision(flat, 10**6) == PropertyDecision(
+        "undecided", "witness search requires an essential arrangement"
+    )
+    # every False names a refutation that replays, or the size reason
+    refuted = 0
+    for d, covs in oracles.random_arrangements(30, seed=101, max_dim=4, max_size=8):
+        arr = from_vectors(d, covs)
+        dec = _uniqueness_decision(arr, 10**6)
+        if dec.value is not False or dec.provenance == "no subset of rank+1 hyperplanes exists":
+            continue
+        head, _, covector = dec.provenance.partition(" -> ")
+        assert head.startswith("motion refutation: hyperplane ")
+        h = int(head.rsplit(" ", 1)[1])
+        c = tuple(int(x) for x in covector.strip("[]").split(", "))
+        assert verify_motion_refutation(arr, MotionRefutation(h, c))
+        refuted += 1
+    assert refuted >= 5
