@@ -14,12 +14,15 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .exactlinalg import (
+    IntEchelon,
     SubspaceBasis,
     canonicalize,
+    clear_denominators,
     primitive_kernel_basis,
     rank_of,
 )
@@ -55,7 +58,7 @@ class Arrangement:
     def __iter__(self):
         return iter(self.covectors)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return rank_of(self.covectors, self.dim)
 
@@ -84,7 +87,7 @@ class Arrangement:
         )
 
 
-def from_vectors(dim: int, vectors: Iterable[Sequence[int | Fraction]]) -> Arrangement:
+def from_vectors(dim: int, vectors: Iterable[Sequence[Rational]]) -> Arrangement:
     """Build an arrangement from raw covectors; raises on duplicates."""
     return Arrangement(dim, tuple(canonicalize(v) for v in vectors))
 
@@ -123,26 +126,34 @@ def hyperplane_subspace(covector: Sequence[int], dim: int) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(primitive_kernel_basis([list(covector)], dim), dim)
 
 
-def restrict_to_subspace(arr: Arrangement, subspace: SubspaceBasis) -> Arrangement:
-    """Restriction of the arrangement to a subspace X.
+def restrict_with_traces(
+    arr: Arrangement, subspace: SubspaceBasis
+) -> tuple[Arrangement, dict[int, int]]:
+    """Restriction of the arrangement to a subspace X, with the trace map.
 
     Coordinates on X are the canonical reduced-row-echelon basis rows of X, so
-    the output is deterministic.  Hyperplanes containing X disappear; the rest
-    restrict to hyperplanes of X, merged when their traces coincide, keeping
-    first-seen order.
+    the output is deterministic.  The trace of a covector is its integer dot
+    product with each D-scaled row of X, canonicalized (the common factor D
+    drops out).  Hyperplanes containing X disappear; the rest restrict to
+    hyperplanes of X, merged when their traces coincide, keeping first-seen
+    order.  The map sends the index of each hyperplane not containing X to
+    the index of its trace in the restriction.
     """
     if subspace.dim == 0:
         raise ValueError("restriction to the origin is not an arrangement")
     rows = subspace.rows
-    out: list[Covector] = []
-    for c in arr.covectors:
-        local = [sum(Fraction(ci) * ri for ci, ri in zip(c, row)) for row in rows]
-        if all(x == 0 for x in local):
-            continue  # hyperplane contains X
-        lc = canonicalize(local)
-        if lc not in out:
-            out.append(lc)
-    return Arrangement(subspace.dim, tuple(out))
+    out: dict[Covector, int] = {}
+    traces: dict[int, int] = {}
+    for i, c in enumerate(arr.covectors):
+        local = [sum(ci * ri for ci, ri in zip(c, row)) for row in rows]
+        if any(local):  # otherwise the hyperplane contains X
+            traces[i] = out.setdefault(canonicalize(local), len(out))
+    return Arrangement(subspace.dim, tuple(out)), traces
+
+
+def restrict_to_subspace(arr: Arrangement, subspace: SubspaceBasis) -> Arrangement:
+    """Restriction of the arrangement to a subspace X (see restrict_with_traces)."""
+    return restrict_with_traces(arr, subspace)[0]
 
 
 def restriction_to_hyperplane(arr: Arrangement, index: int) -> Arrangement:
@@ -159,16 +170,17 @@ def essentialize(arr: Arrangement) -> Arrangement:
     """Image of the arrangement in the quotient by its center.
 
     Covectors are rewritten in coordinates with respect to the canonical RREF
-    basis of their span; the intersection lattice is unchanged.  Essential
-    arrangements are returned unchanged.
+    basis of their span, which are their entries in its pivot columns; the
+    intersection lattice is unchanged.  Essential arrangements are returned
+    unchanged.
     """
-    r = arr.rank
-    if r == arr.dim:
+    if arr.is_essential:
         return arr
-    span = SubspaceBasis.from_vectors(arr.covectors, arr.dim)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in span.rows]
-    covs = [canonicalize([c[p] for p in pivots]) for c in arr.covectors]
-    return Arrangement(r, tuple(covs))
+    ech = IntEchelon(arr.dim)
+    for c in arr.covectors:
+        ech.add(c)
+    covs = [canonicalize([c[p] for p in ech.pivots]) for c in arr.covectors]
+    return Arrangement(ech.rank, tuple(covs))
 
 
 def is_generic(arr: Arrangement, subset_cap: int = 10**6) -> bool:
@@ -201,34 +213,31 @@ def is_generic(arr: Arrangement, subset_cap: int = 10**6) -> bool:
 
 
 def verify_linear_isomorphism(
-    source: Arrangement, target: Arrangement, matrix: Sequence[Sequence[int | Fraction]]
+    source: Arrangement, target: Arrangement, matrix: Sequence[Sequence[Rational]]
 ) -> bool:
     """Check that a substitution x_i -> row_i(matrix) maps source onto target.
 
     matrix row i gives the image of the coordinate form x_i, so a covector c
     maps to c . matrix.  True iff the matrix is invertible and the induced map
     on canonical covectors is a bijection from source's hyperplanes onto
-    target's.
+    target's.  The matrix is cleared of denominators once, by one common
+    denominator, which canonicalization ignores.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
     if source.dim != target.dim:
         raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
-    if len(rows) != source.dim or any(len(r) != target.dim for r in rows):
+    n = target.dim
+    if len(matrix) != n or any(len(r) != n for r in matrix):
         raise ValueError("matrix shape does not match the ambient dimension")
-    int_rows = []
-    for row in rows:
-        denom = 1
-        for f in row:
-            denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        int_rows.append([int(f * denom) for f in row])
-    if rank_of(int_rows, target.dim) != target.dim:
+    flat = clear_denominators([x for row in matrix for x in row])
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if rank_of(rows, n) != n:
         raise ValueError("matrix is singular")
     if len(source) != len(target):
         return False
-    images = set()
-    for c in source.covectors:
-        img = [sum(Fraction(ci) * rows[i][j] for i, ci in enumerate(c)) for j in range(target.dim)]
-        images.add(canonicalize(img))
+    images = {
+        canonicalize([sum(ci * rows[i][j] for i, ci in enumerate(c)) for j in range(n)])
+        for c in source.covectors
+    }
     return images == set(target.covectors)
 
 

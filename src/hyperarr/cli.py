@@ -9,6 +9,7 @@ Property values (true/false) never drive exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -217,7 +218,9 @@ def cmd_genclose(args) -> int:
     return EXIT_OK if gc.complete else EXIT_UNDECIDED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="hyperarr",
         description="Exact decision engine for central rational hyperplane arrangements.",

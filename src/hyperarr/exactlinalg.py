@@ -1,43 +1,52 @@
-"""Exact rational linear algebra on small vectors and subspaces.
+"""Exact linear algebra over Q on small vectors and subspaces, in integers.
 
-Everything here is arbitrary-precision and deterministic: integer covectors in a
-canonical primitive form, fraction-free integer row echelon for ranks and
-membership tests, and a canonical reduced-row-echelon basis type for subspaces
-of Q^n.  No floating point anywhere.
+There is one elimination: a fraction-free integer row echelon (IntEchelon),
+with a back-substitution step for the reduced row echelon form.  Rational
+input enters through canonicalize and clear_denominators, which read
+`.numerator` and `.denominator` of any numbers.Rational and scale to
+integers.  A subspace is stored as its reduced row echelon form times one
+common denominator D, the least positive integer that makes every entry an
+integer, so the stored rows are canonical integers.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Sequence
 
 
-def canonicalize(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
+def clear_denominators(values: Sequence[Rational]) -> list[int]:
+    """The values times the lcm of their denominators, as integers.
+
+    Raises TypeError for an entry that is not a numbers.Rational.
+    """
+    den = 1
+    for x in values:
+        if not isinstance(x, Rational):
+            raise TypeError(f"{x!r} is not a rational number")
+        den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def canonicalize(vector: Sequence[Rational]) -> tuple[int, ...]:
     """Canonical primitive integer form of a rational covector.
 
     Scales by the common denominator, divides by the gcd, and flips signs so
     the first nonzero entry is positive.  Two covectors define the same
     hyperplane iff they canonicalize identically.
     """
-    fracs = [Fraction(x) for x in vector]
-    if all(f == 0 for f in fracs):
+    ints = clear_denominators(vector)
+    g = gcd(*ints)
+    if not g:
         raise ValueError("zero covector does not define a hyperplane")
-    denom_lcm = 1
-    for f in fracs:
-        d = f.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
     for x in ints:
         if x:
             if x < 0:
-                ints = [-y for y in ints]
+                g = -g
             break
-    return tuple(ints)
+    return tuple(x // g for x in ints)
 
 
 def _reduce_primitive(vector: list[int]) -> tuple[int, ...]:
@@ -51,7 +60,7 @@ def _reduce_primitive(vector: list[int]) -> tuple[int, ...]:
 
 
 class IntEchelon:
-    """Fraction-free integer row echelon; supports rank and membership tests.
+    """Division-free integer row echelon; supports rank and membership tests.
 
     Rows are primitive integer vectors with strictly increasing pivot columns
     and positive pivots.  Reduction of v against a row r with pivot p at column
@@ -104,6 +113,27 @@ class IntEchelon:
                 return True
         return False
 
+    def reduced(self) -> list[tuple[int, ...]]:
+        """The reduced row echelon form times its common denominator D.
+
+        Back-substitution clears row i in the pivot column of every later row
+        j by p_j*r_i - r_i[c_j]*r_j; row j is zero left of c_j, so columns
+        already cleared stay clear.  Each primitive result r_i is the reduced
+        row times its pivot p_i, so D = lcm(p_i) and row i is scaled by
+        D / p_i.  Every returned row holds D in its own pivot column and 0 in
+        the others, and the rows depend only on the row space.
+        """
+        prim = []
+        for i, r in enumerate(self.rows):
+            for s, c in zip(self.rows[i + 1 :], self.pivots[i + 1 :]):
+                rc = r[c]
+                if rc:
+                    p = s[c]
+                    r = [p * a - rc * b for a, b in zip(r, s)]
+            prim.append(_reduce_primitive(list(r)))
+        d = lcm(*(r[c] for r, c in zip(prim, self.pivots)))
+        return [tuple(x * (d // r[c]) for x in r) for r, c in zip(prim, self.pivots)]
+
 
 def rank_of(vectors: Iterable[Sequence[int]], n: int) -> int:
     """Rank of a family of integer vectors in Z^n."""
@@ -116,109 +146,65 @@ def rank_of(vectors: Iterable[Sequence[int]], n: int) -> int:
 def primitive_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of the null space {v : r . v = 0 for all rows}.
 
-    Computed from the reduced row echelon form over Q, then cleared of
-    denominators; each vector is primitive with first nonzero entry positive.
-    Deterministic: one vector per free column, in column order.
+    Read from the D-scaled reduced rows: the vector of free column f has D at
+    f and minus each row's entry in column f at that row's pivot.  Each vector
+    is primitive with first nonzero entry positive.  Deterministic: one
+    vector per free column, in column order.
     """
-    rref = _rref([[Fraction(x) for x in row] for row in rows], n)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in rref]
-    pivot_set = set(pivots)
+    ech = IntEchelon(n)
+    for row in rows:
+        ech.add(row)
+    red = ech.reduced()
+    d = red[0][ech.pivots[0]] if red else 1
+    pivot_set = set(ech.pivots)
     basis = []
     for free in range(n):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for row, p in zip(rref, pivots):
+        v = [0] * n
+        v[free] = d
+        for row, p in zip(red, ech.pivots):
             v[p] = -row[free]
         basis.append(canonicalize(v))
     return basis
 
 
-def _rref(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q (unit pivots, zeros above and below)."""
-    mat = [row[:] for row in rows]
-    out: list[list[Fraction]] = []
-    col = 0
-    while mat and col < n:
-        pivot_row = None
-        for r in mat:
-            if r[col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        mat.remove(pivot_row)
-        inv = pivot_row[col]
-        pivot_row = [x / inv for x in pivot_row]
-        for r in mat:
-            if r[col]:
-                f = r[col]
-                for i in range(n):
-                    r[i] -= f * pivot_row[i]
-        for r in out:
-            if r[col]:
-                f = r[col]
-                for i in range(n):
-                    r[i] -= f * pivot_row[i]
-        out.append(pivot_row)
-        col += 1
-    out.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
-    return out
-
-
 class SubspaceBasis:
-    """A linear subspace of Q^n in canonical reduced-row-echelon form.
+    """A linear subspace of Q^n in a canonical integer basis.
 
     Two SubspaceBasis values compare equal iff they are the same subspace, so
-    they are safe as dict keys.  `meet` is intersection, `sum_with` is subspace
-    sum; both are exact.
+    they are safe as dict keys.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = {
+        "n": "Dimension of the ambient space Q^n.",
+        "rows": "The reduced row echelon form scaled by one common denominator D, "
+        "the least positive integer that clears it: integer rows, each holding D "
+        "in its own pivot column and 0 in the other pivot columns.",
+    }
 
-    def __init__(self, n: int, rows: Sequence[Sequence[Fraction]]):
+    def __init__(self, n: int, rows: Sequence[Sequence[int]]):
         self.n = n
-        self.rows: tuple[tuple[Fraction, ...], ...] = tuple(tuple(r) for r in rows)
+        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence[int | Fraction]], n: int) -> "SubspaceBasis":
-        rows = [[Fraction(x) for x in v] for v in vectors]
-        return cls(n, _rref(rows, n))
+    def from_vectors(cls, vectors: Iterable[Sequence[Rational]], n: int) -> "SubspaceBasis":
+        ech = IntEchelon(n)
+        for v in vectors:
+            ech.add(clear_denominators(v))
+        return cls(n, ech.reduced())
 
     @classmethod
     def full(cls, n: int) -> "SubspaceBasis":
-        eye = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        return cls(n, eye)
+        return cls(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains_vector(self, vector: Sequence[int | Fraction]) -> bool:
-        v = [Fraction(x) for x in vector]
-        for row in self.rows:
-            p = next(i for i, x in enumerate(row) if x)
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
-
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains_vector(r) for r in other.rows)
-
     def kernel(self) -> "SubspaceBasis":
         """Annihilator {v : r . v = 0 for all basis rows} as a subspace."""
-        vecs = primitive_kernel_basis([[int(x) for x in canonical_int_row(r)] for r in self.rows], self.n)
-        return SubspaceBasis.from_vectors(vecs, self.n)
-
-    def sum_with(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        return SubspaceBasis.from_vectors(list(self.rows) + list(other.rows), self.n)
-
-    def meet(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        """Intersection, via the annihilator: U ∩ W = ann(ann U + ann W)."""
-        return self.kernel().sum_with(other.kernel()).kernel()
+        return SubspaceBasis.from_vectors(primitive_kernel_basis(self.rows, self.n), self.n)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubspaceBasis) and self.n == other.n and self.rows == other.rows
@@ -228,13 +214,3 @@ class SubspaceBasis:
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(n={self.n}, dim={self.dim})"
-
-
-def canonical_int_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """Clear denominators of a rational row to a primitive integer vector."""
-    denom_lcm = 1
-    for f in row:
-        d = Fraction(f).denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(Fraction(f) * denom_lcm) for f in row]
-    return _reduce_primitive(ints)

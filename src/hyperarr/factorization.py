@@ -20,11 +20,10 @@ induced pairs (A', pi') and (A'', pi'') in the class.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Literal
 
-from .arrangement import Arrangement, hyperplane_subspace, restriction_to_hyperplane
-from .exactlinalg import canonicalize, rank_of
+from .arrangement import Arrangement, hyperplane_subspace, restrict_with_traces
+from .exactlinalg import rank_of
 from .lattice import universe
 from .polynomials import monic_linear_roots
 
@@ -195,23 +194,6 @@ def find_nice_partition(
     return False, []
 
 
-def _trace_map(arr: Arrangement, h0: int) -> dict[int, int] | None:
-    """Index map of H |-> H ^ H0 into the restriction, or None if not injective
-    on the complement of A_{H0}-parallel classes (duplicate traces)."""
-    sub = hyperplane_subspace(arr.covectors[h0], arr.dim)
-    restricted = restriction_to_hyperplane(arr, h0)
-    lookup = {c: k for k, c in enumerate(restricted.covectors)}
-    out: dict[int, int] = {}
-    for i, c in enumerate(arr.covectors):
-        if i == h0:
-            continue
-        local = [sum(Fraction(ci) * ri for ci, ri in zip(c, row)) for row in sub.rows]
-        if all(x == 0 for x in local):
-            continue
-        out[i] = lookup[canonicalize(local)]
-    return out
-
-
 def is_inductively_factored(
     arr: Arrangement, search_cap: int = 16
 ) -> tuple[Literal[True, False, "undecided"], Partition | None]:
@@ -248,13 +230,14 @@ def _ifac_pair(arr: Arrangement, blocks: Partition, memo: dict) -> bool:
         # arrangement inside the hyperplane itself
         memo[key] = True
         return True
-    restriction_cache = restriction_to_hyperplane
     for bi, block in enumerate(blocks):
         other = [i for b2i, b2 in enumerate(blocks) if b2i != bi for i in b2]
         for h0 in block:
-            tmap = _trace_map(arr, h0)
+            # the restriction A^{H0} and the trace map H |-> H ^ H0 into it
+            restricted, tmap = restrict_with_traces(
+                arr, hyperplane_subspace(arr.covectors[h0], arr.dim)
+            )
             images = [tmap[i] for i in other if i in tmap]
-            restricted = restriction_cache(arr, h0)
             if len(images) != len(other) or len(set(images)) != len(other):
                 continue
             if len(restricted) != len(other):

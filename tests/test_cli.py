@@ -276,3 +276,54 @@ def test_regions_base_choice_without_zeta_exit_code(tmp_path, capsys):
 def test_regions_base_with_all_bases_exit_code(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     _assert_parse_exit(capsys, ["regions", path, "--zeta", "--base", "0", "--all-bases"])
+
+
+def test_main_reuses_one_parser_without_carry_over(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["analyze", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == path
+    assert cli.main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert not out.lstrip().startswith("{") and "free" in out
+    assert cli.main(["regions", path, "--simplicial"]) == 0
+    assert "simplicial" in capsys.readouterr().out
+    assert cli.main(["regions", path]) == 0
+    assert capsys.readouterr().out == "regions: 8\n"
+    assert cli.main(["chi", path]) == 0
+    assert "coefficients (ascending)" in capsys.readouterr().out
+    parser = cli.build_parser()
+    first = parser.parse_args(["free", path, "--inductive", "--certificate", "c.json"])
+    second = parser.parse_args(["free", path])
+    assert (first.inductive, first.certificate) == (True, "c.json")
+    assert (second.inductive, second.certificate) == (False, None)
+    third = parser.parse_args(["chi", path])
+    assert third.func is cli.cmd_chi and not hasattr(third, "json")
+
+
+def test_runtime_imports_only_the_standard_library(tmp_path, generic4):
+    """A fresh process runs report(5) and analyze with no fractions, numpy,
+    sympy or hypothesis module loaded."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "generic4.arr"
+    path.write_text(format_arrangement_text(generic4))
+    script = (
+        "import contextlib, io, sys\n"
+        "import hyperarr\n"
+        "from hyperarr import cli\n"
+        "assert hyperarr.report(5).value('free') is True\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['analyze', {str(path)!r}, '--json']) == 0\n"
+        "print(sorted({'fractions', 'numpy', 'sympy', 'hypothesis'} & set(sys.modules)))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
