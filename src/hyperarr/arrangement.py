@@ -69,10 +69,21 @@ class Arrangement:
     def index_of(self, covector: Sequence[int]) -> int:
         return self.covectors.index(canonicalize(covector))
 
+    @classmethod
+    def _of_checked(cls, dim: int, covectors: tuple[Covector, ...]) -> "Arrangement":
+        """An arrangement of covectors taken from a checked one, so already
+        canonical, distinct and of length dim: __post_init__ is skipped."""
+        arr = object.__new__(cls)
+        object.__setattr__(arr, "dim", dim)
+        object.__setattr__(arr, "covectors", covectors)
+        return arr
+
     def subset(self, indices: Iterable[int]) -> "Arrangement":
         """Subarrangement keeping the original relative order and ambient space."""
         idx = sorted(set(indices))
-        return Arrangement(self.dim, tuple(self.covectors[i] for i in idx))
+        if idx and not (0 <= idx[0] and idx[-1] < len(self.covectors)):
+            raise IndexError(f"hyperplane indices {idx} out of range 0..{len(self.covectors) - 1}")
+        return Arrangement._of_checked(self.dim, tuple(self.covectors[i] for i in idx))
 
     def with_hyperplane(self, covector: Sequence[int]) -> "Arrangement":
         """Arrangement extended by one new hyperplane (appended last)."""
@@ -82,7 +93,9 @@ class Arrangement:
         return Arrangement(self.dim, self.covectors + (c,))
 
     def delete(self, index: int) -> "Arrangement":
-        return Arrangement(
+        if not 0 <= index < len(self.covectors):
+            raise IndexError(f"hyperplane index {index} out of range 0..{len(self.covectors) - 1}")
+        return Arrangement._of_checked(
             self.dim, self.covectors[:index] + self.covectors[index + 1 :]
         )
 

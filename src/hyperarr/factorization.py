@@ -20,11 +20,11 @@ induced pairs (A', pi') and (A'', pi'') in the class.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 from .arrangement import Arrangement, hyperplane_subspace, restrict_with_traces
 from .exactlinalg import rank_of
-from .lattice import universe
+from .lattice import Universe, universe
 from .polynomials import monic_linear_roots
 
 Partition = tuple[tuple[int, ...], ...]
@@ -74,14 +74,18 @@ def is_nice(arr: Arrangement, blocks: Iterable[Iterable[int]]) -> bool:
     the induced partition on every localization at a flat above the ambient
     space has a singleton block.
     """
-    blocks = canonical_partition(blocks)
+    return _is_nice(arr, canonical_partition(blocks), universe)
+
+
+def _is_nice(arr: Arrangement, blocks: Partition, lattice: Callable[[Arrangement], Universe]) -> bool:
+    """is_nice, reading the flats from lattice(arr) once the cheap checks pass."""
     m = len(arr)
     flat_elems = [i for b in blocks for i in b]
     if sorted(flat_elems) != list(range(m)) or any(not b for b in blocks):
         return False
     if not is_independent_partition(arr, blocks):
         return False
-    uni = universe(arr)
+    uni = lattice(arr)
     masks = [sum(1 << i for i in b) for b in blocks]
     for f in range(1, uni.flat_count()):
         bits = uni.bits[f]
@@ -223,7 +227,8 @@ def _ifac_pair(arr: Arrangement, blocks: Partition, memo: dict) -> bool:
     if hit is not None:
         return hit
     memo[key] = False  # cycle-safe default; overwritten on success
-    if not is_nice(arr, blocks):
+    # a sub-arrangement's lattice is built for this check alone, not cached
+    if not _is_nice(arr, blocks, Universe):
         return False
     if len(arr) == 1:
         # single hyperplane: deletion is empty, restriction is the empty

@@ -221,7 +221,7 @@ def _spans_hyperplane_pairwise(
     d = arr.dim
     ech = IntEchelon(d)
     # the lines through h are the covers of its atom
-    for f, held in uni.node_elements(uni.T[0][h], mask_of(current)):
+    for f, held in uni.node_elements(uni.index_of_bits[1 << h], mask_of(current)):
         if not held & (held - 1):
             continue
         for v in uni.flat_kernel(f):
@@ -335,11 +335,17 @@ def verify_motion_refutation(arr: Arrangement, ref: MotionRefutation) -> bool:
         return False
     if len(c) != d or not all(isinstance(x, int) for x in c) or not any(c):
         return False
-    if c != canonicalize(c) or c in arr.covectors:
-        return False  # not canonical, unmoved, or onto another hyperplane
-    if not _rest_is_rigid(arr, h):
+    if c != canonicalize(c):
         return False
-    moved = Arrangement(d, arr.covectors[:h] + (c,) + arr.covectors[h + 1 :])
+    return _rest_is_rigid(arr, h) and _moves_within_lattice(arr, h, c)
+
+
+def _moves_within_lattice(arr: Arrangement, h: int, c: tuple[int, ...]) -> bool:
+    """The canonical covector c is new to arr, and putting it in place of
+    c_h leaves the flats (bits sets) unchanged."""
+    if c in arr.covectors:
+        return False  # unmoved, or onto another hyperplane
+    moved = Arrangement(arr.dim, arr.covectors[:h] + (c,) + arr.covectors[h + 1 :])
     # built directly, not through universe(), so nothing is cached
     return set(Universe(moved).bits) == set(universe(arr).bits)
 
@@ -352,7 +358,8 @@ def _motion_search(arr: Arrangement) -> MotionRefutation | None:
     through X.  L_h, the covectors vanishing on all such X, holds c_h; when
     it has dimension >= 2, c_h + t v for v in L_h not parallel to c_h keeps
     each of them, and each flat not holding h rules out one t at most, so
-    one of t = 1 .. flat_count() + 1 passes verify_motion_refutation.
+    one of t = 1 .. flat_count() + 1 moves it within the lattice; the rest
+    is checked once per h, so the result passes verify_motion_refutation.
     Everything is read off the full lattice of arr.
     """
     uni = universe(arr)
@@ -371,9 +378,9 @@ def _motion_search(arr: Arrangement) -> MotionRefutation | None:
         ch = arr.covectors[h]
         v = next(k for k in primitive_kernel_basis(ech.rows, d) if k != ch)
         for t in range(1, uni.flat_count() + 2):
-            ref = MotionRefutation(h, canonicalize([a + t * b for a, b in zip(ch, v)]))
-            if verify_motion_refutation(arr, ref):
-                return ref
+            c = canonicalize([a + t * b for a, b in zip(ch, v)])
+            if _moves_within_lattice(arr, h, c):
+                return MotionRefutation(h, c)
         raise AssertionError(f"no lattice-preserving motion of hyperplane {h}")
     return None
 

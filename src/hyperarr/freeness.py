@@ -32,8 +32,11 @@ def chi_integer_roots(arr: Arrangement) -> tuple[int, ...] | None:
     """Exponent candidates: roots of chi if it splits over the nonnegative
     integers (with dim - rank zeros), else None.  Splitting is necessary for
     freeness, so None refutes freeness outright."""
-    uni = universe(arr)
-    return uni.node_roots(0, (1 << len(arr)) - 1)
+    return _chi_roots(universe(arr))
+
+
+def _chi_roots(uni: Universe) -> tuple[int, ...] | None:
+    return uni.node_roots(0, uni._full_mask)
 
 
 def check_addition_deletion(
@@ -82,12 +85,14 @@ def is_inductively_free(arr: Arrangement, node_cap: int = 2_000_000) -> Inductiv
     of the root arrangement whose traces produce it), the node's exponents,
     and subtrees for deletion and restriction.
     """
-    uni = universe(arr)
+    return _inductive_freeness(universe(arr), node_cap)
+
+
+def _inductive_freeness(uni: Universe, node_cap: int) -> InductiveFreenessResult:
     counter = [0]
     memo: dict[tuple[int, int], tuple[bool, tuple[int, ...] | None, dict | None]] = {}
-    full = (1 << len(arr)) - 1
     try:
-        ok, exps, wit = _ind_free(uni, 0, full, memo, counter, node_cap)
+        ok, exps, wit = _ind_free(uni, 0, uni._full_mask, memo, counter, node_cap)
     except CapExhausted:
         return InductiveFreenessResult("undecided", None, None, counter[0])
     return InductiveFreenessResult(ok, exps, wit, counter[0])
@@ -195,19 +200,22 @@ def verify_free_certificate(arr: Arrangement, cert: dict, node_cap: int = 2_000_
         raise CertificateError("certificate root arrangement does not match input")
     cited: list[str] = []
     steps = [0]
-    exps = _verify_node(arr, cert.get("claim"), cited, steps, node_cap, path="claim")
+    exps = _verify_node(universe(arr), cert.get("claim"), cited, steps, node_cap, path="claim")
     return CertificateReplay(exps, cited, steps[0])
 
 
 def _verify_node(
-    arr: Arrangement, node: dict, cited: list[str], steps: list[int], node_cap: int, path: str
+    uni: Universe, node: dict, cited: list[str], steps: list[int], node_cap: int, path: str
 ) -> tuple[int, ...]:
+    """Replay one node on the lattice of its arrangement; the lattices of the
+    arrangements the certificate adds are built here and not cached."""
+    arr = uni.arr
     if not isinstance(node, dict) or "type" not in node:
         raise CertificateError(f"{path}: malformed node")
     steps[0] += 1
     kind = node["type"]
     if kind == "inductively-free":
-        res = is_inductively_free(arr, node_cap=node_cap)
+        res = _inductive_freeness(uni, node_cap)
         if res.status == "undecided":
             raise CapExhausted(f"{path}: inductive-freeness leaf exceeded node cap")
         if res.status is not True:
@@ -219,7 +227,7 @@ def _verify_node(
         return res.exponents
     if kind == "cited-free":
         claimed = tuple(sorted(node.get("exponents", ())))
-        roots = chi_integer_roots(arr)
+        roots = _chi_roots(uni)
         if roots is None:
             raise CertificateError(f"{path}: cited-free leaf has non-splitting chi")
         if claimed and roots != claimed:
@@ -234,10 +242,12 @@ def _verify_node(
             extended = arr.with_hyperplane(cov)
         except ValueError as exc:
             raise CertificateError(f"{path}: cannot add hyperplane: {exc}") from exc
-        exps_ext = _verify_node(extended, node.get("extended"), cited, steps, node_cap, path + ".extended")
+        exps_ext = _verify_node(
+            Universe(extended), node.get("extended"), cited, steps, node_cap, path + ".extended"
+        )
         restricted = restriction_to_hyperplane(extended, len(extended) - 1)
         exps_res = _verify_node(
-            restricted, node.get("restriction"), cited, steps, node_cap, path + ".restriction"
+            Universe(restricted), node.get("restriction"), cited, steps, node_cap, path + ".restriction"
         )
         diff = Counter(exps_ext) - Counter(exps_res)
         if sum(diff.values()) != 1:
@@ -248,7 +258,7 @@ def _verify_node(
         deduced = tuple(sorted(exps_res + (b - 1,)))
         if not check_addition_deletion(exps_ext, deduced, exps_res):
             raise CertificateError(f"{path}: addition-deletion pattern check failed")
-        roots = chi_integer_roots(arr)
+        roots = _chi_roots(uni)
         if roots != deduced:
             raise CertificateError(
                 f"{path}: deduced exponents {list(deduced)} contradict chi roots {roots}"

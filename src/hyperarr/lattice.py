@@ -2,12 +2,14 @@
 
 The engine builds the lattice rank by rank: a flat is identified by the bitset
 of hyperplane indices containing it (the closed sets of the matroid of
-normals), and a cover table T[f][h] = closure(f + h) is filled during the
-build.  Two matroid facts make subarrangements and restrictions cheap on top
-of one master lattice:
+normals), and each flat records the flats covering it in children[f] and the
+flats it covers in parents[f].  No cover table is kept: the cover of f that
+holds a hyperplane h outside f is the child whose bits hold h.  Two matroid
+facts make subarrangements and restrictions cheap on top of one master
+lattice:
 
   * for B a subset of A and S closed in B, cl_B(S + h) = cl_A(S + h), so the
-    lattice of any subarrangement is walked with the master's cover table;
+    lattice of any subarrangement is walked over the master's covers;
   * the lattice of the restriction A^X is the interval above X.
 
 The build reads the second fact backwards: the covers of a flat X are the
@@ -18,9 +20,10 @@ of a hyperplane h not in X is its linear form read in these coordinates,
 equal traces are the same hyperplane of A^X.  So one pass per flat groups the
 normals into its covers (cover bits = bits of X | group), and a new cover's
 basis is cut from X's by the kernel of the group's trace.  A flat of
-dimension one has the centre as its only cover and needs no traces.  The
-build records each flat's distinct covers in children[f], the mirror of
-parents[f].
+dimension one has the centre as its only cover and needs no traces.  The dot
+products c_h . k of all normals come out of one packed integer product per
+basis vector k, read back lane by lane (see _trace_columns), and each distinct
+raw trace is made canonical once per build.
 
 Consequently the characteristic polynomial of any (restriction of a)
 subarrangement is an interval Moebius computation over one shared structure,
@@ -30,14 +33,24 @@ not.  Moebius values come from Weisner's theorem: for Y above x and an atom
 a of [x, Y], mu(x, Y) = -sum mu(x, P) over the flats P covered by Y that do
 not lie above a.  This reads only the local cover lists of the interval
 walk, so it costs O(cover edges) time and O(flats) memory.
+
+Supersolvability needs no joins.  A coatom of a simple geometric lattice is
+modular exactly when it meets every rank-2 flat (J. Oxley, Matroid Theory,
+section 6.9), and a flat modular in [0, Y] for a modular Y is modular in the
+whole lattice (R. P. Stanley, Modular elements of geometric lattices,
+Algebra Universalis 1 (1971)).  So a chain of modular flats is found from
+the centre down, one modular coatom of the current interval at a time, with
+bit tests against the stored lines.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .arrangement import Arrangement, hyperplane_subspace, restrict_to_subspace
 from .exactlinalg import SubspaceBasis
@@ -72,7 +85,6 @@ class Universe:
         self._basis: list[tuple[tuple[int, ...], ...]] = [
             tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
         ]
-        self.T: list[list[int]] = [[-1] * self.m]
         self.parents: list[list[int]] = [[]]
         self.children: list[list[int]] = [[]]
         self.by_rank: list[list[int]] = [[0]]
@@ -88,58 +100,52 @@ class Universe:
     # -- construction ------------------------------------------------------
 
     def _build(self, limit: int) -> None:
-        normals = self.normals
-        m = self.m
+        bits, parents, children = self.bits, self.parents, self.children
+        index_of_bits, bases = self.index_of_bits, self._basis
         full = self._full_mask
+        column = _trace_columns(self.normals, self.dim)
+        canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         while self.built_to < limit:
-            level = self.by_rank[self.built_to]
+            rank = self.built_to + 1
             nxt: list[int] = []
-            for f in level:
-                bf = self.bits[f]
-                basis = self._basis[f]
+            for f in self.by_rank[self.built_to]:
+                bf = bits[f]
+                basis = bases[f]
                 groups: dict[tuple[int, ...], int] = {}
                 if len(basis) == 1:
                     # a line meets every hyperplane not holding it in the centre
                     if full & ~bf:
                         groups[(1,)] = full & ~bf
                 else:
-                    # canonical trace of every hyperplane not in f -> its group mask
-                    cols = [[sum(map(mul, c, k)) for c in normals] for k in basis]
-                    for h, trace in enumerate(zip(*cols)):
-                        if (bf >> h) & 1:
-                            continue
-                        g = gcd(*trace)
-                        for x in trace:
-                            if x:
-                                break
-                        if x < 0:
-                            g = -g
-                        if g != 1:
-                            trace = tuple([y // g for y in trace])
-                        groups[trace] = groups.get(trace, 0) | (1 << h)
-                row = self.T[f]
-                kids = self.children[f]
+                    # hyperplanes with equal raw traces first, then their canonical form
+                    raw: dict[tuple[int, ...], int] = {}
+                    bit = 1
+                    for trace in zip(*map(column, basis)):
+                        raw[trace] = raw.get(trace, 0) | bit
+                        bit <<= 1
+                    for trace, group in raw.items():
+                        key = canonical.get(trace)
+                        if key is None:
+                            key = canonical[trace] = _canonical_trace(trace)
+                        if key:  # () is the zero trace of the members of f
+                            groups[key] = groups.get(key, 0) | group
+                kids = children[f]
                 for trace, group in groups.items():
                     nb = bf | group
-                    g = self.index_of_bits.get(nb)
+                    g = index_of_bits.get(nb)
                     if g is None:
-                        g = len(self.bits)
-                        self.bits.append(nb)
-                        self.rank.append(self.built_to + 1)
-                        self._basis.append(_cut_basis(basis, trace))
-                        self.T.append([-1] * m)
-                        self.parents.append([])
-                        self.children.append([])
-                        self.index_of_bits[nb] = g
+                        g = len(bits)
+                        bits.append(nb)
+                        self.rank.append(rank)
+                        bases.append(_cut_basis(basis, trace))
+                        parents.append([])
+                        children.append([])
+                        index_of_bits[nb] = g
                         nxt.append(g)
-                    self.parents[g].append(f)
+                    parents[g].append(f)
                     kids.append(g)
-                    while group:
-                        low = group & -group
-                        row[low.bit_length() - 1] = g
-                        group &= group - 1
             self.by_rank.append(nxt)
-            self.built_to += 1
+            self.built_to = rank
         if not self.by_rank[-1]:
             self.by_rank.pop()
 
@@ -245,19 +251,62 @@ class Universe:
 
     def node_elements(self, x: int, mask: int) -> list[tuple[int, int]]:
         """Hyperplanes of the node: (flat id one rank above x, preimage mask)."""
-        mask &= ~self.bits[x]
-        row = self.T[x]
-        groups: dict[int, int] = {}
-        hs = mask
-        while hs:
-            low = hs & -hs
-            hs &= hs - 1
-            g = row[low.bit_length() - 1]
-            groups[g] = groups.get(g, 0) | low
-        return sorted(groups.items())
+        bits = self.bits
+        mask &= ~bits[x]
+        out = [(g, bits[g] & mask) for g in self.children[x] if bits[g] & mask]
+        out.sort()
+        return out
 
     def chi(self, mask: int | None = None) -> IntPoly:
         return self.node_chi(0, self._full_mask if mask is None else mask)
+
+
+def _trace_columns(
+    normals: list[tuple[int, ...]], dim: int
+) -> Callable[[tuple[int, ...]], Sequence[int]]:
+    """Column reader: the dot products of every normal with one vector k.
+
+    The normals are packed once, coordinate by coordinate, into one integer
+    per coordinate with a signed 64-bit lane per normal.  Then sum k_i * P_i
+    holds every dot product in its lane; a bias of 2^63 per lane keeps the
+    lanes free of borrows, and flipping the bias bit back leaves each lane in
+    two's complement, which array('q') reads in one call.  That is exact when
+    no dot product reaches 2^63, which max|c| * sum|k_i| bounds; a wider k
+    takes the dot products one by one.
+    """
+    m = len(normals)
+    packed = [sum(c[i] << (64 * h) for h, c in enumerate(normals)) for i in range(dim)]
+    bias = sum(1 << (64 * h + 63) for h in range(m))
+    entry = max((abs(x) for c in normals for x in c), default=0)
+
+    def column(k: tuple[int, ...]) -> Sequence[int]:
+        if entry * sum(map(abs, k)) >> 63:
+            return [sum(map(mul, c, k)) for c in normals]
+        acc = bias
+        for ki, p in zip(k, packed):
+            if ki:
+                acc += ki * p
+        lanes = array("q")
+        lanes.frombytes((acc ^ bias).to_bytes(8 * m, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
+
+    return column
+
+
+def _canonical_trace(trace: tuple[int, ...]) -> tuple[int, ...]:
+    """The trace made primitive with its first nonzero entry positive; () for
+    the zero trace."""
+    g = gcd(*trace)
+    if not g:
+        return ()
+    for x in trace:
+        if x:
+            break
+    if x < 0:
+        g = -g
+    return trace if g == 1 else tuple([y // g for y in trace])
 
 
 def _cut_basis(basis: tuple[tuple[int, ...], ...], trace: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -423,7 +472,7 @@ def _is_modular(uni: Universe, x: int) -> bool:
     rx = uni.rank[x]
     if rx <= 1 or rx == len(uni.by_rank) - 1:
         return True  # ambient space, hyperplanes and the centre
-    bits, rank, T = uni.bits, uni.rank, uni.T
+    bits, rank, children = uni.bits, uni.rank, uni.children
     bx = bits[x]
     # same-rank flats violate most often; scan them first
     levels = [uni.by_rank[rx]] + [lv for k, lv in enumerate(uni.by_rank) if k != rx]
@@ -433,12 +482,12 @@ def _is_modular(uni: Universe, x: int) -> bool:
             meet = uni.index_of_bits.get(bx & by)
             if meet is None:  # closed sets are intersection-closed; must exist
                 raise AssertionError("flat intersection missing from lattice")
-            # the join X v Y: walk the cover table from x over y's hyperplanes
+            # the join X v Y: go up the covers from x over y's hyperplanes
             join = x
             hs = by & ~bx
             while hs:
                 low = hs & -hs
-                join = T[join][low.bit_length() - 1]
+                join = next(g for g in children[join] if bits[g] & low)
                 hs &= ~bits[join]
             if rx + rank[y] != rank[join] + rank[meet]:
                 return False
@@ -451,39 +500,43 @@ def is_supersolvable(arr: Arrangement) -> tuple[bool, list[tuple[int, ...]] | No
     The chain is reported as contains-index sets from the ambient space up to
     the center.  Rank <= 2 arrangements are always supersolvable.  Non-
     essential input is essentialized first (same lattice, same index sets).
+
+    The search goes down from the centre.  Below a modular flat Y it tries
+    each coatom X of [0, Y] that meets every line (rank-2 flat) under Y: those
+    are the modular coatoms of [0, Y], and a flat modular in [0, Y] for Y
+    modular is modular in L.  A flat of rank <= 2 ends the chain, since every
+    flat under it is modular; flats with no chain below are remembered.
     """
     from .arrangement import essentialize
 
     ess = essentialize(arr)
     uni = universe(ess)
-    r = ess.rank
-    modular_memo: dict[int, bool] = {}
+    bits, parents = uni.bits, uni.parents
+    dead: set[int] = set()
+    chain = [uni.by_rank[-1][0]]
 
-    def modular(f: int) -> bool:
-        v = modular_memo.get(f)
-        if v is None:
-            v = _is_modular(uni, f)
-            modular_memo[f] = v
-        return v
-
-    chain: list[int] = [0]
-
-    def extend(x: int, k: int) -> bool:
-        if k == r:
+    def descend(y: int, lines: list[int]) -> bool:
+        if uni.rank[y] <= 2:
+            while y:
+                y = parents[y][0]
+                chain.append(y)
             return True
-        bx = uni.bits[x]
-        for g in uni.by_rank[k + 1]:
-            if uni.bits[g] & bx == bx and modular(g):
-                chain.append(g)
-                if extend(g, k + 1):
+        if y in dead:
+            return False
+        for x in parents[y]:
+            bx = bits[x]
+            if all(line & bx for line in lines):
+                chain.append(x)
+                if descend(x, [line for line in lines if not line & ~bx]):
                     return True
                 chain.pop()
+        dead.add(y)
         return False
 
-    ok = extend(0, 0)
-    if not ok:
+    lines = [bits[f] for f in uni.by_rank[2]] if len(uni.by_rank) > 2 else []
+    if not descend(chain[0], lines):
         return False, None
-    return True, [bit_indices(uni.bits[f]) for f in chain]
+    return True, [bit_indices(bits[f]) for f in reversed(chain)]
 
 
 def find_generic_rank3_localization(arr: Arrangement) -> Flat | None:

@@ -198,13 +198,8 @@ def simplicial_defect(arr: Arrangement) -> int:
     b = uni.chi()
     total_regions = abs(sum(((-1) ** k) * c for k, c in enumerate(b)))
     walls = 0
-    seen: set[int] = set()
     for h in range(m):
-        f = uni.T[0][h]
-        if f in seen:
-            continue
-        seen.add(f)
-        chi_h = uni.node_chi(f, full)
+        chi_h = uni.node_chi(uni.index_of_bits[1 << h], full)
         walls += abs(sum(((-1) ** k) * c for k, c in enumerate(chi_h)))
     defect = 2 * walls - ell * total_regions
     if defect < 0:

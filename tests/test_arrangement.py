@@ -256,3 +256,38 @@ def test_star_import_exposes_certificate_replay_and_rank2_flats():
     assert namespace["rank2_flats"].__name__ == "rank2_flats"
     assert namespace["verify_motion_refutation"].__name__ == "verify_motion_refutation"
     assert namespace["MotionRefutation"].__name__ == "MotionRefutation"
+
+
+def test_subset_and_delete_skip_canonicalization_but_construction_checks(monkeypatch):
+    from hyperarr import arrangement
+
+    arr = hyperpolygonal(4)
+    calls = [0]
+    real = arrangement.canonicalize
+
+    def counted(c):
+        calls[0] += 1
+        return real(c)
+
+    monkeypatch.setattr(arrangement, "canonicalize", counted)
+    sub, deleted = arr.subset([5, 0, 3, 3]), arr.delete(2)
+    assert calls[0] == 0
+    # the same values, hashes and ranks as direct construction, which checks
+    assert sub == Arrangement(4, (arr.covectors[0], arr.covectors[3], arr.covectors[5]))
+    assert deleted == Arrangement(4, arr.covectors[:2] + arr.covectors[3:])
+    assert calls[0] == 3 + len(arr) - 1
+    assert hash(sub) == hash(Arrangement(4, sub.covectors)) and sub.rank == 3
+    assert deleted.rank == 4 and len(deleted) == len(arr) - 1
+    assert arr.subset([]) == Arrangement(4, ())
+    with pytest.raises(ValueError, match="not canonical"):
+        Arrangement(2, ((2, 0),))
+    with pytest.raises(ValueError, match="duplicate"):
+        Arrangement(2, ((1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="length"):
+        Arrangement(2, ((1, 0, 0),))
+    for bad in ([0, len(arr)], [-1], [-1, 2]):
+        with pytest.raises(IndexError):
+            arr.subset(bad)
+    for bad in (len(arr), -1):
+        with pytest.raises(IndexError):
+            arr.delete(bad)

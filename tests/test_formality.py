@@ -578,3 +578,40 @@ def test_rank2_queries_match_pairwise_scans(generic4):
     # every branch must be exercised in both directions
     assert seen["grew"] >= 10 and seen["generic"] >= 2 and seen["localization"] >= 3
     assert seen["certified"] >= 20 and seen["missed"] >= 20
+
+
+def test_motion_search_checks_each_rest_once(monkeypatch):
+    from collections import Counter
+
+    from hyperarr import formality
+
+    rigid_calls, tries = Counter(), Counter()
+    real_rigid, real_move = formality._rest_is_rigid, formality._moves_within_lattice
+
+    def rigid(arr, h):
+        rigid_calls[h] += 1
+        return real_rigid(arr, h)
+
+    def move(arr, h, c):
+        tries[h] += 1
+        return real_move(arr, h, c)
+
+    monkeypatch.setattr(formality, "_rest_is_rigid", rigid)
+    monkeypatch.setattr(formality, "_moves_within_lattice", move)
+    pool = [hyperpolygonal(2)]
+    for d, covs in oracles.random_arrangements(60, seed=7, max_dim=4, max_size=8):
+        arr = from_vectors(d, covs)
+        if arr.is_essential and len(arr) > d and is_matroid_connected(arr, range(len(arr))):
+            pool.append(arr)
+    refuted = several = 0
+    for arr in pool:
+        rigid_calls.clear()
+        tries.clear()
+        ref = formality._motion_search(arr)
+        assert all(count == 1 for count in rigid_calls.values())
+        assert all(rigid_calls[h] == 1 for h in tries)
+        several += max(tries.values(), default=0) >= 2
+        if ref is not None:
+            refuted += 1
+            assert verify_motion_refutation(arr, ref)
+    assert several >= 10 and refuted >= 20

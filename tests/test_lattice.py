@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -234,10 +235,12 @@ def test_zaslavsky_count(h2, h3, bool3):
 
 # -- differential checks of the rewritten layers ------------------------------------
 #
-# The build groups canonical traces, joins walk the cover table, and Moebius
+# The build groups canonical traces, joins walk the stored covers, and Moebius
 # values come from Weisner's theorem.  Each is checked against tests/oracles.py
-# and, for the build, against a local copy of the closure-by-membership build
-# it replaced, which must give the same flat ids, cover table and parents.
+# and, for the build, against local copies of the closure-by-membership build
+# and of the trace-grouped build with its cover table T[f][h] = closure(f + h),
+# which the lattice no longer stores: children and bits must hold the same
+# table, with the same flat ids and parents.
 
 
 def _differential_pool():
@@ -290,6 +293,57 @@ def _membership_build(arr):
     return bits, rank, T, parents, by_rank
 
 
+@functools.cache
+def _trace_grouped_cover_table(arr):
+    """The cover table T[f][h] = closure(f + h) of the trace-grouped build
+    before the table was deleted, with its flat bits: dot products one by
+    one, canonical traces grouped in order of their lowest hyperplane."""
+    from hyperarr.lattice import _cut_basis
+
+    m, full = len(arr), (1 << len(arr)) - 1
+    bits, T, by_rank, index = [0], [[-1] * m], [[0]], {0: 0}
+    basis = [tuple(tuple(int(i == j) for j in range(arr.dim)) for i in range(arr.dim))]
+    for _ in range(arr.rank):
+        nxt = []
+        for f in by_rank[-1]:
+            groups = {}
+            if len(basis[f]) == 1:
+                if full & ~bits[f]:
+                    groups[(1,)] = full & ~bits[f]
+            else:
+                for h, c in enumerate(arr.covectors):
+                    if (bits[f] >> h) & 1:
+                        continue
+                    trace = [sum(x * y for x, y in zip(c, k)) for k in basis[f]]
+                    g = math.gcd(*trace) * (1 if next(x for x in trace if x) > 0 else -1)
+                    trace = tuple(x // g for x in trace)
+                    groups[trace] = groups.get(trace, 0) | (1 << h)
+            for trace, group in groups.items():
+                nb = bits[f] | group
+                g = index.get(nb)
+                if g is None:
+                    g = index[nb] = len(bits)
+                    bits.append(nb)
+                    basis.append(_cut_basis(basis[f], trace))
+                    T.append([-1] * m)
+                    nxt.append(g)
+                for h in bit_indices(group):
+                    T[f][h] = g
+        by_rank.append(nxt)
+    return bits, T
+
+
+def _cover_rows(uni):
+    """The cover table as children and bits hold it: h outside f leads to
+    the child of f whose bits hold h."""
+    T = [[-1] * uni.m for _ in range(uni.flat_count())]
+    for f, kids in enumerate(uni.children):
+        for g in kids:
+            for h in bit_indices(uni.bits[g] & ~uni.bits[f]):
+                T[f][h] = g
+    return T
+
+
 def _node_flat_sets(arr, x_bits, mask):
     """Closures of x + S over every subset S of mask, by Fraction rank."""
     covs = arr.covectors
@@ -310,7 +364,8 @@ def test_trace_grouped_build_matches_membership_build_and_oracle():
         uni = universe(arr)
         bits, rank, T, parents, by_rank = _membership_build(arr)
         assert uni.bits == bits and uni.rank == rank
-        assert uni.T == T and uni.parents == parents
+        assert _trace_grouped_cover_table(arr) == (bits, T)
+        assert _cover_rows(uni) == T and uni.parents == parents
         assert uni.by_rank == [lv for lv in by_rank if lv]
         if len(arr) <= 8:  # the subset sweep takes 18 s on H_4's 12 hyperplanes
             engine = {frozenset(f.contains) for f in build_lattice(arr).flats()}
@@ -336,14 +391,16 @@ def test_weisner_mobius_matches_brute_oracle_on_random_nodes():
                 assert brute[frozenset(bit_indices(uni.bits[f]))] == mu
 
 
-def _brute_modular_sets(arr, flats):
+def _brute_modular_sets(arr, flats, candidates=None):
+    """The flats among candidates (default: all) that satisfy the modular
+    rank formula against every flat."""
     @functools.cache
     def r(s):
         return oracles.frac_rank([arr.covectors[i] for i in s])
 
     return {
         x
-        for x in flats
+        for x in (flats if candidates is None else candidates)
         if all(r(x) + r(y) == r(x | y) + r(x & y) for y in flats)
     }
 
@@ -384,11 +441,11 @@ def test_modular_flats_and_supersolvability_match_brute_rank_formula():
 # The build stores an integer basis of every flat and reads traces on it, and
 # the interval walk goes up the stored covers.  The bases are checked against
 # the Fraction rank oracle, the walk against a local copy of the walk over
-# every hyperplane of each cover-table row that it replaced.
+# every hyperplane of each cover-table row that it replaced, on the table of
+# the trace-grouped copy above.
 
 
 def test_flat_bases_span_each_flat_and_children_mirror_the_cover_table(h6):
-    import math
     import random
 
     rng = random.Random(7)
@@ -410,12 +467,14 @@ def test_flat_bases_span_each_flat_and_children_mirror_the_cover_table(h6):
                     assert any(trace)  # a non-member misses it
                     ran["gcd_split"] += len(basis) >= 2 and math.gcd(*trace) > 1
             ran["dimension_one"] += len(basis) == 1 and bool(uni.children[f])
+        bits, T = _trace_grouped_cover_table(arr)
+        assert bits == uni.bits
         for f in range(uni.flat_count()):
-            assert uni.children[f] == list(dict.fromkeys(g for g in uni.T[f] if g >= 0))
+            assert uni.children[f] == list(dict.fromkeys(g for g in T[f] if g >= 0))
     assert ran["gcd_split"] >= 20 and ran["dimension_one"] >= 20
 
 
-def _row_walk(uni, x, mask):
+def _row_walk(uni, T, x, mask):
     """The previous interval walk: every node hyperplane of each T row."""
     mask &= ~uni.bits[x]
     order, local, parents, ranks = [x], {x: 0}, [[]], [0]
@@ -426,7 +485,7 @@ def _row_walk(uni, x, mask):
         for f in frontier:
             seen = set()
             for h in bit_indices(mask & ~uni.bits[f]):
-                g = uni.T[f][h]
+                g = T[f][h]
                 if g in seen:
                     continue
                 seen.add(g)
@@ -458,13 +517,16 @@ def test_cover_walk_matches_row_walk_on_random_nodes(h5, h6):
 
     rng = random.Random(13)
     nodes = []
+    tables = {}
     for arr in _differential_pool():
         uni = universe(arr)
+        tables[arr] = _trace_grouped_cover_table(arr)[1]
         for _ in range(6):
             x = rng.randrange(uni.flat_count())
             nodes.append((uni, x, rng.getrandbits(len(arr))))  # about half the bits
     for arr, count in ((h5, 6), (h6, 3)):
         uni = universe(arr)
+        tables[arr] = _trace_grouped_cover_table(arr)[1]
         full = (1 << len(arr)) - 1
         for rank in range(1, arr.rank):  # restriction nodes, the whole mask
             for x in rng.sample(uni.by_rank[rank], count):
@@ -476,9 +538,132 @@ def test_cover_walk_matches_row_walk_on_random_nodes(h5, h6):
     for uni, x, mask in nodes:
         order, parents, ranks = uni.node_walk(x, mask)
         got = _node_table(order, parents, ranks, uni.node_mobius(x, mask)[1])
-        old = _row_walk(uni, x, mask)
+        old = _row_walk(uni, tables[uni.arr], x, mask)
         assert got == _node_table(*old)
         if mask & uni._full_mask == uni._full_mask:  # same order on whole-mask nodes
             assert order == old[0]
             full_nodes += 1
     assert full_nodes >= 20 and len(nodes) >= 150
+
+
+# The lattice keeps no cover table: traces are read from packed lanes (one
+# dot product at a time where an entry bound says a lane could overflow), and
+# supersolvability is a top-down search for modular coatoms, tested by lines.
+
+
+def _braid(n):
+    """A_n: the hyperplanes x_i = x_j in Q^(n+1)."""
+    pairs = itertools.combinations(range(n + 1), 2)
+    return from_vectors(n + 1, [tuple((k == i) - (k == j) for k in range(n + 1)) for i, j in pairs])
+
+
+def _type_b(n):
+    """B_n: x_i = 0 and x_i = +-x_j in Q^n."""
+    vecs = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        for s in (1, -1):
+            vecs.append(tuple((k == i) + s * (k == j) for k in range(n)))
+    return from_vectors(n, vecs)
+
+
+def _with_coloops(arr, k):
+    """arr times k new coordinate hyperplanes.  The flats that hold all of
+    arr are modular coatoms on the way down, so when arr is not
+    supersolvable the search fails below them and has to back up."""
+    d = arr.dim + k
+    vecs = [tuple(c) + (0,) * k for c in arr.covectors]
+    return from_vectors(d, vecs + [tuple(int(j == arr.dim + i) for j in range(d)) for i in range(k)])
+
+
+def _bottom_up_supersolvable(arr):
+    """The previous search: a modular flat of every rank, up from the ambient
+    space, each tested against every flat by _is_modular."""
+    from hyperarr.arrangement import essentialize
+    from hyperarr.lattice import _is_modular
+
+    ess = essentialize(arr)
+    uni = universe(ess)
+
+    @functools.cache
+    def modular(f):
+        return _is_modular(uni, f)
+
+    def extend(x, k):
+        if k == ess.rank:
+            return True
+        bx = uni.bits[x]
+        return any(
+            uni.bits[g] & bx == bx and modular(g) and extend(g, k + 1) for g in uni.by_rank[k + 1]
+        )
+
+    return extend(0, 0)
+
+
+def test_top_down_supersolvability_matches_bottom_up_search(h6):
+    randoms = oracles.random_arrangements(300, seed=919, max_dim=5, max_size=9)
+    pool = [from_vectors(d, covs) for d, covs in randoms]
+    pool += [hyperpolygonal(n) for n in range(1, 6)] + [h6]
+    pool += [_braid(n) for n in range(3, 6)] + [_type_b(n) for n in range(2, 5)]
+    # modular coatoms whose intervals fail: the search backtracks and meets
+    # flats it has already ruled out
+    generic4 = from_vectors(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    pool += [_with_coloops(arr, k) for arr in (generic4, hyperpolygonal(3)) for k in (1, 2)]
+    decided = {True: 0, False: 0}
+    for arr in pool:
+        ok, chain = is_supersolvable(arr)
+        assert ok == _bottom_up_supersolvable(arr)
+        decided[ok] += 1
+        if not ok:
+            assert chain is None
+            continue
+        steps = [frozenset(step) for step in chain]
+        assert steps[0] == frozenset() and len(steps) == arr.rank + 1
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        for rank, step in enumerate(steps):
+            assert oracles.frac_rank([arr.covectors[i] for i in step]) == rank
+        if len(arr) <= 6:
+            flats = _brute_flats(arr.covectors)
+        else:  # the build tests check these flat sets against the previous builds
+            flats = {frozenset(f.contains) for f in build_lattice(arr).flats()}
+        assert set(steps) <= flats
+        assert _brute_modular_sets(arr, flats, candidates=steps) == set(steps)
+    assert decided[True] >= 100 and decided[False] >= 100
+    for arr in [_braid(n) for n in range(3, 6)] + [_type_b(n) for n in range(2, 5)]:
+        assert is_supersolvable(arr)[0]
+
+
+def test_wide_entry_build_matches_membership_build(h3):
+    import random
+
+    from hyperarr.lattice import Universe, _trace_columns
+
+    rng = random.Random(41)
+    big = 1 << 40
+    # the lanes hold dot products below 2^63 exactly, in both signs
+    normals = [(big - 1, 1 - big), (-(1 << 62) + 1, (1 << 62) - 1), (3, -5)]
+    column = _trace_columns(normals, 2)
+    for k in [(1, 0), (0, 1), (1, 1), (-1, 1), (2, -1), (3, -2), (big, big + 3), (1 << 30, -(1 << 33))]:
+        assert list(column(k)) == [sum(x * y for x, y in zip(c, k)) for c in normals]
+    routes = {"packed": 0, "wide": 0}
+    randoms = oracles.random_arrangements(12, seed=43, max_size=7)
+    pool = [h3] + [from_vectors(d, covs) for d, covs in randoms]
+    for small in [arr for arr in pool if arr.rank >= 2]:
+        d = small.dim
+        # a unipotent change of coordinates with entries >= 2^40 keeps the matroid
+        shear = [[int(i == j) + (big + rng.randrange(99)) * (i < j) for j in range(d)] for i in range(d)]
+        arr = from_vectors(
+            d, [[sum(c[i] * shear[i][j] for i in range(d)) for j in range(d)] for c in small.covectors]
+        )
+        assert max(abs(x) for c in arr.covectors for x in c) >= big
+        uni = Universe(arr)
+        bits, rank, T, parents, by_rank = _membership_build(arr)
+        assert uni.bits == bits == universe(small).bits and uni.rank == rank
+        assert _cover_rows(uni) == T and uni.parents == parents
+        assert uni.by_rank == [lv for lv in by_rank if lv]
+        entry = max(abs(x) for c in arr.covectors for x in c)
+        for f in range(uni.flat_count()):
+            basis = uni.flat_kernel(f)
+            if len(basis) >= 2 and uni.children[f]:
+                wide = any(entry * sum(map(abs, k)) >= 1 << 63 for k in basis)
+                routes["wide" if wide else "packed"] += 1
+    assert routes["packed"] >= 10 and routes["wide"] >= 10

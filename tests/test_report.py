@@ -187,3 +187,17 @@ def test_projectively_unique_provenance_names_its_evidence(h2, bool3, rigid7):
         assert verify_motion_refutation(arr, MotionRefutation(h, c))
         refuted += 1
     assert refuted >= 5
+
+
+def test_ladder_pins_only_the_family_lattices():
+    from hyperarr import hyperpolygonal, lattice
+
+    saved = dict(lattice._universe_cache)
+    lattice._universe_cache.clear()
+    try:
+        for n in range(1, 7):
+            report(n)
+        assert set(lattice._universe_cache) == {hyperpolygonal(n) for n in range(1, 7)}
+    finally:
+        lattice._universe_cache.clear()
+        lattice._universe_cache.update(saved)
