@@ -482,12 +482,15 @@ def _is_modular(uni: Universe, x: int) -> bool:
             meet = uni.index_of_bits.get(bx & by)
             if meet is None:  # closed sets are intersection-closed; must exist
                 raise AssertionError("flat intersection missing from lattice")
-            # the join X v Y: go up the covers from x over y's hyperplanes
+            # the join X v Y: go up the covers from x over y's hyperplanes,
+            # each time to the cover that holds the lowest one still missing
             join = x
             hs = by & ~bx
             while hs:
                 low = hs & -hs
-                join = next(g for g in children[join] if bits[g] & low)
+                for join in children[join]:
+                    if bits[join] & low:
+                        break
                 hs &= ~bits[join]
             if rx + rank[y] != rank[join] + rank[meet]:
                 return False
