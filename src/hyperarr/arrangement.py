@@ -69,21 +69,12 @@ class Arrangement:
     def index_of(self, covector: Sequence[int]) -> int:
         return self.covectors.index(canonicalize(covector))
 
-    @classmethod
-    def _of_checked(cls, dim: int, covectors: tuple[Covector, ...]) -> "Arrangement":
-        """An arrangement of covectors taken from a checked one, so already
-        canonical, distinct and of length dim: __post_init__ is skipped."""
-        arr = object.__new__(cls)
-        object.__setattr__(arr, "dim", dim)
-        object.__setattr__(arr, "covectors", covectors)
-        return arr
-
     def subset(self, indices: Iterable[int]) -> "Arrangement":
         """Subarrangement keeping the original relative order and ambient space."""
         idx = sorted(set(indices))
         if idx and not (0 <= idx[0] and idx[-1] < len(self.covectors)):
             raise IndexError(f"hyperplane indices {idx} out of range 0..{len(self.covectors) - 1}")
-        return Arrangement._of_checked(self.dim, tuple(self.covectors[i] for i in idx))
+        return Arrangement(self.dim, tuple(self.covectors[i] for i in idx))
 
     def with_hyperplane(self, covector: Sequence[int]) -> "Arrangement":
         """Arrangement extended by one new hyperplane (appended last)."""
@@ -95,7 +86,7 @@ class Arrangement:
     def delete(self, index: int) -> "Arrangement":
         if not 0 <= index < len(self.covectors):
             raise IndexError(f"hyperplane index {index} out of range 0..{len(self.covectors) - 1}")
-        return Arrangement._of_checked(
+        return Arrangement(
             self.dim, self.covectors[:index] + self.covectors[index + 1 :]
         )
 

@@ -213,13 +213,24 @@ def is_inductively_factored(
     if status is False:
         return False, None
     memo: dict = {}
+    # the sub-arrangement lattices live for this call only, not in the cache
+    lattices = {arr: universe(arr)}
+
+    def lattice(a: Arrangement) -> Universe:
+        uni = lattices.get(a)
+        if uni is None:
+            uni = lattices[a] = Universe(a)
+        return uni
+
     for p in parts:
-        if _ifac_pair(arr, p, memo):
+        if _ifac_pair(arr, p, memo, lattice):
             return True, p
     return False, None
 
 
-def _ifac_pair(arr: Arrangement, blocks: Partition, memo: dict) -> bool:
+def _ifac_pair(
+    arr: Arrangement, blocks: Partition, memo: dict, lattice: Callable[[Arrangement], Universe]
+) -> bool:
     if len(arr) == 0:
         return True
     key = (arr.covectors, blocks)
@@ -227,8 +238,7 @@ def _ifac_pair(arr: Arrangement, blocks: Partition, memo: dict) -> bool:
     if hit is not None:
         return hit
     memo[key] = False  # cycle-safe default; overwritten on success
-    # a sub-arrangement's lattice is built for this check alone, not cached
-    if not _is_nice(arr, blocks, Universe):
+    if not _is_nice(arr, blocks, lattice):
         return False
     if len(arr) == 1:
         # single hyperplane: deletion is empty, restriction is the empty
@@ -256,8 +266,8 @@ def _ifac_pair(arr: Arrangement, blocks: Partition, memo: dict) -> bool:
             rblocks = [
                 [tmap[i] for i in b2] for b2i, b2 in enumerate(blocks) if b2i != bi
             ]
-            if _ifac_pair(deleted, canonical_partition(dblocks), memo) and _ifac_pair(
-                restricted, canonical_partition(rblocks), memo
+            if _ifac_pair(deleted, canonical_partition(dblocks), memo, lattice) and _ifac_pair(
+                restricted, canonical_partition(rblocks), memo, lattice
             ):
                 memo[key] = True
                 return True

@@ -40,7 +40,9 @@ section 6.9), and a flat modular in [0, Y] for a modular Y is modular in the
 whole lattice (R. P. Stanley, Modular elements of geometric lattices,
 Algebra Universalis 1 (1971)).  So a chain of modular flats is found from
 the centre down, one modular coatom of the current interval at a time, with
-bit tests against the stored lines.
+bit tests against the stored lines.  The first modular coatom found is kept:
+the meet of two modular flats is modular (T. Brylawski, Trans. AMS 203
+(1975)), so if a chain exists, one runs through it.
 """
 
 from __future__ import annotations
@@ -461,7 +463,8 @@ def modular_flat_indices(arr: Arrangement) -> list[int]:
 
     Equivalent to the subspace condition that X + Y is again a flat for every
     flat Y.  Always contains the ambient space, all hyperplanes, and the
-    center.  Intended for modest lattices; supersolvability uses a lazy search
+    center.  Intended for modest lattices: it tests every pair of flats, and
+    each join walks the children lists.  Supersolvability uses a lazy search
     instead.
     """
     uni = universe(arr)
@@ -504,41 +507,33 @@ def is_supersolvable(arr: Arrangement) -> tuple[bool, list[tuple[int, ...]] | No
     the center.  Rank <= 2 arrangements are always supersolvable.  Non-
     essential input is essentialized first (same lattice, same index sets).
 
-    The search goes down from the centre.  Below a modular flat Y it tries
-    each coatom X of [0, Y] that meets every line (rank-2 flat) under Y: those
-    are the modular coatoms of [0, Y], and a flat modular in [0, Y] for Y
-    modular is modular in L.  A flat of rank <= 2 ends the chain, since every
-    flat under it is modular; flats with no chain below are remembered.
+    The search goes down from the centre.  Below a modular flat Y it takes
+    the first coatom X of [0, Y] that meets every line (rank-2 flat) under Y:
+    those are the modular coatoms of [0, Y], and a flat modular in [0, Y] for
+    Y modular is modular in L.  No other choice of X needs trying: the meet
+    of two modular flats of a geometric lattice is modular (T. Brylawski,
+    Modular constructions for combinatorial geometries, Trans. AMS 203
+    (1975)), so the meets of X with a modular chain of [0, Y] form a modular
+    chain of [0, X] (their ranks step by at most one, as X is modular).  A
+    flat of rank <= 2 ends the chain, since every flat under it is modular.
     """
     from .arrangement import essentialize
 
     ess = essentialize(arr)
     uni = universe(ess)
     bits, parents = uni.bits, uni.parents
-    dead: set[int] = set()
-    chain = [uni.by_rank[-1][0]]
-
-    def descend(y: int, lines: list[int]) -> bool:
-        if uni.rank[y] <= 2:
-            while y:
-                y = parents[y][0]
-                chain.append(y)
-            return True
-        if y in dead:
-            return False
-        for x in parents[y]:
-            bx = bits[x]
-            if all(line & bx for line in lines):
-                chain.append(x)
-                if descend(x, [line for line in lines if not line & ~bx]):
-                    return True
-                chain.pop()
-        dead.add(y)
-        return False
-
+    y = uni.by_rank[-1][0]
+    chain = [y]
     lines = [bits[f] for f in uni.by_rank[2]] if len(uni.by_rank) > 2 else []
-    if not descend(chain[0], lines):
-        return False, None
+    while uni.rank[y] > 2:
+        y = next((x for x in parents[y] if all(line & bits[x] for line in lines)), None)
+        if y is None:
+            return False, None
+        chain.append(y)
+        lines = [line for line in lines if not line & ~bits[y]]
+    while y:
+        y = parents[y][0]
+        chain.append(y)
     return True, [bit_indices(bits[f]) for f in reversed(chain)]
 
 

@@ -132,3 +132,23 @@ def test_poincare_evaluation_counts_regions(h2, h3):
         for s in sizes:
             expected *= 1 + s
         assert value == expected
+
+
+def test_inductive_factoredness_builds_each_sub_lattice_once(monkeypatch, h3):
+    from hyperarr import factorization, lattice
+
+    lattice.universe(h3)
+    cached = set(lattice._universe_cache)
+    built = []
+
+    def counted(arr):
+        built.append(arr)
+        return lattice.Universe(arr)
+
+    monkeypatch.setattr(factorization, "Universe", counted)
+    assert is_inductively_factored(h3)[0] is True
+    # the root's lattice comes from the cache; each sub-arrangement's is
+    # built once for the call, however many partitions meet it
+    assert len(built) >= 10 and h3 not in built
+    assert len(built) == len(set(built))
+    assert set(lattice._universe_cache) == cached

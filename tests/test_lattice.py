@@ -569,7 +569,7 @@ def _type_b(n):
 def _with_coloops(arr, k):
     """arr times k new coordinate hyperplanes.  The flats that hold all of
     arr are modular coatoms on the way down, so when arr is not
-    supersolvable the search fails below them and has to back up."""
+    supersolvable the search fails below a modular coatom."""
     d = arr.dim + k
     vecs = [tuple(c) + (0,) * k for c in arr.covectors]
     return from_vectors(d, vecs + [tuple(int(j == arr.dim + i) for j in range(d)) for i in range(k)])
@@ -604,8 +604,8 @@ def test_top_down_supersolvability_matches_bottom_up_search(h6):
     pool = [from_vectors(d, covs) for d, covs in randoms]
     pool += [hyperpolygonal(n) for n in range(1, 6)] + [h6]
     pool += [_braid(n) for n in range(3, 6)] + [_type_b(n) for n in range(2, 5)]
-    # modular coatoms whose intervals fail: the search backtracks and meets
-    # flats it has already ruled out
+    # modular coatoms whose intervals fail: the search stops there, as no
+    # other coatom can lead to a chain
     generic4 = from_vectors(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     pool += [_with_coloops(arr, k) for arr in (generic4, hyperpolygonal(3)) for k in (1, 2)]
     decided = {True: 0, False: 0}
