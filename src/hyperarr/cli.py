@@ -29,7 +29,7 @@ from .regions import (
     zeta_polynomial,
     zeta_product_bases,
 )
-from .report import analyze, report
+from .report import PropertyReport, analyze, report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -58,25 +58,20 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _print_report(rep: PropertyReport, as_json: bool) -> int:
+    """Print a property report as text or JSON; exit 3 when a flag is undecided."""
+    print(json.dumps(rep.to_json_dict(), indent=2) if as_json else rep.format_text())
+    return EXIT_UNDECIDED if rep.undecided else EXIT_OK
+
+
 def cmd_report(args) -> int:
     if args.n < 1:
         raise ParseError(f"family order must be a positive integer, got {args.n}")
-    rep = report(args.n)
-    if args.json:
-        print(json.dumps(rep.to_json_dict(), indent=2))
-    else:
-        print(rep.format_text())
-    return EXIT_UNDECIDED if rep.undecided else EXIT_OK
+    return _print_report(report(args.n), args.json)
 
 
 def cmd_analyze(args) -> int:
-    arr = _load(args.file)
-    rep = analyze(arr, label=args.file)
-    if args.json:
-        print(json.dumps(rep.to_json_dict(), indent=2))
-    else:
-        print(rep.format_text())
-    return EXIT_UNDECIDED if rep.undecided else EXIT_OK
+    return _print_report(analyze(_load(args.file), label=args.file), args.json)
 
 
 def cmd_chi(args) -> int:

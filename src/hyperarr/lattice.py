@@ -95,9 +95,15 @@ class Universe:
         self._node_chi: dict[tuple[int, int], IntPoly] = {}
         self._node_roots: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self.built_to = 0
-        limit = arr.rank if up_to_rank is None else min(up_to_rank, arr.rank)
-        self._build(limit)
-        self.is_full = self.built_to >= arr.rank
+        self.extend(up_to_rank)
+
+    def extend(self, up_to_rank: int | None = None) -> None:
+        """Build the ranks up to up_to_rank (all by default) not built yet."""
+        arr_rank = self.arr.rank
+        limit = arr_rank if up_to_rank is None else min(up_to_rank, arr_rank)
+        if limit > self.built_to:
+            self._build(limit)
+        self.is_full = self.built_to >= arr_rank
 
     # -- construction ------------------------------------------------------
 
@@ -351,15 +357,13 @@ _universe_cache: dict[Arrangement, Universe] = {}
 
 
 def universe(arr: Arrangement, up_to_rank: int | None = None) -> Universe:
-    """Shared lattice engine per arrangement; upgrades partial builds on demand."""
+    """Shared lattice engine per arrangement; a partial build is extended in
+    place on demand, so every holder of it sees the new ranks."""
     uni = _universe_cache.get(arr)
-    need_full = up_to_rank is None or up_to_rank >= arr.rank
-    if uni is not None and (uni.is_full or (not need_full and uni.built_to >= up_to_rank)):
-        return uni
-    uni = Universe(arr, up_to_rank)
-    keep = _universe_cache.get(arr)
-    if keep is None or uni.built_to > keep.built_to:
-        _universe_cache[arr] = uni
+    if uni is None:
+        uni = _universe_cache[arr] = Universe(arr, up_to_rank)
+    else:
+        uni.extend(up_to_rank)
     return uni
 
 
@@ -376,7 +380,8 @@ class IntersectionLattice:
         return self._uni.is_full
 
     def flats(self) -> list[Flat]:
-        if self._flats is None:
+        # the shared build may have grown since the last call
+        if self._flats is None or len(self._flats) != self._uni.flat_count():
             uni = self._uni
             if uni.is_full:
                 order, mob = uni.node_mobius(0, uni._full_mask)

@@ -1,15 +1,21 @@
-"""Property reports: the full decision ladder with per-flag provenance.
+"""Property reports: one decision ladder with per-flag provenance.
 
-Every flag records how it was decided (direct search, certificate replay, or
-implication), and the finished report is validated against the implication
-ladder: supersolvable => inductively factored => inductively free => free; a
-generic rank-3 localization excludes freeness and asphericity; a simplicial
-or supersolvable arrangement is aspherical.
+Every flag records how it was decided: a direct search, a certificate
+replay, or an implication.  The implications are the rows of IMPLICATIONS:
+supersolvable => inductively factored => inductively free => free, the same
+chain read backwards, a generic rank-3 localization excludes freeness and
+asphericity, and a simplicial or supersolvable arrangement is aspherical.
+The ladder fills every flag a step forces from that table, and validate()
+checks a finished report against the same rows.
 
-The family reports use the cheapest sound route per size: direct searches
-while they are fast, certificate replay for the size-5 freeness proof, and
-the generic-localization shortcut from size 6 on, where every remaining flag
-follows by implication and the characteristic polynomial is skipped.
+analyze and report share the ladder, which runs the cheap refuters first:
+the rank-3 generic-localization scan (only ranks <= 3 of the lattice are
+built), then, while freeness is open, the splitting of the characteristic
+polynomial.  A search runs only for a flag still open after them:
+supersolvability, inductive freeness, nice partitions, certificate replay
+and the simplicial facet-count defect.  From H_6 on the scan decides every
+flag downstream of freeness, so report(n) skips the characteristic
+polynomial there; analyze always reports it and the region count.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .formality import (
     MotionRefutation,
     UniquenessWitness,
     is_formal,
-    is_lc_basis,
+    is_lc_basis,  # noqa: F401  perfbench/tracer.py wraps it in this module
     projective_uniqueness_witness,
 )
 from .freeness import (
@@ -37,12 +43,33 @@ from .freeness import (
     verify_free_certificate,
 )
 from .lattice import find_generic_rank3_localization, is_supersolvable, universe
-from .polynomials import format_poly
+from .polynomials import evaluate, format_poly
 from .regions import simplicial_defect
 
 REPORT_SCHEMA = "hyperarr/report-v1"
 
 TriBool = Literal[True, False, "undecided"]
+
+
+# (premise, value, conclusion, value, provenance): a report whose premise has
+# that value must give the conclusion that value.  Rows read backwards are
+# listed where the ladder needs them to fill a flag.
+IMPLICATIONS: tuple[tuple[str, TriBool | str, str, TriBool | str, str], ...] = (
+    ("supersolvable", True, "inductively_factored", True, "implied: supersolvable"),
+    ("inductively_factored", True, "inductively_free", True, "implied: inductively factored"),
+    ("inductively_free", True, "free", True, "implied: inductively free"),
+    ("free", False, "inductively_free", False, "implied: not free"),
+    ("inductively_free", False, "inductively_factored", False, "implied: not inductively free"),
+    ("inductively_factored", False, "supersolvable", False, "implied: not inductively factored"),
+    ("has_generic_rank3_localization", True, "free", False, "generic rank-3 localization"),
+    (
+        "has_generic_rank3_localization", True, "aspherical", "no",
+        "generic rank-3 localization excludes asphericity",
+    ),
+    ("simplicial", True, "aspherical", "yes", "simplicial arrangements are aspherical"),
+    ("supersolvable", True, "aspherical", "yes", "supersolvable arrangements are aspherical"),
+    ("aspherical", "no", "simplicial", False, "implied: not aspherical"),
+)
 
 
 @dataclass(frozen=True)
@@ -77,27 +104,22 @@ class PropertyReport:
     def value(self, name: str):
         return self.properties[name].value
 
+    def _ordered(self) -> list[tuple[str, PropertyDecision]]:
+        """The decided flags in PROPERTY_NAMES order."""
+        return [(k, self.properties[k]) for k in self.PROPERTY_NAMES if k in self.properties]
+
     @property
     def undecided(self) -> tuple[str, ...]:
         return tuple(
-            k for k, d in self.properties.items() if d.value in ("undecided", "unknown") and k != "aspherical"
+            k for k, d in self._ordered() if d.value in ("undecided", "unknown") and k != "aspherical"
         )
 
     def validate(self) -> None:
-        v = self.value
-        ladder = ["supersolvable", "inductively_factored", "inductively_free", "free"]
-        for a, b in zip(ladder, ladder[1:]):
-            if v(a) is True and v(b) is False:
-                raise AssertionError(f"ladder violation: {a} without {b}")
-        if v("has_generic_rank3_localization") is True:
-            if v("free") is True:
-                raise AssertionError("free despite a generic rank-3 localization")
-            if v("aspherical") == "yes":
-                raise AssertionError("aspherical despite a generic rank-3 localization")
-        if v("simplicial") is True and v("aspherical") == "no":
-            raise AssertionError("simplicial but not aspherical")
-        if v("supersolvable") is True and v("aspherical") == "no":
-            raise AssertionError("supersolvable but not aspherical")
+        """Raise AssertionError if a decided flag contradicts an IMPLICATIONS row."""
+        for premise, pv, conclusion, cv, _ in IMPLICATIONS:
+            got = self.value(conclusion)
+            if self.value(premise) == pv and got not in (cv, "undecided", "unknown"):
+                raise AssertionError(f"{premise} = {pv} but {conclusion} = {got}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -107,8 +129,7 @@ class PropertyReport:
             "hyperplanes": self.hyperplanes,
             "rank": self.rank,
             "properties": {
-                k: {"value": d.value, "provenance": d.provenance}
-                for k, d in self.properties.items()
+                k: {"value": d.value, "provenance": d.provenance} for k, d in self._ordered()
             },
             "exponents": list(self.exponents) if self.exponents is not None else None,
             "chi": list(self.chi) if self.chi is not None else None,
@@ -120,10 +141,7 @@ class PropertyReport:
         lines = [
             f"{self.label}: dim {self.dim}, {self.hyperplanes} hyperplanes, rank {self.rank}"
         ]
-        for name in self.PROPERTY_NAMES:
-            if name not in self.properties:
-                continue
-            d = self.properties[name]
+        for name, d in self._ordered():
             lines.append(f"  {name:34s} {str(d.value):10s} [{d.provenance}]")
         if self.exponents is not None:
             lines.append(f"  exponents: {list(self.exponents)}")
@@ -150,18 +168,6 @@ def matching_packaged_certificate(arr: Arrangement) -> dict | None:
     return None
 
 
-def _aspherical_rule(
-    simplicial: TriBool, supersolvable: TriBool, has_loc: TriBool
-) -> PropertyDecision:
-    if has_loc is True:
-        return PropertyDecision("no", "generic rank-3 localization excludes asphericity")
-    if simplicial is True:
-        return PropertyDecision("yes", "simplicial arrangements are aspherical")
-    if supersolvable is True:
-        return PropertyDecision("yes", "supersolvable arrangements are aspherical")
-    return PropertyDecision("unknown", "no decision rule applies")
-
-
 def _uniqueness_decision(arr: Arrangement, candidate_cap: int) -> PropertyDecision:
     """projectively_unique with its evidence in the provenance."""
     try:
@@ -182,6 +188,86 @@ def _uniqueness_decision(arr: Arrangement, candidate_cap: int) -> PropertyDecisi
     return PropertyDecision(status, "no witness and no motion refutation")
 
 
+def _count(rep: PropertyReport, arr: Arrangement) -> None:
+    """Set the characteristic polynomial and the Zaslavsky region count."""
+    rep.chi = universe(arr).chi()
+    rep.regions = abs(evaluate(rep.chi, -1))
+
+
+def _ladder(
+    arr: Arrangement,
+    label: str,
+    certificate: dict | None = None,
+    node_cap: int = 2_000_000,
+    partition_cap: int = 16,
+    witness_cap: int = 10**6,
+) -> PropertyReport:
+    """The decision ladder: cheap refuters, then searches for the open flags.
+
+    A flag is open while it has no entry; after every step the implications
+    fill what the step forces, so no search runs for a decided flag.
+    """
+    rep = PropertyReport(label, arr.dim, len(arr), arr.rank)
+    props = rep.properties
+
+    def decide(name: str, value: TriBool, provenance: str) -> None:
+        props[name] = PropertyDecision(value, provenance)
+        changed = True
+        while changed:  # until every flag the implications force is filled
+            changed = False
+            for premise, pv, conclusion, cv, why in IMPLICATIONS:
+                if conclusion not in props and premise in props and props[premise].value == pv:
+                    props[conclusion] = PropertyDecision(cv, why)
+                    changed = True
+
+    loc = find_generic_rank3_localization(arr)
+    decide(
+        "has_generic_rank3_localization",
+        loc is not None,
+        "rank-3 flat scan" if loc is None else f"rank-3 flat scan: hyperplanes {list(loc.contains)}",
+    )
+    roots = None
+    if "free" not in props:
+        _count(rep, arr)
+        roots = chi_integer_roots(arr)
+        if roots is None:
+            decide("free", False, "characteristic polynomial has no integer root factorization")
+
+    if "supersolvable" not in props:
+        decide("supersolvable", is_supersolvable(arr)[0], "modular chain search")
+    if "inductively_free" not in props:
+        status = is_inductively_free(arr, node_cap=node_cap).status
+        cap = " (node cap exhausted)" if status == "undecided" else ""
+        decide("inductively_free", status, "addition-deletion search" + cap)
+    if "inductively_factored" not in props:
+        status = is_inductively_factored(arr, search_cap=partition_cap)[0]
+        cap = " (size cap exhausted)" if status == "undecided" else ""
+        decide("inductively_factored", status, "nice partition recursion" + cap)
+    if "free" not in props:
+        cert = certificate if certificate is not None else matching_packaged_certificate(arr)
+        if cert is None:
+            decide("free", "undecided", "no decision route succeeded")
+        else:
+            try:
+                verify_free_certificate(arr, cert, node_cap=node_cap)
+                decide("free", True, "certificate replay")
+            except (CertificateError, CapExhausted) as exc:
+                decide("free", "undecided", f"certificate rejected: {exc}")
+    if props["free"].value is True:
+        # free exponents are the roots of chi (Terao's factorization theorem)
+        rep.exponents = roots
+    if "simplicial" not in props:
+        defect = simplicial_defect(arr)
+        decide("simplicial", defect == 0, f"facet-count defect = {defect}")
+    if "aspherical" not in props:
+        props["aspherical"] = PropertyDecision("unknown", "no decision rule applies")
+
+    props["formal"] = PropertyDecision(is_formal(arr), "rank-2 relation span")
+    props["projectively_unique"] = _uniqueness_decision(arr, witness_cap)
+    rep.validate()
+    return rep
+
+
 def analyze(
     arr: Arrangement,
     label: str = "arrangement",
@@ -195,152 +281,23 @@ def analyze(
     Exponential searches (inductive freeness, nice partitions, witness scan)
     are capped and report "undecided" when exhausted, and projective
     uniqueness is "undecided" when it finds neither a witness nor a motion
-    refutation; every other flag is decided exactly.
+    refutation; every other flag is decided exactly.  The characteristic
+    polynomial and the region count are always reported.
     """
-    rep = PropertyReport(label, arr.dim, len(arr), arr.rank)
-    props = rep.properties
-
-    ss, _chain = is_supersolvable(arr)
-    props["supersolvable"] = PropertyDecision(ss, "modular chain search")
-
-    uni = universe(arr)
-    rep.chi = uni.chi()
-    roots = chi_integer_roots(arr)
-    b = abs(sum(((-1) ** k) * c for k, c in enumerate(rep.chi)))
-    rep.regions = b
-
-    ifree = is_inductively_free(arr, node_cap=node_cap)
-    props["inductively_free"] = PropertyDecision(
-        ifree.status,
-        "addition-deletion search"
-        + ("" if ifree.status != "undecided" else " (node cap exhausted)"),
-    )
-
-    if ifree.status is False:
-        props["inductively_factored"] = PropertyDecision(
-            False, "implied: not inductively free"
-        )
-    else:
-        ifac, _part = is_inductively_factored(arr, search_cap=partition_cap)
-        props["inductively_factored"] = PropertyDecision(
-            ifac,
-            "nice partition recursion"
-            + ("" if ifac != "undecided" else " (size cap exhausted)"),
-        )
-
-    cert = certificate if certificate is not None else matching_packaged_certificate(arr)
-    loc = find_generic_rank3_localization(arr)
-    props["has_generic_rank3_localization"] = PropertyDecision(
-        loc is not None, "rank-3 flat scan"
-    )
-    if roots is None:
-        props["free"] = PropertyDecision(False, "characteristic polynomial has no integer root factorization")
-    elif ifree.status is True:
-        props["free"] = PropertyDecision(True, "implied: inductively free")
-        rep.exponents = ifree.exponents
-    elif cert is not None:
-        try:
-            replay = verify_free_certificate(arr, cert, node_cap=node_cap)
-            props["free"] = PropertyDecision(True, "certificate replay")
-            rep.exponents = replay.exponents
-        except (CertificateError, CapExhausted) as exc:
-            props["free"] = PropertyDecision("undecided", f"certificate rejected: {exc}")
-    elif loc is not None:
-        props["free"] = PropertyDecision(False, "generic rank-3 localization")
-    else:
-        props["free"] = PropertyDecision("undecided", "no decision route succeeded")
-
-    defect = simplicial_defect(arr)
-    props["simplicial"] = PropertyDecision(defect == 0, f"facet-count defect = {defect}")
-
-    props["aspherical"] = _aspherical_rule(
-        props["simplicial"].value, ss, props["has_generic_rank3_localization"].value
-    )
-
-    props["formal"] = PropertyDecision(is_formal(arr), "rank-2 relation span")
-
-    props["projectively_unique"] = _uniqueness_decision(arr, witness_cap)
-
-    rep.validate()
+    rep = _ladder(arr, label, certificate, node_cap, partition_cap, witness_cap)
+    if rep.chi is None:
+        _count(rep, arr)
     return rep
 
 
 def report(n: int) -> PropertyReport:
-    """Decision ladder for the n-th hyperpolygonal arrangement.
+    """Decision ladder for the n-th hyperpolygonal arrangement, labelled H_n.
 
-    Sizes up to 5 get the full ladder (direct searches, with the shipped
-    certificate proving freeness at size 5); from size 6 on, a generic rank-3
-    localization exists and decides everything downstream of freeness by
-    implication, so only the localization scan, formality, and the uniqueness
-    witness are computed and the characteristic polynomial is skipped.
+    The ladder of analyze with its default caps (H_5's freeness rests on the
+    shipped certificate), except that the characteristic polynomial and the
+    region count are reported only when freeness needed them: from n = 6 on
+    the generic rank-3 localization decides freeness first.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    arr = hyperpolygonal(n)
-    rep = PropertyReport(f"H_{n}", arr.dim, len(arr), arr.rank)
-    props = rep.properties
-
-    if n >= 6:
-        loc = find_generic_rank3_localization(arr)
-        if loc is None:
-            raise AssertionError(f"expected a generic rank-3 localization in H_{n}")
-        props["has_generic_rank3_localization"] = PropertyDecision(
-            True, f"rank-3 flat scan: hyperplanes {list(loc.contains)}"
-        )
-        props["free"] = PropertyDecision(False, "generic rank-3 localization")
-        props["inductively_free"] = PropertyDecision(False, "implied: not free")
-        props["inductively_factored"] = PropertyDecision(False, "implied: not inductively free")
-        props["supersolvable"] = PropertyDecision(False, "implied: not inductively factored")
-        props["aspherical"] = PropertyDecision(
-            "no", "generic rank-3 localization excludes asphericity"
-        )
-        props["simplicial"] = PropertyDecision(False, "implied: not aspherical")
-    else:
-        ss, _ = is_supersolvable(arr)
-        props["supersolvable"] = PropertyDecision(ss, "modular chain search")
-
-        uni = universe(arr)
-        rep.chi = uni.chi()
-        rep.regions = abs(sum(((-1) ** k) * c for k, c in enumerate(rep.chi)))
-
-        ifree = is_inductively_free(arr)
-        props["inductively_free"] = PropertyDecision(ifree.status, "addition-deletion search")
-
-        if ifree.status is True:
-            ifac, _ = is_inductively_factored(arr)
-            props["inductively_factored"] = PropertyDecision(ifac, "nice partition recursion")
-            props["free"] = PropertyDecision(True, "implied: inductively free")
-            rep.exponents = ifree.exponents
-        else:
-            if ifree.status != False:  # noqa: E712  ("undecided" must not imply anything)
-                raise AssertionError("family search unexpectedly exhausted its cap")
-            props["inductively_factored"] = PropertyDecision(
-                False, "implied: not inductively free"
-            )
-            replay = verify_free_certificate(arr, packaged_certificate())
-            props["free"] = PropertyDecision(True, "certificate replay")
-            rep.exponents = replay.exponents
-
-        defect = simplicial_defect(arr)
-        props["simplicial"] = PropertyDecision(defect == 0, f"facet-count defect = {defect}")
-
-        loc = find_generic_rank3_localization(arr)
-        props["has_generic_rank3_localization"] = PropertyDecision(
-            loc is not None, "rank-3 flat scan"
-        )
-        props["aspherical"] = _aspherical_rule(
-            props["simplicial"].value, ss, loc is not None
-        )
-
-    natural_basis = tuple(range(n - 1)) + (n,) if n >= 2 else (0,)
-    if is_lc_basis(arr, natural_basis):
-        props["formal"] = PropertyDecision(
-            True, f"line-closure basis {list(natural_basis)}"
-        )
-    else:
-        props["formal"] = PropertyDecision(is_formal(arr), "rank-2 relation span")
-
-    props["projectively_unique"] = _uniqueness_decision(arr, 10**6)
-
-    rep.validate()
-    return rep
+    return _ladder(hyperpolygonal(n), f"H_{n}")

@@ -43,6 +43,28 @@ def test_h4_rank_profile_matches_d4(h4, d4_reflection):
     assert build_lattice(h4).counts_by_rank() == build_lattice(d4_reflection).counts_by_rank()
 
 
+def test_partial_build_is_extended_in_place():
+    from hyperarr import lattice
+
+    arr = hyperpolygonal(4)
+    saved = dict(lattice._universe_cache)
+    lattice._universe_cache.clear()
+    try:
+        lat = build_lattice(arr, up_to_rank=2)
+        partial = len(lat.flats())
+        assert not lat.is_full and partial == sum(lat.counts_by_rank())
+        poly = chi(arr)
+        assert lat.is_full and universe(arr) is lat._uni
+        flats = lat.flats()
+        counts = lat.counts_by_rank()
+        assert len(flats) == sum(counts) > partial
+        assert [sum(f.rank == r for f in flats) for r in range(len(counts))] == counts
+        assert flats[-1].rank == arr.rank and flats[-1].mobius == poly[0]
+    finally:
+        lattice._universe_cache.clear()
+        lattice._universe_cache.update(saved)
+
+
 def test_lattice_json_shape(h2):
     doc = build_lattice(h2).to_json_dict()
     assert doc["schema"] == "hyperarr/lattice-v1"

@@ -8,9 +8,11 @@ from hyperarr import (
     analyze,
     boolean,
     format_arrangement_text,
+    hyperpolygonal,
     parse_arrangement_text,
     report,
 )
+from hyperarr.report import IMPLICATIONS
 
 import oracles
 
@@ -82,6 +84,13 @@ def test_analyze_matches_family_report(d4_reflection):
         assert rep.value(key) == family.value(key), key
     assert rep.label == "d4"
     assert rep.exponents == (1, 3, 3, 5)
+    for n in range(1, 7):
+        rep, family = analyze(hyperpolygonal(n)), report(n)
+        assert set(rep.properties) == set(family.properties) == set(PropertyReport.PROPERTY_NAMES)
+        for key in PropertyReport.PROPERTY_NAMES:
+            assert rep.value(key) == family.value(key), (n, key)
+        assert rep.exponents == family.exponents and rep.undecided == family.undecided
+        assert rep.chi is not None and rep.regions is not None
 
 
 def test_analyze_boolean(bool3):
@@ -103,34 +112,28 @@ def test_analyze_generic(generic4):
     assert rep.value("projectively_unique") is True
 
 
-def _blank_report():
+def _open_report():
     rep = PropertyReport("fake", 3, 5, 3)
     for name in PropertyReport.PROPERTY_NAMES:
-        rep.properties[name] = PropertyDecision(False, "fabricated")
+        rep.properties[name] = PropertyDecision("undecided", "fabricated")
     rep.properties["aspherical"] = PropertyDecision("unknown", "fabricated")
     return rep
 
 
-def test_validate_catches_ladder_violation():
-    rep = _blank_report()
-    rep.properties["supersolvable"] = PropertyDecision(True, "fabricated")
-    rep.properties["inductively_factored"] = PropertyDecision(False, "fabricated")
-    with pytest.raises(AssertionError):
-        rep.validate()
+def _opposite(value):
+    return {"yes": "no", "no": "yes"}.get(value, not value)
 
 
-def test_validate_catches_free_with_generic_localization():
-    rep = _blank_report()
-    rep.properties["free"] = PropertyDecision(True, "fabricated")
-    rep.properties["has_generic_rank3_localization"] = PropertyDecision(True, "fabricated")
-    with pytest.raises(AssertionError):
-        rep.validate()
-
-
-def test_validate_catches_simplicial_non_aspherical():
-    rep = _blank_report()
-    rep.properties["simplicial"] = PropertyDecision(True, "fabricated")
-    rep.properties["aspherical"] = PropertyDecision("no", "fabricated")
+@pytest.mark.parametrize(
+    "row", IMPLICATIONS, ids=[f"{premise}-{conclusion}" for premise, _, conclusion, _, _ in IMPLICATIONS]
+)
+def test_validate_catches_implication_violation(row):
+    premise, pv, conclusion, cv, _ = row
+    rep = _open_report()
+    rep.properties[premise] = PropertyDecision(pv, "fabricated")
+    rep.properties[conclusion] = PropertyDecision(cv, "fabricated")
+    rep.validate()
+    rep.properties[conclusion] = PropertyDecision(_opposite(cv), "fabricated")
     with pytest.raises(AssertionError):
         rep.validate()
 
@@ -190,7 +193,7 @@ def test_projectively_unique_provenance_names_its_evidence(h2, bool3, rigid7):
 
 
 def test_ladder_pins_only_the_family_lattices():
-    from hyperarr import hyperpolygonal, lattice
+    from hyperarr import lattice
 
     saved = dict(lattice._universe_cache)
     lattice._universe_cache.clear()
@@ -201,3 +204,147 @@ def test_ladder_pins_only_the_family_lattices():
     finally:
         lattice._universe_cache.clear()
         lattice._universe_cache.update(saved)
+
+
+# -- differential check of the one ladder ---------------------------------------
+#
+# Copies of analyze and report as they were before they shared one ladder:
+# every search ran in a fixed order and the implications were written out by
+# hand.  Provenance strings are not compared; they name the route that fired.
+
+
+def _old_aspherical(simplicial, supersolvable, has_loc):
+    if has_loc is True:
+        return "no"
+    if simplicial is True or supersolvable is True:
+        return "yes"
+    return "unknown"
+
+
+def _old_analyze(arr, node_cap=2_000_000, partition_cap=16, witness_cap=10**6):
+    from hyperarr import (
+        CapExhausted,
+        CertificateError,
+        chi_integer_roots,
+        find_generic_rank3_localization,
+        is_formal,
+        is_inductively_factored,
+        is_inductively_free,
+        is_supersolvable,
+        simplicial_defect,
+        verify_free_certificate,
+    )
+    from hyperarr.lattice import universe
+    from hyperarr.report import _uniqueness_decision, matching_packaged_certificate
+
+    v = {}
+    ss, _ = is_supersolvable(arr)
+    v["supersolvable"] = ss
+    chi = universe(arr).chi()
+    roots = chi_integer_roots(arr)
+    regions = abs(sum(((-1) ** k) * c for k, c in enumerate(chi)))
+    ifree = is_inductively_free(arr, node_cap=node_cap)
+    v["inductively_free"] = ifree.status
+    if ifree.status is False:
+        v["inductively_factored"] = False
+    else:
+        v["inductively_factored"] = is_inductively_factored(arr, search_cap=partition_cap)[0]
+    cert = matching_packaged_certificate(arr)
+    loc = find_generic_rank3_localization(arr)
+    v["has_generic_rank3_localization"] = loc is not None
+    exponents = None
+    if roots is None:
+        v["free"] = False
+    elif ifree.status is True:
+        v["free"] = True
+        exponents = ifree.exponents
+    elif cert is not None:
+        try:
+            exponents = verify_free_certificate(arr, cert, node_cap=node_cap).exponents
+            v["free"] = True
+        except (CertificateError, CapExhausted):
+            v["free"] = "undecided"
+    elif loc is not None:
+        v["free"] = False
+    else:
+        v["free"] = "undecided"
+    v["simplicial"] = simplicial_defect(arr) == 0
+    v["aspherical"] = _old_aspherical(v["simplicial"], ss, loc is not None)
+    v["formal"] = is_formal(arr)
+    v["projectively_unique"] = _uniqueness_decision(arr, witness_cap).value
+    return v, exponents, chi, regions
+
+
+def _old_report(n):
+    from hyperarr import (
+        find_generic_rank3_localization,
+        is_formal,
+        is_inductively_factored,
+        is_inductively_free,
+        is_lc_basis,
+        is_supersolvable,
+        simplicial_defect,
+        verify_free_certificate,
+    )
+    from hyperarr.lattice import universe
+    from hyperarr.report import _uniqueness_decision, packaged_certificate
+
+    arr = hyperpolygonal(n)
+    v = {}
+    exponents = chi = regions = None
+    if n >= 6:
+        assert find_generic_rank3_localization(arr) is not None
+        v.update(has_generic_rank3_localization=True, free=False, inductively_free=False,
+                 inductively_factored=False, supersolvable=False, aspherical="no", simplicial=False)
+    else:
+        ss, _ = is_supersolvable(arr)
+        v["supersolvable"] = ss
+        chi = universe(arr).chi()
+        regions = abs(sum(((-1) ** k) * c for k, c in enumerate(chi)))
+        ifree = is_inductively_free(arr)
+        v["inductively_free"] = ifree.status
+        if ifree.status is True:
+            v["inductively_factored"] = is_inductively_factored(arr)[0]
+            v["free"] = True
+            exponents = ifree.exponents
+        else:
+            assert ifree.status is False
+            v["inductively_factored"] = False
+            exponents = verify_free_certificate(arr, packaged_certificate()).exponents
+            v["free"] = True
+        v["simplicial"] = simplicial_defect(arr) == 0
+        loc = find_generic_rank3_localization(arr)
+        v["has_generic_rank3_localization"] = loc is not None
+        v["aspherical"] = _old_aspherical(v["simplicial"], ss, loc is not None)
+    natural_basis = tuple(range(n - 1)) + (n,) if n >= 2 else (0,)
+    v["formal"] = True if is_lc_basis(arr, natural_basis) else is_formal(arr)
+    v["projectively_unique"] = _uniqueness_decision(arr, 10**6).value
+    return v, exponents, chi, regions
+
+
+def _old_undecided(values):
+    return sorted(k for k, x in values.items() if x in ("undecided", "unknown") and k != "aspherical")
+
+
+def _assert_same(rep, old):
+    values, exponents, chi, regions = old
+    assert {k: d.value for k, d in rep.properties.items()} == values
+    assert (rep.exponents, rep.chi, rep.regions) == (exponents, chi, regions)
+    assert sorted(rep.undecided) == _old_undecided(values)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ladder_matches_the_two_old_ladders_on_the_family(n):
+    _assert_same(report(n), _old_report(n))
+    arr = hyperpolygonal(n)
+    _assert_same(analyze(arr), _old_analyze(arr))
+
+
+def test_ladder_matches_the_old_analyze_on_random_arrangements():
+    from hyperarr import from_vectors
+
+    pool = oracles.random_arrangements(48, seed=20261018, max_dim=5, max_size=9)
+    assert {d for d, _ in pool} == {2, 3, 4, 5}
+    for dim, covs in pool:
+        arr = from_vectors(dim, covs)
+        _assert_same(analyze(arr), _old_analyze(arr))
