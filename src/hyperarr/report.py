@@ -105,7 +105,7 @@ class PropertyReport:
         return self.properties[name].value
 
     def _ordered(self) -> list[tuple[str, PropertyDecision]]:
-        """The decided flags in PROPERTY_NAMES order."""
+        """The flags present, in PROPERTY_NAMES order."""
         return [(k, self.properties[k]) for k in self.PROPERTY_NAMES if k in self.properties]
 
     @property
@@ -188,7 +188,7 @@ def _uniqueness_decision(arr: Arrangement, candidate_cap: int) -> PropertyDecisi
     return PropertyDecision(status, "no witness and no motion refutation")
 
 
-def _count(rep: PropertyReport, arr: Arrangement) -> None:
+def _set_chi_and_regions(rep: PropertyReport, arr: Arrangement) -> None:
     """Set the characteristic polynomial and the Zaslavsky region count."""
     rep.chi = universe(arr).chi()
     rep.regions = abs(evaluate(rep.chi, -1))
@@ -228,7 +228,7 @@ def _ladder(
     )
     roots = None
     if "free" not in props:
-        _count(rep, arr)
+        _set_chi_and_regions(rep, arr)
         roots = chi_integer_roots(arr)
         if roots is None:
             decide("free", False, "characteristic polynomial has no integer root factorization")
@@ -286,7 +286,7 @@ def analyze(
     """
     rep = _ladder(arr, label, certificate, node_cap, partition_cap, witness_cap)
     if rep.chi is None:
-        _count(rep, arr)
+        _set_chi_and_regions(rep, arr)
     return rep
 
 
