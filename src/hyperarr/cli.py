@@ -3,7 +3,10 @@
 Exit codes: 0 = analysis completed; 2 = input could not be parsed;
 3 = the output contains "undecided": a capped search was exhausted, or
 projective uniqueness found no witness and no motion refutation.
-Property values (true/false) never drive exit codes.
+Property values (true/false) never drive exit codes.  So `free --certificate`
+exits 0 when it rejects the certificate, since the replay completed and
+printed its verdict, and 3 when an inductive-freeness leaf of the replay
+exceeds its node cap.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 from .arrangement import Arrangement, ParseError, format_arrangement_text, hyperpolygonal, parse_arrangement_text
 from .factorization import find_nice_partition, is_inductively_factored, is_nice
 from .formality import gen_closure, is_formal, is_lc_basis, line_closure, relation_space_dim
-from .freeness import CapExhausted, CertificateError, decide_freeness, is_inductively_free, verify_free_certificate
+from .freeness import CapExhausted, CertificateError, chi_integer_roots, is_inductively_free, verify_free_certificate
 from .lattice import build_lattice, universe
 from .polynomials import format_poly
 from .regions import (
@@ -29,7 +32,7 @@ from .regions import (
     zeta_polynomial,
     zeta_product_bases,
 )
-from .report import PropertyReport, analyze, report
+from .report import PropertyReport, _ladder, analyze, report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -104,8 +107,6 @@ def cmd_regions(args) -> int:
         print(f"simplicial (facet-count defect {defect}): {defect == 0}")
         print(f"simplicial (extreme-ray geometry): {geo}")
     if args.zeta:
-        from .freeness import chi_integer_roots
-
         exps = chi_integer_roots(arr)
         if args.base is not None:
             if not 0 <= args.base < len(regs):
@@ -155,11 +156,12 @@ def cmd_free(args) -> int:
             print(f"exponents: {list(res.exponents)}")
         print(f"nodes visited: {res.nodes_visited}")
         return EXIT_UNDECIDED if res.status == "undecided" else EXIT_OK
-    dec = decide_freeness(arr)
-    print(f"free: {dec.status} [{dec.method}]")
-    if dec.exponents:
-        print(f"exponents: {list(dec.exponents)}")
-    return EXIT_UNDECIDED if dec.status == "undecided" else EXIT_OK
+    rep = _ladder(arr, args.file, free_only=True)
+    free = rep.properties["free"]
+    print(f"free: {free.value} [{free.provenance}]")
+    if rep.exponents is not None:
+        print(f"exponents: {list(rep.exponents)}")
+    return EXIT_UNDECIDED if free.value == "undecided" else EXIT_OK
 
 
 def cmd_factor(args) -> int:
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all-bases", action="store_true")
     sp.set_defaults(func=cmd_regions)
 
-    sp = sub.add_parser("free", help="freeness decision, search, or certificate replay")
+    sp = sub.add_parser("free", help="the ladder's freeness decision, search, or certificate replay")
     sp.add_argument("file")
     sp.add_argument("--inductive", action="store_true")
     sp.add_argument("--certificate", default=None)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .arrangement import Arrangement, restriction_to_hyperplane
-from .lattice import Universe, bit_indices, find_generic_rank3_localization, universe
+from .lattice import Universe, bit_indices, universe
 from .polynomials import monic_linear_roots
 
 
@@ -191,7 +191,9 @@ def verify_free_certificate(arr: Arrangement, cert: dict, node_cap: int = 2_000_
     the restriction exponents plus b-1.  Every deduced exponent multiset is
     cross-checked against the chi roots.
     """
-    if not isinstance(cert, dict) or cert.get("schema") != CERT_SCHEMA:
+    if not isinstance(cert, dict):
+        raise CertificateError(f"certificate is a {type(cert).__name__}, not a JSON object")
+    if cert.get("schema") != CERT_SCHEMA:
         raise CertificateError(f"unknown certificate schema {cert.get('schema')!r}")
     if cert.get("dim") != arr.dim:
         raise CertificateError(f"certificate dim {cert.get('dim')} != arrangement dim {arr.dim}")
@@ -270,42 +272,3 @@ def _verify_node(
         return deduced
     raise CertificateError(f"{path}: unknown node type {kind!r}")
 
-
-@dataclass
-class FreenessDecision:
-    status: Literal[True, False, "undecided"]
-    method: str
-    exponents: tuple[int, ...] | None
-    detail: dict | None
-
-
-def decide_freeness(
-    arr: Arrangement, certificate: dict | None = None, node_cap: int = 2_000_000
-) -> FreenessDecision:
-    """Layered freeness decision.
-
-    Order: chi splitting (refutes), supplied certificate (confirms),
-    inductive-freeness search (confirms; its failure does not refute),
-    generic rank-3 localization (refutes).  Anything else is undecided:
-    freeness is only ever asserted with a replayable justification.
-    """
-    roots = chi_integer_roots(arr)
-    if roots is None:
-        return FreenessDecision(False, "chi-not-splitting", None, None)
-    if certificate is not None:
-        replay = verify_free_certificate(arr, certificate, node_cap=node_cap)
-        return FreenessDecision(
-            True,
-            "certificate-replay",
-            replay.exponents,
-            {"cited_leaves": replay.cited_leaves, "steps": replay.steps},
-        )
-    res = is_inductively_free(arr, node_cap=node_cap)
-    if res.status is True:
-        return FreenessDecision(True, "inductively-free", res.exponents, {"witness": res.witness})
-    generic = find_generic_rank3_localization(arr)
-    if generic is not None:
-        return FreenessDecision(
-            False, "generic-rank3-localization", None, {"localization": list(generic.contains)}
-        )
-    return FreenessDecision("undecided", "exhausted-methods", None, None)

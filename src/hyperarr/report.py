@@ -15,7 +15,8 @@ polynomial.  A search runs only for a flag still open after them:
 supersolvability, inductive freeness, nice partitions, certificate replay
 and the simplicial facet-count defect.  From H_6 on the scan decides every
 flag downstream of freeness, so report(n) skips the characteristic
-polynomial there; analyze always reports it and the region count.
+polynomial there; analyze always reports it and the region count.  The
+CLI's `free` command runs the same ladder and stops once free is decided.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ class PropertyReport:
         )
 
     def validate(self) -> None:
-        """Raise AssertionError if a decided flag contradicts an IMPLICATIONS row."""
+        """Raise AssertionError if a decided flag contradicts an IMPLICATIONS row
+        whose premise and conclusion the report has (a full report has all)."""
         for premise, pv, conclusion, cv, _ in IMPLICATIONS:
+            if premise not in self.properties or conclusion not in self.properties:
+                continue
             got = self.value(conclusion)
             if self.value(premise) == pv and got not in (cv, "undecided", "unknown"):
                 raise AssertionError(f"{premise} = {pv} but {conclusion} = {got}")
@@ -201,11 +205,14 @@ def _ladder(
     node_cap: int = 2_000_000,
     partition_cap: int = 16,
     witness_cap: int = 10**6,
+    free_only: bool = False,
 ) -> PropertyReport:
     """The decision ladder: cheap refuters, then searches for the open flags.
 
     A flag is open while it has no entry; after every step the implications
-    fill what the step forces, so no search runs for a decided flag.
+    fill what the step forces, so no search runs for a decided flag.  With
+    free_only the ladder returns as soon as free is decided, with the free
+    exponents but without the steps for the other flags.
     """
     rep = PropertyReport(label, arr.dim, len(arr), arr.rank)
     props = rep.properties
@@ -220,6 +227,9 @@ def _ladder(
                     props[conclusion] = PropertyDecision(cv, why)
                     changed = True
 
+    def is_open(name: str) -> bool:
+        return name not in props and not (free_only and "free" in props)
+
     loc = find_generic_rank3_localization(arr)
     decide(
         "has_generic_rank3_localization",
@@ -227,23 +237,23 @@ def _ladder(
         "rank-3 flat scan" if loc is None else f"rank-3 flat scan: hyperplanes {list(loc.contains)}",
     )
     roots = None
-    if "free" not in props:
+    if is_open("free"):
         _set_chi_and_regions(rep, arr)
         roots = chi_integer_roots(arr)
         if roots is None:
             decide("free", False, "characteristic polynomial has no integer root factorization")
 
-    if "supersolvable" not in props:
+    if is_open("supersolvable"):
         decide("supersolvable", is_supersolvable(arr)[0], "modular chain search")
-    if "inductively_free" not in props:
+    if is_open("inductively_free"):
         status = is_inductively_free(arr, node_cap=node_cap).status
         cap = " (node cap exhausted)" if status == "undecided" else ""
         decide("inductively_free", status, "addition-deletion search" + cap)
-    if "inductively_factored" not in props:
+    if is_open("inductively_factored"):
         status = is_inductively_factored(arr, search_cap=partition_cap)[0]
         cap = " (size cap exhausted)" if status == "undecided" else ""
         decide("inductively_factored", status, "nice partition recursion" + cap)
-    if "free" not in props:
+    if is_open("free"):
         cert = certificate if certificate is not None else matching_packaged_certificate(arr)
         if cert is None:
             decide("free", "undecided", "no decision route succeeded")
@@ -256,6 +266,9 @@ def _ladder(
     if props["free"].value is True:
         # free exponents are the roots of chi (Terao's factorization theorem)
         rep.exponents = roots
+    if free_only:
+        rep.validate()
+        return rep
     if "simplicial" not in props:
         defect = simplicial_defect(arr)
         decide("simplicial", defect == 0, f"facet-count defect = {defect}")

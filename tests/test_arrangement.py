@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import hyperarr
 from hyperarr import (
     Arrangement,
     ParseError,
@@ -252,6 +253,7 @@ def test_parse_errors_carry_line_numbers():
 def test_star_import_exposes_certificate_replay_and_rank2_flats():
     namespace = {}
     exec("from hyperarr import *", namespace)
+    assert set(hyperarr.__all__) <= namespace.keys()
     assert namespace["verify_free_certificate"].__name__ == "verify_free_certificate"
     assert namespace["rank2_flats"].__name__ == "rank2_flats"
     assert namespace["verify_motion_refutation"].__name__ == "verify_motion_refutation"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hyperarr import cli, format_arrangement_text, hyperpolygonal, parse_arrangement_text
+from hyperarr import cli, format_arrangement_text, from_vectors, hyperpolygonal, parse_arrangement_text
 from hyperarr.report import packaged_certificate
 
 
@@ -146,10 +146,17 @@ def test_free_rejected_certificate(tmp_path, capsys):
 
 
 def test_free_undecided_exit_code(tmp_path, capsys):
-    path = write_family(tmp_path, 5)
-    assert cli.main(["free", path]) == 3
+    # H_5 under x_1 -> x_1 + x_0: the same lattice, so not inductively free,
+    # and the packaged certificate no longer matches verbatim
+    sheared = from_vectors(5, [(c[0], c[1] + c[0]) + c[2:] for c in hyperpolygonal(5).covectors])
+    path = tmp_path / "h5_sheared.arr"
+    path.write_text(format_arrangement_text(sheared))
+    assert cli.main(["free", str(path)]) == 3
+    assert "free: undecided [no decision route succeeded]" in capsys.readouterr().out
+    assert cli.main(["free", write_family(tmp_path, 5)]) == 0
     out = capsys.readouterr().out
-    assert "free: undecided" in out
+    assert "free: True [certificate replay]" in out
+    assert "exponents: [1, 5, 5, 5, 5]" in out
 
 
 def test_factor_nice_partition(tmp_path, capsys):

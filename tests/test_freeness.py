@@ -5,14 +5,21 @@ import pytest
 from hyperarr import (
     Arrangement,
     CertificateError,
+    PropertyDecision,
+    analyze,
     boolean,
     chi_integer_roots,
-    decide_freeness,
+    cli,
+    format_arrangement_text,
+    from_vectors,
+    hyperpolygonal,
     is_inductively_free,
     packaged_certificate,
     verify_free_certificate,
 )
 from hyperarr.freeness import check_addition_deletion
+
+import oracles
 
 
 # -- exponent candidates -------------------------------------------------------
@@ -130,6 +137,18 @@ def test_unknown_schema_rejected(h5):
         verify_free_certificate(h5, cert)
 
 
+@pytest.mark.parametrize("cert", [[], "x", None])
+def test_certificate_that_is_not_an_object_rejected(h2, cert):
+    with pytest.raises(CertificateError, match="not a JSON object"):
+        verify_free_certificate(h2, cert)
+
+
+def test_analyze_reports_a_rejected_non_object_certificate(h5):
+    free = analyze(h5, certificate=[]).properties["free"]
+    assert free.value == "undecided"
+    assert free.provenance.startswith("certificate rejected: ")
+
+
 def test_inductively_free_leaf_certificate(h4):
     cert = {
         "schema": "hyperarr/free-cert-v1",
@@ -151,14 +170,26 @@ def test_cited_leaf_requires_chi_consistency(h4):
         verify_free_certificate(h4, cert)
 
 
-# -- layered decision -----------------------------------------------------------------
+# -- the CLI's freeness decision -------------------------------------------------------
 
 
-def test_decide_freeness_layers(h4, h5, generic4):
-    d4 = decide_freeness(h4)
-    assert d4.status is True and d4.method == "inductively-free"
-    d5 = decide_freeness(h5, certificate=packaged_certificate())
-    assert d5.status is True and d5.method == "certificate-replay"
-    assert d5.exponents == (1, 5, 5, 5, 5)
-    dg = decide_freeness(generic4)
-    assert dg.status is False and dg.method == "chi-not-splitting"
+def test_cli_free_agrees_with_the_ladder(tmp_path, capsys, generic4):
+    arrs = [hyperpolygonal(n) for n in range(1, 6)] + [generic4]
+    arrs += [from_vectors(d, covs) for d, covs in oracles.random_arrangements(30, seed=1111, max_dim=5)]
+    seen = []
+    for k, arr in enumerate(arrs):
+        path = tmp_path / f"a{k}.arr"
+        path.write_text(format_arrangement_text(arr))
+        rep = analyze(arr)
+        free = rep.properties["free"]
+        assert cli.main(["free", str(path)]) == (3 if free.value == "undecided" else 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"free: {free.value} [{free.provenance}]"
+        assert lines[1:] == ([] if rep.exponents is None else [f"exponents: {list(rep.exponents)}"])
+        seen.append(free)
+    # inductive freeness (H_4), certificate replay (H_5), a generic rank-3
+    # localization (generic4) and a non-splitting chi
+    assert seen[3] == PropertyDecision(True, "implied: inductively free")
+    assert seen[4] == PropertyDecision(True, "certificate replay")
+    assert seen[5] == PropertyDecision(False, "generic rank-3 localization")
+    assert PropertyDecision(False, "characteristic polynomial has no integer root factorization") in seen

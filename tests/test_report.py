@@ -136,6 +136,12 @@ def test_validate_catches_implication_violation(row):
     rep.properties[conclusion] = PropertyDecision(_opposite(cv), "fabricated")
     with pytest.raises(AssertionError):
         rep.validate()
+    # a partial report (the CLI's free-only ladder) is checked on the rows it has
+    partial = PropertyReport("fake", 3, 5, 3, {k: rep.properties[k] for k in (premise, conclusion)})
+    with pytest.raises(AssertionError):
+        partial.validate()
+    del partial.properties[conclusion]
+    partial.validate()
 
 
 def test_report_json_and_text_round_trip(h3):
