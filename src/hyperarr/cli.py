@@ -5,8 +5,7 @@ Exit codes: 0 = analysis completed; 2 = input could not be parsed;
 projective uniqueness found no witness and no motion refutation.
 Property values (true/false) never drive exit codes.  So `free --certificate`
 exits 0 when it rejects the certificate, since the replay completed and
-printed its verdict, and 3 when an inductive-freeness leaf of the replay
-exceeds its node cap.
+printed its verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from pathlib import Path
 from .arrangement import Arrangement, ParseError, format_arrangement_text, hyperpolygonal, parse_arrangement_text
 from .factorization import find_nice_partition, is_inductively_factored, is_nice
 from .formality import gen_closure, is_formal, is_lc_basis, line_closure, relation_space_dim
-from .freeness import CapExhausted, CertificateError, chi_integer_roots, is_inductively_free, verify_free_certificate
+from .freeness import CertificateError, chi_integer_roots, is_inductively_free, verify_free_certificate
 from .lattice import build_lattice, universe
 from .polynomials import format_poly
 from .regions import (
@@ -286,9 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except CapExhausted as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

@@ -1,16 +1,22 @@
 """Freeness of central arrangements: exponents, inductive freeness, certificates.
 
 Freeness is never guessed: it is established by an inductive-freeness search
-(whose witness tree is returned and independently replayable), or by replaying
-an addition-deletion certificate, and refuted by a non-splitting
-characteristic polynomial or a generic rank-3 localization.
+(whose witness tree is returned), or by replaying an addition-deletion
+certificate, and refuted by a non-splitting characteristic polynomial or a
+generic rank-3 localization.
 
 The search works on (flat, hyperplane-mask) nodes of one master lattice:
 deleting a hyperplane shrinks the mask, restricting moves to the interval
-above the hyperplane's flat, and the characteristic polynomial of every node
-is an interval Moebius computation (see lattice.py).  Memoization is per
-master lattice, so the exhaustive refutation for larger instances stays
-feasible.
+above the hyperplane's flat.  The characteristic polynomial of a node is an
+interval Moebius computation (see lattice.py), and that of a deletion follows
+from the node's and the restriction's by deletion-restriction.  Memoization
+is per master lattice, so the exhaustive refutation for larger instances
+stays feasible.
+
+Certificate replay runs no search.  Its inductively-free leaves carry the
+search's witness tree, which is checked node by node by Terao's addition
+theorem (Orlik-Terao, Arrangements of Hyperplanes, Thm 4.51), each
+(flat, mask) node once.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .arrangement import Arrangement, restriction_to_hyperplane
-from .lattice import Universe, bit_indices, universe
+from .lattice import Universe, bit_indices, mask_of, universe
 from .polynomials import monic_linear_roots
 
 
@@ -47,19 +53,13 @@ def check_addition_deletion(
     True iff there is a multiset B and integer b >= 1 with
     exp_full = B + {b}, exp_deleted = B + {b-1}, exp_restricted = B.
     """
-    if len(exp_full) != len(exp_deleted) or len(exp_restricted) != len(exp_full) - 1:
-        return False
-    base = Counter(exp_restricted)
-    diff_full = Counter(exp_full) - base
-    diff_del = Counter(exp_deleted) - base
-    if sum(diff_full.values()) != 1 or sum(diff_del.values()) != 1:
-        return False
-    b = next(iter(diff_full))
-    bd = next(iter(diff_del))
-    if b - 1 != bd or b < 1:
-        return False
-    # the differences must be genuine (base fully inside both)
-    return Counter(exp_full) == base + Counter([b]) and Counter(exp_deleted) == base + Counter([b - 1])
+    b = sum(exp_full) - sum(exp_restricted)  # the only candidate for b
+    base = list(exp_restricted)
+    return (
+        b >= 1
+        and sorted(exp_full) == sorted(base + [b])
+        and sorted(exp_deleted) == sorted(base + [b - 1])
+    )
 
 
 @dataclass
@@ -85,10 +85,7 @@ def is_inductively_free(arr: Arrangement, node_cap: int = 2_000_000) -> Inductiv
     of the root arrangement whose traces produce it), the node's exponents,
     and subtrees for deletion and restriction.
     """
-    return _inductive_freeness(universe(arr), node_cap)
-
-
-def _inductive_freeness(uni: Universe, node_cap: int) -> InductiveFreenessResult:
+    uni = universe(arr)
     counter = [0]
     memo: dict[tuple[int, int], tuple[bool, tuple[int, ...] | None, dict | None]] = {}
     try:
@@ -133,6 +130,7 @@ def _ind_free(
     sized.sort()
     for rsize, e, pre in sized:
         del_mask = mask & ~pre
+        uni.deletion_chi(x, mask, e)  # the chi that node_roots reads, without a walk
         droots = uni.node_roots(x, del_mask)
         if droots is None:
             continue
@@ -164,7 +162,7 @@ def _ind_free(
 
 # -- certificates -----------------------------------------------------------
 
-CERT_SCHEMA = "hyperarr/free-cert-v1"
+CERT_SCHEMA = "hyperarr/free-cert-v2"
 
 
 class CertificateError(ValueError):
@@ -178,18 +176,29 @@ class CertificateReplay:
     steps: int
 
 
-def verify_free_certificate(arr: Arrangement, cert: dict, node_cap: int = 2_000_000) -> CertificateReplay:
-    """Replay a freeness certificate against an arrangement.
+def verify_free_certificate(arr: Arrangement, cert: dict) -> CertificateReplay:
+    """Replay a freeness certificate against an arrangement; no search runs.
 
-    The certificate is a tree.  Leaves either claim inductive freeness (which
-    is re-run by the search engine) or cite established freeness (accepted
-    after a chi-splitting consistency check and reported in cited_leaves).
-    Internal 'addition' nodes claim: adjoining added_covector gives an
-    arrangement e with certified exponents, whose restriction to the new
-    hyperplane is certified too, and the two exponent multisets differ by one
-    element b; by addition-deletion the present arrangement is then free with
-    the restriction exponents plus b-1.  Every deduced exponent multiset is
-    cross-checked against the chi roots.
+    The certificate is a tree of nodes; steps counts them.
+    - An 'inductively-free' leaf carries a witness tree in the format of
+      InductiveFreenessResult.witness.  Every witness node is checked on the
+      leaf's lattice: its hyperplane is the whole preimage of one element of
+      the node, its subtrees sit at the deletion and the restriction by that
+      element, and its exponents follow from theirs by the addition theorem
+      (check_addition_deletion), from empty nodes with all exponents 0
+      upwards.  The exponents derived at the witness root must equal the chi
+      roots of the leaf; chi is not checked at inner witness nodes.
+    - A 'cited-free' leaf cites established freeness.  It is accepted after
+      a chi-splitting consistency check and reported in cited_leaves.
+    - An 'addition' node claims: adjoining added_covector gives an
+      arrangement with certified exponents, whose restriction to the new
+      hyperplane is certified too, and the two exponent multisets differ by
+      one element b.  By addition-deletion the present arrangement is then
+      free with the restriction exponents plus b-1, and that must be its chi
+      roots.
+    Optional 'exponents' claims on certificate nodes must match what the
+    replay derives.  Any defect, malformed fields included, raises
+    CertificateError.
     """
     if not isinstance(cert, dict):
         raise CertificateError(f"certificate is a {type(cert).__name__}, not a JSON object")
@@ -197,18 +206,38 @@ def verify_free_certificate(arr: Arrangement, cert: dict, node_cap: int = 2_000_
         raise CertificateError(f"unknown certificate schema {cert.get('schema')!r}")
     if cert.get("dim") != arr.dim:
         raise CertificateError(f"certificate dim {cert.get('dim')} != arrangement dim {arr.dim}")
-    declared = [tuple(c) for c in cert.get("covectors", [])]
+    rows = cert.get("covectors")
+    if not isinstance(rows, (list, tuple)):
+        raise CertificateError(f"covectors: expected a list of covectors, got {rows!r}")
+    declared = [tuple(_ints(c, f"covectors[{i}]")) for i, c in enumerate(rows)]
     if sorted(declared) != sorted(arr.covectors):
         raise CertificateError("certificate root arrangement does not match input")
     cited: list[str] = []
     steps = [0]
-    exps = _verify_node(universe(arr), cert.get("claim"), cited, steps, node_cap, path="claim")
+    exps = _verify_node(universe(arr), cert.get("claim"), cited, steps, path="claim")
     return CertificateReplay(exps, cited, steps[0])
 
 
-def _verify_node(
-    uni: Universe, node: dict, cited: list[str], steps: list[int], node_cap: int, path: str
-) -> tuple[int, ...]:
+def _ints(value, where: str) -> list[int]:
+    """value if it is a list of integers, else CertificateError."""
+    if not isinstance(value, (list, tuple)) or not all(type(v) is int for v in value):
+        raise CertificateError(f"{where}: expected a list of integers, got {value!r}")
+    return list(value)
+
+
+def _exponents(node: dict, where: str) -> tuple[int, ...]:
+    return tuple(sorted(_ints(node.get("exponents"), where + ".exponents")))
+
+
+def _claim_matches(node: dict, exps: tuple[int, ...], path: str) -> None:
+    """The node's optional exponents claim, checked against the replay."""
+    if "exponents" in node and _exponents(node, path) != exps:
+        raise CertificateError(
+            f"{path}: claimed exponents {sorted(node['exponents'])} != replayed {list(exps)}"
+        )
+
+
+def _verify_node(uni: Universe, node: dict, cited: list[str], steps: list[int], path: str) -> tuple[int, ...]:
     """Replay one node on the lattice of its arrangement; the lattices of the
     arrangements the certificate adds are built here and not cached."""
     arr = uni.arr
@@ -217,39 +246,36 @@ def _verify_node(
     steps[0] += 1
     kind = node["type"]
     if kind == "inductively-free":
-        res = _inductive_freeness(uni, node_cap)
-        if res.status == "undecided":
-            raise CapExhausted(f"{path}: inductive-freeness leaf exceeded node cap")
-        if res.status is not True:
-            raise CertificateError(f"{path}: arrangement is not inductively free")
-        if "exponents" in node and tuple(sorted(node["exponents"])) != res.exponents:
+        if "witness" not in node:
+            raise CertificateError(f"{path}: inductively-free leaf carries no witness")
+        derived = _check_witness(uni, node["witness"], 0, uni._full_mask, {}, path + ".witness")
+        roots = _chi_roots(uni)
+        if roots != derived:
             raise CertificateError(
-                f"{path}: claimed exponents {sorted(node['exponents'])} != {list(res.exponents)}"
+                f"{path}: witness exponents {list(derived)} contradict chi roots {roots}"
             )
-        return res.exponents
+        _claim_matches(node, derived, path)
+        return derived
     if kind == "cited-free":
-        claimed = tuple(sorted(node.get("exponents", ())))
         roots = _chi_roots(uni)
         if roots is None:
             raise CertificateError(f"{path}: cited-free leaf has non-splitting chi")
-        if claimed and roots != claimed:
-            raise CertificateError(f"{path}: cited exponents {list(claimed)} != chi roots {list(roots)}")
-        cited.append(node.get("citation", "unspecified"))
+        _claim_matches(node, roots, path)
+        citation = node.get("citation", "unspecified")
+        if not isinstance(citation, str):
+            raise CertificateError(f"{path}: citation is not a string")
+        cited.append(citation)
         return roots
     if kind == "addition":
-        cov = node.get("added_covector")
-        if not cov:
-            raise CertificateError(f"{path}: addition node missing added_covector")
+        cov = _ints(node.get("added_covector"), path + ".added_covector")
         try:
             extended = arr.with_hyperplane(cov)
         except ValueError as exc:
             raise CertificateError(f"{path}: cannot add hyperplane: {exc}") from exc
-        exps_ext = _verify_node(
-            Universe(extended), node.get("extended"), cited, steps, node_cap, path + ".extended"
-        )
+        exps_ext = _verify_node(Universe(extended), node.get("extended"), cited, steps, path + ".extended")
         restricted = restriction_to_hyperplane(extended, len(extended) - 1)
         exps_res = _verify_node(
-            Universe(restricted), node.get("restriction"), cited, steps, node_cap, path + ".restriction"
+            Universe(restricted), node.get("restriction"), cited, steps, path + ".restriction"
         )
         diff = Counter(exps_ext) - Counter(exps_res)
         if sum(diff.values()) != 1:
@@ -265,10 +291,56 @@ def _verify_node(
             raise CertificateError(
                 f"{path}: deduced exponents {list(deduced)} contradict chi roots {roots}"
             )
-        if "exponents" in node and tuple(sorted(node["exponents"])) != deduced:
-            raise CertificateError(
-                f"{path}: claimed exponents {sorted(node['exponents'])} != deduced {list(deduced)}"
-            )
+        _claim_matches(node, deduced, path)
         return deduced
     raise CertificateError(f"{path}: unknown node type {kind!r}")
 
+
+def _check_witness(
+    uni: Universe, node: dict, x: int, mask: int, proved: dict[tuple[int, int], tuple[int, ...]], where: str
+) -> tuple[int, ...]:
+    """Exponents of the node (x, mask) proved by a witness tree.
+
+    proved maps the nodes checked so far to their exponents: a subtree met
+    again at the same node only has its claimed exponents compared.
+    """
+    if not isinstance(node, dict):
+        raise CertificateError(f"{where}: witness node is not a JSON object")
+    claimed = _exponents(node, where)
+    key = uni.node_key(x, mask)
+    exps = proved.get(key)
+    if exps is None:
+        x, mask = key
+        if "empty" in node:
+            if node["empty"] is not True:
+                raise CertificateError(f"{where}: 'empty' must be true")
+            if uni.node_elements(x, mask):
+                raise CertificateError(f"{where}: node claimed empty has hyperplanes")
+            exps = (0,) * (uni.dim - uni.rank[x])
+        else:
+            for field in ("hyperplane", "deletion", "restriction"):
+                if field not in node:
+                    raise CertificateError(f"{where}: witness node has no {field!r}")
+            indices = _ints(node["hyperplane"], where + ".hyperplane")
+            if len(set(indices)) != len(indices) or not all(0 <= i < uni.m for i in indices):
+                raise CertificateError(
+                    f"{where}: hyperplane indices {indices} are not distinct indices of the leaf"
+                )
+            pre = mask_of(indices)
+            e = next((g for g, gpre in uni.node_elements(x, mask) if gpre == pre), None)
+            if e is None:
+                raise CertificateError(
+                    f"{where}: hyperplanes {indices} are not the preimage of an element of the node"
+                )
+            exps_r = _check_witness(uni, node["restriction"], e, mask, proved, where + ".restriction")
+            exps_d = _check_witness(uni, node["deletion"], x, mask & ~pre, proved, where + ".deletion")
+            if not check_addition_deletion(claimed, exps_d, exps_r):
+                raise CertificateError(
+                    f"{where}: exponents {list(claimed)} do not follow by addition from "
+                    f"deletion {list(exps_d)} and restriction {list(exps_r)}"
+                )
+            exps = claimed
+        proved[key] = exps
+    if claimed != exps:
+        raise CertificateError(f"{where}: claimed exponents {list(claimed)} != proved {list(exps)}")
+    return exps

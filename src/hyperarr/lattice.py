@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Sequence
 
 from .arrangement import Arrangement, hyperplane_subspace, restrict_to_subspace
 from .exactlinalg import SubspaceBasis
-from .polynomials import IntPoly, monic_linear_roots, trim
+from .polynomials import IntPoly, add, monic_linear_roots, trim
 
 
 @dataclass(frozen=True)
@@ -248,6 +248,18 @@ class Universe:
             for f, mu in zip(order, mob):
                 coeffs[self.dim - self.rank[f]] += mu
             chi = trim(coeffs)
+            self._node_chi[key] = chi
+        return chi
+
+    def deletion_chi(self, x: int, mask: int, e: int) -> IntPoly:
+        """Characteristic polynomial of the node (x, mask) with the element e
+        of the node deleted, by deletion-restriction:
+        chi(x, mask minus e) = chi(x, mask) + chi(e, mask).  The restriction
+        interval above e is much smaller than the deletion interval."""
+        key = self.node_key(x, mask & ~self.bits[e])
+        chi = self._node_chi.get(key)
+        if chi is None:
+            chi = add(self.node_chi(x, mask), self.node_chi(e, mask))
             self._node_chi[key] = chi
         return chi
 

@@ -37,7 +37,6 @@ from .formality import (
     projective_uniqueness_witness,
 )
 from .freeness import (
-    CapExhausted,
     CertificateError,
     chi_integer_roots,
     is_inductively_free,
@@ -259,9 +258,9 @@ def _ladder(
             decide("free", "undecided", "no decision route succeeded")
         else:
             try:
-                verify_free_certificate(arr, cert, node_cap=node_cap)
+                verify_free_certificate(arr, cert)
                 decide("free", True, "certificate replay")
-            except (CertificateError, CapExhausted) as exc:
+            except CertificateError as exc:
                 decide("free", "undecided", f"certificate rejected: {exc}")
     if props["free"].value is True:
         # free exponents are the roots of chi (Terao's factorization theorem)

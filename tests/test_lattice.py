@@ -413,6 +413,26 @@ def test_weisner_mobius_matches_brute_oracle_on_random_nodes():
                 assert brute[frozenset(bit_indices(uni.bits[f]))] == mu
 
 
+def test_deletion_chi_matches_a_walk_from_scratch_on_random_nodes():
+    """chi of a deletion by deletion-restriction equals the interval walk."""
+    import random
+
+    from hyperarr.lattice import Universe
+
+    rng = random.Random(17)
+    checked = 0
+    for arr in _differential_pool():
+        uni, fresh = Universe(arr), Universe(arr)
+        for _ in range(6):
+            x = rng.randrange(uni.flat_count())
+            outside = [h for h in range(len(arr)) if not (uni.bits[x] >> h) & 1]
+            mask = sum(1 << h for h in rng.sample(outside, min(len(outside), rng.randint(1, 7))))
+            for e, pre in uni.node_elements(x, mask):
+                assert uni.deletion_chi(x, mask, e) == fresh.node_chi(x, mask & ~pre)
+                checked += 1
+    assert checked > 200
+
+
 def _brute_modular_sets(arr, flats, candidates=None):
     """The flats among candidates (default: all) that satisfy the modular
     rank formula against every flat."""

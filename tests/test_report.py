@@ -266,7 +266,7 @@ def _old_analyze(arr, node_cap=2_000_000, partition_cap=16, witness_cap=10**6):
         exponents = ifree.exponents
     elif cert is not None:
         try:
-            exponents = verify_free_certificate(arr, cert, node_cap=node_cap).exponents
+            exponents = verify_free_certificate(arr, cert).exponents
             v["free"] = True
         except (CertificateError, CapExhausted):
             v["free"] = "undecided"
