@@ -130,34 +130,25 @@ def hyperplane_subspace(covector: Sequence[int], dim: int) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(primitive_kernel_basis([list(covector)], dim), dim)
 
 
-def restrict_with_traces(
-    arr: Arrangement, subspace: SubspaceBasis
-) -> tuple[Arrangement, dict[int, int]]:
-    """Restriction of the arrangement to a subspace X, with the trace map.
+def restrict_to_subspace(arr: Arrangement, subspace: SubspaceBasis) -> Arrangement:
+    """Restriction of the arrangement to a subspace X.
 
     Coordinates on X are the canonical reduced-row-echelon basis rows of X, so
     the output is deterministic.  The trace of a covector is its integer dot
     product with each D-scaled row of X, canonicalized (the common factor D
     drops out).  Hyperplanes containing X disappear; the rest restrict to
     hyperplanes of X, merged when their traces coincide, keeping first-seen
-    order.  The map sends the index of each hyperplane not containing X to
-    the index of its trace in the restriction.
+    order.
     """
     if subspace.dim == 0:
         raise ValueError("restriction to the origin is not an arrangement")
     rows = subspace.rows
-    out: dict[Covector, int] = {}
-    traces: dict[int, int] = {}
-    for i, c in enumerate(arr.covectors):
+    out: dict[Covector, None] = {}
+    for c in arr.covectors:
         local = [sum(ci * ri for ci, ri in zip(c, row)) for row in rows]
         if any(local):  # otherwise the hyperplane contains X
-            traces[i] = out.setdefault(canonicalize(local), len(out))
-    return Arrangement(subspace.dim, tuple(out)), traces
-
-
-def restrict_to_subspace(arr: Arrangement, subspace: SubspaceBasis) -> Arrangement:
-    """Restriction of the arrangement to a subspace X (see restrict_with_traces)."""
-    return restrict_with_traces(arr, subspace)[0]
+            out.setdefault(canonicalize(local))
+    return Arrangement(subspace.dim, tuple(out))
 
 
 def restriction_to_hyperplane(arr: Arrangement, index: int) -> Arrangement:

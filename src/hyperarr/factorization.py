@@ -14,17 +14,27 @@ them in a single hyperplane).
 Inductive factoredness follows the recursive class of pairs (A, pi): the pair
 is in the class when A is empty, or some hyperplane H0 in a distinguished
 block pi_1 makes the trace map A \\ pi_1 -> A^{H0} a bijection with both
-induced pairs (A', pi') and (A'', pi'') in the class.
+induced pairs (A', pi') and (A'', pi'') in the class (M. Jambu, L. Paris,
+Combinatorics of inductively factored arrangements, European J. Combin. 16
+(1995); H. Terao, Factorizations of the Orlik-Solomon algebras, Adv. Math.
+91 (1992)).  The pairs are (flat, hyperplane-mask) nodes of the master
+lattice, as in the inductive-freeness search: the deletion shrinks the mask,
+the restriction moves to the element's flat, and a block is the mask of one
+representative hyperplane per element, the lowest bit of its preimage.  No
+sub-arrangement is rebuilt and no lattice other than the master's is read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Iterable, Literal
+from operator import mul
+from typing import Iterable, Literal
 
-from .arrangement import Arrangement, hyperplane_subspace, restrict_with_traces
+from .arrangement import Arrangement
 from .exactlinalg import rank_of
-from .lattice import Universe, universe
+from .formality import rank2_flats
+from .lattice import Universe, bit_indices, mask_of, universe
 from .polynomials import monic_linear_roots
 
 Partition = tuple[tuple[int, ...], ...]
@@ -55,16 +65,19 @@ def poincare_block_sizes(arr: Arrangement) -> tuple[int, ...] | None:
 
 def is_independent_partition(arr: Arrangement, blocks: Partition, transversal_cap: int = 10**6) -> bool:
     """Every transversal of the blocks has rank equal to the number of blocks."""
-    s = len(blocks)
+    return _transversals_independent(
+        [[arr.covectors[i] for i in b] for b in blocks], arr.dim, transversal_cap
+    )
+
+
+def _transversals_independent(
+    blocks: list[list[tuple[int, ...]]], dim: int, transversal_cap: int = 10**6
+) -> bool:
+    """Every choice of one vector per block has rank len(blocks)."""
     total = math.prod(len(b) for b in blocks)
     if total > transversal_cap:
         raise RuntimeError(f"{total} transversals exceed cap {transversal_cap}")
-    import itertools
-
-    for pick in itertools.product(*blocks):
-        if rank_of([arr.covectors[i] for i in pick], arr.dim) != s:
-            return False
-    return True
+    return all(rank_of(pick, dim) == len(blocks) for pick in itertools.product(*blocks))
 
 
 def is_nice(arr: Arrangement, blocks: Iterable[Iterable[int]]) -> bool:
@@ -74,39 +87,32 @@ def is_nice(arr: Arrangement, blocks: Iterable[Iterable[int]]) -> bool:
     the induced partition on every localization at a flat above the ambient
     space has a singleton block.
     """
-    return _is_nice(arr, canonical_partition(blocks), universe)
-
-
-def _is_nice(arr: Arrangement, blocks: Partition, lattice: Callable[[Arrangement], Universe]) -> bool:
-    """is_nice, reading the flats from lattice(arr) once the cheap checks pass."""
-    m = len(arr)
-    flat_elems = [i for b in blocks for i in b]
-    if sorted(flat_elems) != list(range(m)) or any(not b for b in blocks):
+    blocks = canonical_partition(blocks)
+    if sorted(i for b in blocks for i in b) != list(range(len(arr))) or any(not b for b in blocks):
         return False
-    if not is_independent_partition(arr, blocks):
+    uni = universe(arr)
+    return _is_nice_node(uni, 0, uni._full_mask, [mask_of(b) for b in blocks])
+
+
+def _is_nice_node(uni: Universe, x: int, mask: int, blocks: list[int]) -> bool:
+    """is_nice for the node (x, mask), whose blocks hold one representative
+    hyperplane per element.
+
+    An element lies below a flat Y of the node exactly when bits[Y] holds its
+    representative.  Independence is read on the traces of the
+    representatives' normals on the basis of x (at the ambient flat, the
+    covectors themselves).
+    """
+    basis = uni.flat_kernel(x)
+    traces = [
+        [tuple(sum(map(mul, uni.normals[r], k)) for k in basis) for r in bit_indices(b)]
+        for b in blocks
+    ]
+    if not _transversals_independent(traces, len(basis)):
         return False
-    uni = lattice(arr)
-    masks = [sum(1 << i for i in b) for b in blocks]
-    for f in range(1, uni.flat_count()):
-        bits = uni.bits[f]
-        saw_singleton = False
-        for bm in masks:
-            c = (bits & bm).bit_count()
-            if c == 1:
-                saw_singleton = True
-                break
-        if not saw_singleton:
-            return False
-    return True
-
-
-def _rank2_lines(arr: Arrangement) -> list[tuple[int, ...]]:
-    uni = universe(arr, up_to_rank=2)
-    if len(uni.by_rank) < 3:
-        return []
-    from .lattice import bit_indices
-
-    return [bit_indices(uni.bits[f]) for f in uni.by_rank[2]]
+    bits = uni.bits
+    order = uni.node_walk(x, mask)[0]
+    return all(any((bits[f] & b).bit_count() == 1 for b in blocks) for f in order[1:])
 
 
 def find_nice_partition(
@@ -127,7 +133,7 @@ def find_nice_partition(
         return False, []
     if m > search_cap:
         return "undecided", []
-    lines = _rank2_lines(arr)
+    lines = rank2_flats(arr)
     elem_lines: list[list[int]] = [[] for _ in range(m)]
     for li, line in enumerate(lines):
         for i in line:
@@ -212,63 +218,57 @@ def is_inductively_factored(
         return "undecided", None
     if status is False:
         return False, None
+    uni = universe(arr)
     memo: dict = {}
-    # the sub-arrangement lattices live for this call only, not in the cache
-    lattices = {arr: universe(arr)}
-
-    def lattice(a: Arrangement) -> Universe:
-        uni = lattices.get(a)
-        if uni is None:
-            uni = lattices[a] = Universe(a)
-        return uni
-
     for p in parts:
-        if _ifac_pair(arr, p, memo, lattice):
+        if _ifac_node(uni, 0, uni._full_mask, [mask_of(b) for b in p], memo):
             return True, p
     return False, None
 
 
-def _ifac_pair(
-    arr: Arrangement, blocks: Partition, memo: dict, lattice: Callable[[Arrangement], Universe]
-) -> bool:
-    if len(arr) == 0:
+def _ifac_node(uni: Universe, x: int, mask: int, blocks: list[int], memo: dict) -> bool:
+    """Whether the pair on the node (x, mask) is inductively factored: some
+    representative h0 of an element e0 has a bijective trace map and both
+    induced pairs are.  Each block is the mask of its elements'
+    representatives, the lowest bit of each preimage."""
+    x, mask = key = uni.node_key(x, mask)
+    elements = uni.node_elements(x, mask)
+    if not elements:
         return True
-    key = (arr.covectors, blocks)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    memo[key] = False  # cycle-safe default; overwritten on success
-    if not _is_nice(arr, blocks, lattice):
+    memo_key = (key, tuple(sorted(blocks)))
+    if memo_key in memo:
+        return memo[memo_key]
+    memo[memo_key] = False  # overwritten on success
+    if not _is_nice_node(uni, x, mask, blocks):
         return False
-    if len(arr) == 1:
-        # single hyperplane: deletion is empty, restriction is the empty
-        # arrangement inside the hyperplane itself
-        memo[key] = True
-        return True
+    element_of = {pre & -pre: (e, pre) for e, pre in elements}
     for bi, block in enumerate(blocks):
-        other = [i for b2i, b2 in enumerate(blocks) if b2i != bi for i in b2]
-        for h0 in block:
-            # the restriction A^{H0} and the trace map H |-> H ^ H0 into it
-            restricted, tmap = restrict_with_traces(
-                arr, hyperplane_subspace(arr.covectors[h0], arr.dim)
-            )
-            images = [tmap[i] for i in other if i in tmap]
-            if len(images) != len(other) or len(set(images)) != len(other):
+        others = blocks[:bi] + blocks[bi + 1 :]
+        for i in bit_indices(block):
+            h0 = 1 << i
+            e0, pre0 = element_of[h0]
+            restricted = _restricted_blocks(uni, e0, mask, others)
+            if restricted is None:
                 continue
-            if len(restricted) != len(other):
-                continue
-            deleted = arr.delete(h0)
-            dblocks = []
-            for b2i, b2 in enumerate(blocks):
-                nb = [i if i < h0 else i - 1 for i in b2 if i != h0]
-                if nb:
-                    dblocks.append(nb)
-            rblocks = [
-                [tmap[i] for i in b2] for b2i, b2 in enumerate(blocks) if b2i != bi
-            ]
-            if _ifac_pair(deleted, canonical_partition(dblocks), memo, lattice) and _ifac_pair(
-                restricted, canonical_partition(rblocks), memo, lattice
+            deleted = [b & ~h0 for b in blocks if b != h0]
+            if _ifac_node(uni, x, mask & ~pre0, deleted, memo) and _ifac_node(
+                uni, e0, mask, restricted, memo
             ):
-                memo[key] = True
+                memo[memo_key] = True
                 return True
     return False
+
+
+def _restricted_blocks(uni: Universe, e0: int, mask: int, others: list[int]) -> list[int] | None:
+    """The blocks carried to the restriction (e0, mask), or None when the
+    trace map of their representatives is not a bijection.
+
+    Every representative outside e0 lies in exactly one element of the
+    restriction, so the map is a bijection exactly when each element holds
+    exactly one of them.
+    """
+    reps = sum(others)
+    image = uni.node_elements(e0, mask)
+    if any((pre & reps).bit_count() != 1 for _, pre in image):
+        return None
+    return [sum(pre & -pre for _, pre in image if pre & b) for b in others]

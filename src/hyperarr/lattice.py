@@ -50,11 +50,11 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .arrangement import Arrangement, hyperplane_subspace, restrict_to_subspace
+from .arrangement import Arrangement, restrict_to_subspace
 from .exactlinalg import SubspaceBasis
 from .polynomials import IntPoly, add, monic_linear_roots, trim
 
@@ -521,8 +521,7 @@ def is_supersolvable(arr: Arrangement) -> tuple[bool, list[tuple[int, ...]] | No
     """Decide supersolvability; on success, return a maximal modular chain.
 
     The chain is reported as contains-index sets from the ambient space up to
-    the center.  Rank <= 2 arrangements are always supersolvable.  Non-
-    essential input is essentialized first (same lattice, same index sets).
+    the center.  Rank <= 2 arrangements are always supersolvable.
 
     The search goes down from the centre.  Below a modular flat Y it takes
     the first coatom X of [0, Y] that meets every line (rank-2 flat) under Y:
@@ -534,10 +533,7 @@ def is_supersolvable(arr: Arrangement) -> tuple[bool, list[tuple[int, ...]] | No
     chain of [0, X] (their ranks step by at most one, as X is modular).  A
     flat of rank <= 2 ends the chain, since every flat under it is modular.
     """
-    from .arrangement import essentialize
-
-    ess = essentialize(arr)
-    uni = universe(ess)
+    uni = universe(arr)
     bits, parents = uni.bits, uni.parents
     y = uni.by_rank[-1][0]
     chain = [y]
@@ -559,7 +555,10 @@ def find_generic_rank3_localization(arr: Arrangement) -> Flat | None:
 
     Such a localization certifies that the arrangement is not free and not
     aspherical.  Only ranks <= 3 of the lattice are built.  Returns the first
-    flat in deterministic order, or None.
+    flat in deterministic order, or None.  The Moebius value of a generic
+    localization of k hyperplanes needs no build: mu is 1 at the ambient
+    space, -1 at each hyperplane and 1 at each of the C(k, 2) lines, so
+    chi(1) = 0 gives mu = -C(k - 1, 2) at the flat.
     """
     if arr.rank < 3:
         return None
@@ -574,10 +573,5 @@ def find_generic_rank3_localization(arr: Arrangement) -> Flat | None:
             continue
         # generic exactly when no line below the flat holds three hyperplanes
         if all(uni.bits[p].bit_count() == 2 for p in uni.parents[f]):
-            # the centre of a rank-3 arrangement localizes to the whole of it
-            loc = uni if k == len(uni.arr) else Universe(uni.arr.subset(members))
-            order, mob_vals = loc.node_mobius(0, (1 << len(members)) - 1)
-            top = max(range(len(order)), key=lambda i: loc.rank[order[i]])
-            mob = mob_vals[top]
-            return Flat(index=f, rank=3, contains=members, dim=uni.dim - 3, mobius=mob)
+            return Flat(index=f, rank=3, contains=members, dim=uni.dim - 3, mobius=-comb(k - 1, 2))
     return None

@@ -186,14 +186,14 @@ def simplicial_defect(arr: Arrangement) -> int:
     Each region of an essential rank-ell arrangement has at least ell facets,
     with equality for all regions exactly in the simplicial case; summing
     facets by the hyperplane they lie on counts each region of a restriction
-    twice.
+    twice.  A non-essential arrangement has the region and facet counts of its
+    essentialization, with ell its rank.
     """
-    ess = essentialize(arr) if not arr.is_essential else arr
-    ell = ess.dim
-    m = len(ess)
+    ell = arr.rank
+    m = len(arr)
     if m == 0:
         return 0
-    uni = universe(ess)
+    uni = universe(arr)
     full = (1 << m) - 1
     b = uni.chi()
     total_regions = abs(sum(((-1) ** k) * c for k, c in enumerate(b)))

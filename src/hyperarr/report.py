@@ -48,6 +48,13 @@ from .regions import simplicial_defect
 
 REPORT_SCHEMA = "hyperarr/report-v1"
 
+# caps of the exponential searches: visited (flat, mask) nodes of the
+# inductive-freeness search, hyperplanes of the nice-partition search, and
+# candidate subsets of the projective-uniqueness witness scan
+NODE_CAP = 2_000_000
+PARTITION_CAP = 16
+WITNESS_CAP = 10**6
+
 TriBool = Literal[True, False, "undecided"]
 
 
@@ -171,7 +178,7 @@ def matching_packaged_certificate(arr: Arrangement) -> dict | None:
     return None
 
 
-def _uniqueness_decision(arr: Arrangement, candidate_cap: int) -> PropertyDecision:
+def _uniqueness_decision(arr: Arrangement, candidate_cap: int = WITNESS_CAP) -> PropertyDecision:
     """projectively_unique with its evidence in the provenance."""
     try:
         status, evidence = projective_uniqueness_witness(arr, candidate_cap=candidate_cap)
@@ -201,9 +208,6 @@ def _ladder(
     arr: Arrangement,
     label: str,
     certificate: dict | None = None,
-    node_cap: int = 2_000_000,
-    partition_cap: int = 16,
-    witness_cap: int = 10**6,
     free_only: bool = False,
 ) -> PropertyReport:
     """The decision ladder: cheap refuters, then searches for the open flags.
@@ -245,11 +249,11 @@ def _ladder(
     if is_open("supersolvable"):
         decide("supersolvable", is_supersolvable(arr)[0], "modular chain search")
     if is_open("inductively_free"):
-        status = is_inductively_free(arr, node_cap=node_cap).status
+        status = is_inductively_free(arr, node_cap=NODE_CAP).status
         cap = " (node cap exhausted)" if status == "undecided" else ""
         decide("inductively_free", status, "addition-deletion search" + cap)
     if is_open("inductively_factored"):
-        status = is_inductively_factored(arr, search_cap=partition_cap)[0]
+        status = is_inductively_factored(arr, search_cap=PARTITION_CAP)[0]
         cap = " (size cap exhausted)" if status == "undecided" else ""
         decide("inductively_factored", status, "nice partition recursion" + cap)
     if is_open("free"):
@@ -275,28 +279,24 @@ def _ladder(
         props["aspherical"] = PropertyDecision("unknown", "no decision rule applies")
 
     props["formal"] = PropertyDecision(is_formal(arr), "rank-2 relation span")
-    props["projectively_unique"] = _uniqueness_decision(arr, witness_cap)
+    props["projectively_unique"] = _uniqueness_decision(arr)
     rep.validate()
     return rep
 
 
 def analyze(
-    arr: Arrangement,
-    label: str = "arrangement",
-    certificate: dict | None = None,
-    node_cap: int = 2_000_000,
-    partition_cap: int = 16,
-    witness_cap: int = 10**6,
+    arr: Arrangement, label: str = "arrangement", certificate: dict | None = None
 ) -> PropertyReport:
-    """Full decision ladder for an arbitrary arrangement, caps honored.
+    """Full decision ladder for an arbitrary arrangement.
 
     Exponential searches (inductive freeness, nice partitions, witness scan)
-    are capped and report "undecided" when exhausted, and projective
-    uniqueness is "undecided" when it finds neither a witness nor a motion
-    refutation; every other flag is decided exactly.  The characteristic
-    polynomial and the region count are always reported.
+    are capped by NODE_CAP, PARTITION_CAP and WITNESS_CAP and report
+    "undecided" when exhausted, and projective uniqueness is "undecided" when
+    it finds neither a witness nor a motion refutation; every other flag is
+    decided exactly.  The characteristic polynomial and the region count are
+    always reported.
     """
-    rep = _ladder(arr, label, certificate, node_cap, partition_cap, witness_cap)
+    rep = _ladder(arr, label, certificate)
     if rep.chi is None:
         _set_chi_and_regions(rep, arr)
     return rep
@@ -305,10 +305,10 @@ def analyze(
 def report(n: int) -> PropertyReport:
     """Decision ladder for the n-th hyperpolygonal arrangement, labelled H_n.
 
-    The ladder of analyze with its default caps (H_5's freeness rests on the
-    shipped certificate), except that the characteristic polynomial and the
-    region count are reported only when freeness needed them: from n = 6 on
-    the generic rank-3 localization decides freeness first.
+    The ladder of analyze (H_5's freeness rests on the shipped certificate),
+    except that the characteristic polynomial and the region count are
+    reported only when freeness needed them: from n = 6 on the generic rank-3
+    localization decides freeness first.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -1,10 +1,13 @@
 """Tests for nice partitions and inductive factorization."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from hyperarr import (
+    Arrangement,
     boolean,
     chi,
     find_nice_partition,
@@ -13,8 +16,12 @@ from hyperarr import (
     is_inductively_factored,
     is_independent_partition,
     is_nice,
+    is_supersolvable,
     poincare_block_sizes,
 )
+from hyperarr.arrangement import hyperplane_subspace
+from hyperarr.exactlinalg import canonicalize
+from hyperarr.factorization import _ifac_node, _is_nice_node, _restricted_blocks, canonical_partition
 from hyperarr.polynomials import evaluate, multiply
 
 
@@ -134,21 +141,160 @@ def test_poincare_evaluation_counts_regions(h2, h3):
         assert value == expected
 
 
-def test_inductive_factoredness_builds_each_sub_lattice_once(monkeypatch, h3):
-    from hyperarr import factorization, lattice
+def test_inductive_factoredness_builds_no_lattice(monkeypatch, h3):
+    from hyperarr import lattice
 
     lattice.universe(h3)
-    cached = set(lattice._universe_cache)
+    cached = dict(lattice._universe_cache)
     built = []
+    init = lattice.Universe.__init__
 
-    def counted(arr):
+    def counted(self, arr, *args, **kwargs):
         built.append(arr)
-        return lattice.Universe(arr)
+        init(self, arr, *args, **kwargs)
 
-    monkeypatch.setattr(factorization, "Universe", counted)
-    assert is_inductively_factored(h3)[0] is True
-    # the root's lattice comes from the cache; each sub-arrangement's is
-    # built once for the call, however many partitions meet it
-    assert len(built) >= 10 and h3 not in built
-    assert len(built) == len(set(built))
-    assert set(lattice._universe_cache) == cached
+    monkeypatch.setattr(lattice.Universe, "__init__", counted)
+    assert is_inductively_factored(h3) == (True, ((0,), (1, 3, 4), (2, 5, 6)))
+    # every pair is a (flat, mask) node of H_3's cached lattice
+    assert built == []
+    assert lattice._universe_cache == cached
+
+
+# -- the recursion on sub-arrangements, as it was before it moved onto nodes --
+
+
+def _old_restrict_with_traces(arr, h0):
+    subspace = hyperplane_subspace(arr.covectors[h0], arr.dim)
+    out, traces = {}, {}
+    for i, c in enumerate(arr.covectors):
+        local = [sum(ci * ri for ci, ri in zip(c, row)) for row in subspace.rows]
+        if any(local):
+            traces[i] = out.setdefault(canonicalize(local), len(out))
+    return Arrangement(subspace.dim, tuple(out)), traces
+
+
+def _old_is_nice(arr, blocks, lattice):
+    if sorted(i for b in blocks for i in b) != list(range(len(arr))) or any(not b for b in blocks):
+        return False
+    if not is_independent_partition(arr, blocks):
+        return False
+    uni = lattice(arr)
+    masks = [sum(1 << i for i in b) for b in blocks]
+    return all(
+        any((uni.bits[f] & bm).bit_count() == 1 for bm in masks)
+        for f in range(1, uni.flat_count())
+    )
+
+
+def _old_ifac_pair(arr, blocks, memo, lattice, node, seen):
+    """The old recursion.  node = (uni, x, pre) places the pair on the master
+    lattice: the flat x and, per hyperplane of arr, the root hyperplanes that
+    restrict to it.  The new node checks are compared at every pair and step,
+    and their outcomes are collected in seen."""
+    if len(arr) == 0:
+        return True
+    key = (arr.covectors, blocks)
+    if key in memo:
+        return memo[key]
+    memo[key] = False
+    uni, x, pre = node
+    mask = sum(pre)
+
+    def reps(b):
+        return sum(pre[i] & -pre[i] for i in b)
+
+    nice = _old_is_nice(arr, blocks, lattice)
+    assert _is_nice_node(uni, x, mask, [reps(b) for b in blocks]) == nice
+    seen.add(("nice", nice))
+    if not nice:
+        return False
+    if len(arr) == 1:
+        memo[key] = True
+        return True
+    for bi, block in enumerate(blocks):
+        other = [i for b2i, b2 in enumerate(blocks) if b2i != bi for i in b2]
+        others = [reps(b2) for b2i, b2 in enumerate(blocks) if b2i != bi]
+        for h0 in block:
+            restricted, tmap = _old_restrict_with_traces(arr, h0)
+            images = [tmap[i] for i in other if i in tmap]
+            bijective = len(set(images)) == len(other) == len(images) == len(restricted)
+            e0 = next(g for g, p in uni.node_elements(x, mask) if p & pre[h0])
+            got = _restricted_blocks(uni, e0, mask, others)
+            seen.add(("bijective", bijective))
+            if not bijective:
+                assert got is None
+                continue
+            rpre = [0] * len(restricted)
+            for i, j in tmap.items():
+                rpre[j] |= pre[i]
+            rblocks = [[tmap[i] for i in b2] for b2i, b2 in enumerate(blocks) if b2i != bi]
+            assert got == [sum(rpre[j] & -rpre[j] for j in b) for b in rblocks]
+            dblocks = [[i if i < h0 else i - 1 for i in b2 if i != h0] for b2 in blocks]
+            deletion = (uni, x, pre[:h0] + pre[h0 + 1 :])
+            if _old_ifac_pair(
+                arr.delete(h0), canonical_partition(b for b in dblocks if b), memo, lattice, deletion, seen
+            ) and _old_ifac_pair(
+                restricted, canonical_partition(rblocks), memo, lattice, (uni, e0, rpre), seen
+            ):
+                memo[key] = True
+                return True
+    return False
+
+
+def _signed_pairs(n, coordinates):
+    vecs = [tuple(int(i == j) for j in range(n)) for i in range(n)] if coordinates else []
+    for i, j in itertools.combinations(range(n), 2):
+        for s in (1, -1):
+            v = [0] * n
+            v[i], v[j] = 1, s
+            vecs.append(tuple(v))
+    return from_vectors(n, vecs)
+
+
+def test_node_recursion_matches_the_sub_arrangement_recursion(h4):
+    """Every pair decides as the old recursion on rebuilt deletions and
+    restrictions: each nice partition and random partitions, on seeded
+    subarrangements of H_4, B_3, B_4 and D_4.  At every pair and step the
+    old recursion visits, the niceness test and the trace map read on the
+    node agree with the rebuilt ones."""
+    from hyperarr.lattice import Universe, mask_of, universe
+
+    rng = random.Random(20261018)
+    bases = (h4, _signed_pairs(3, True), _signed_pairs(4, True), _signed_pairs(4, False))
+    outcomes = set()
+    seen = set()
+    factored_not_supersolvable = 0
+    for base in bases:
+        for _ in range(14):
+            m = len(base)
+            arr = base.subset(sorted(rng.sample(range(m), rng.randint(2, min(m, 12)))))
+            status, parts = find_nice_partition(arr, find_all=True)
+            if status is not True:
+                parts = []
+            for _ in range(3):
+                labels = [rng.randrange(arr.rank + 1) for _ in range(len(arr))]
+                parts.append(
+                    canonical_partition(
+                        [i for i, lb in enumerate(labels) if lb == b] for b in set(labels)
+                    )
+                )
+            lattices = {}
+
+            def lattice(a):
+                if a not in lattices:
+                    lattices[a] = Universe(a)
+                return lattices[a]
+
+            uni = universe(arr)
+            root = (uni, 0, [1 << i for i in range(len(arr))])
+            old_memo, new_memo = {}, {}
+            for p in parts:
+                old = _old_ifac_pair(arr, p, old_memo, lattice, root, seen)
+                new = _ifac_node(uni, 0, uni._full_mask, [mask_of(b) for b in p], new_memo)
+                assert new == old, (arr, p)
+                outcomes.add(new)
+            if is_inductively_factored(arr)[0] is True and not is_supersolvable(arr)[0]:
+                factored_not_supersolvable += 1
+    assert outcomes == {True, False}
+    assert seen == {("nice", True), ("nice", False), ("bijective", True), ("bijective", False)}
+    assert factored_not_supersolvable > 0

@@ -233,6 +233,34 @@ def test_generic_rank3_localization_scan_pins_no_sub_lattice(h6):
         lattice._universe_cache.update(saved)
 
 
+def _built_rank3_localization(arr):
+    """The previous scan: the Moebius value read off a localization build."""
+    from hyperarr.lattice import Flat, Universe
+
+    if arr.rank < 3:
+        return None
+    uni = universe(arr, up_to_rank=3)
+    for f in uni.by_rank[3] if len(uni.by_rank) > 3 else []:
+        members = bit_indices(uni.bits[f])
+        if len(members) >= 4 and all(uni.bits[p].bit_count() == 2 for p in uni.parents[f]):
+            loc = Universe(arr.subset(members))
+            order, mob = loc.node_mobius(0, loc._full_mask)
+            top = max(range(len(order)), key=lambda i: loc.rank[order[i]])
+            return Flat(index=f, rank=3, contains=members, dim=arr.dim - 3, mobius=mob[top])
+    return None
+
+
+def test_generic_rank3_mobius_matches_a_localization_build():
+    pool = [from_vectors(d, c) for d, c in oracles.random_arrangements(300, seed=3101, max_dim=5)]
+    sizes = set()
+    for arr in pool + [hyperpolygonal(n) for n in range(1, 7)]:
+        flat = find_generic_rank3_localization(arr)
+        assert flat == _built_rank3_localization(arr)
+        if flat is not None:
+            sizes.add(len(flat.contains))
+    assert {4, 5, 6} <= sizes
+
+
 def test_explicit_four_sign_sum_localization_in_h6(h6):
     # the four sign-sum hyperplanes with I = {1}, {1,2,3}, {1,4,5}, {1,..,5}
     def form(I):

@@ -198,6 +198,27 @@ def test_projectively_unique_provenance_names_its_evidence(h2, bool3, rigid7):
     assert refuted >= 5
 
 
+def test_non_essential_analyze_builds_one_lattice(monkeypatch):
+    from hyperarr import from_vectors, lattice
+
+    # rank 3 in dimension 4: the searches read the input's own lattice
+    arr = from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (1, 0, 1, 0)])
+    assert arr.rank == 3 and not arr.is_essential
+    lattice._universe_cache.pop(arr, None)
+    built = []
+    init = lattice.Universe.__init__
+
+    def counted(self, a, *args, **kwargs):
+        built.append(a)
+        init(self, a, *args, **kwargs)
+
+    monkeypatch.setattr(lattice.Universe, "__init__", counted)
+    rep = analyze(arr)
+    assert rep.properties["supersolvable"] == PropertyDecision(True, "modular chain search")
+    assert rep.properties["simplicial"].provenance.startswith("facet-count defect")
+    assert built == [arr]
+
+
 def test_ladder_pins_only_the_family_lattices():
     from hyperarr import lattice
 
