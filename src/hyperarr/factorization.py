@@ -26,13 +26,12 @@ sub-arrangement is rebuilt and no lattice other than the master's is read.
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import mul
 from typing import Iterable, Literal
 
 from .arrangement import Arrangement
-from .exactlinalg import rank_of
+from .exactlinalg import IntEchelon
 from .formality import rank2_flats
 from .lattice import Universe, bit_indices, mask_of, universe
 from .polynomials import monic_linear_roots
@@ -73,11 +72,22 @@ def is_independent_partition(arr: Arrangement, blocks: Partition, transversal_ca
 def _transversals_independent(
     blocks: list[list[tuple[int, ...]]], dim: int, transversal_cap: int = 10**6
 ) -> bool:
-    """Every choice of one vector per block has rank len(blocks)."""
+    """Every choice of one vector per block has rank len(blocks): depth first,
+    each vector must enlarge a copy of the echelon of its prefix."""
     total = math.prod(len(b) for b in blocks)
     if total > transversal_cap:
         raise RuntimeError(f"{total} transversals exceed cap {transversal_cap}")
-    return all(rank_of(pick, dim) == len(blocks) for pick in itertools.product(*blocks))
+
+    def extends(prefix: IntEchelon, k: int) -> bool:
+        if k == len(blocks):
+            return True
+        for v in blocks[k]:
+            ech = prefix.copy()
+            if not ech.add(v) or not extends(ech, k + 1):
+                return False
+        return True
+
+    return not total or extends(IntEchelon(dim), 0)  # with an empty block, no transversal
 
 
 def is_nice(arr: Arrangement, blocks: Iterable[Iterable[int]]) -> bool:

@@ -1,7 +1,7 @@
 """Freeness of central arrangements: exponents, inductive freeness, certificates.
 
 Freeness is never guessed: it is established by an inductive-freeness search
-(whose witness tree is returned), or by replaying an addition-deletion
+(whose witness is returned), or by replaying an addition-deletion
 certificate, and refuted by a non-splitting characteristic polynomial or a
 generic rank-3 localization.
 
@@ -13,21 +13,20 @@ from the node's and the restriction's by deletion-restriction.  Memoization
 is per master lattice, so the exhaustive refutation for larger instances
 stays feasible.
 
-Certificate replay runs no search.  Its inductively-free leaves carry the
-search's witness tree, which is checked node by node by Terao's addition
-theorem (Orlik-Terao, Arrangements of Hyperplanes, Thm 4.51), each
-(flat, mask) node once.
+A witness is a list of hyperplane choices, one per distinct non-empty node,
+and one walk, _replay, turns it into exponents by Terao's addition theorem
+(Orlik-Terao, Arrangements of Hyperplanes, Thm 4.51): the search writes its
+witness by replaying its own choices, and certificate replay, which runs no
+search, feeds the same walk from the stored list.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 from .arrangement import Arrangement, restriction_to_hyperplane
-from .lattice import Universe, bit_indices, mask_of, universe
-from .polynomials import monic_linear_roots
+from .lattice import Universe, universe
 
 
 class CapExhausted(RuntimeError):
@@ -45,28 +44,11 @@ def _chi_roots(uni: Universe) -> tuple[int, ...] | None:
     return uni.node_roots(0, uni._full_mask)
 
 
-def check_addition_deletion(
-    exp_full: tuple[int, ...], exp_deleted: tuple[int, ...], exp_restricted: tuple[int, ...]
-) -> bool:
-    """Check the exponent pattern of an addition-deletion triple.
-
-    True iff there is a multiset B and integer b >= 1 with
-    exp_full = B + {b}, exp_deleted = B + {b-1}, exp_restricted = B.
-    """
-    b = sum(exp_full) - sum(exp_restricted)  # the only candidate for b
-    base = list(exp_restricted)
-    return (
-        b >= 1
-        and sorted(exp_full) == sorted(base + [b])
-        and sorted(exp_deleted) == sorted(base + [b - 1])
-    )
-
-
 @dataclass
 class InductiveFreenessResult:
     status: Literal[True, False, "undecided"]
     exponents: tuple[int, ...] | None
-    witness: dict | None
+    witness: list[int] | None
     nodes_visited: int
 
 
@@ -81,18 +63,29 @@ def is_inductively_free(arr: Arrangement, node_cap: int = 2_000_000) -> Inductiv
     that branch.  Exhaustive over all hyperplanes, with memoization on
     (flat, mask) nodes; node_cap bounds visited nodes ("undecided" beyond).
 
-    The witness tree gives, at every node, the chosen hyperplane (as indices
-    of the root arrangement whose traces produce it), the node's exponents,
-    and subtrees for deletion and restriction.
+    The witness is the list of the search's hyperplane choices, one root
+    index per distinct non-empty node (the lowest index of the chosen
+    hyperplane's preimage), in the order a depth-first walk first meets the
+    node, restriction before deletion.  It is written by _replay, so every
+    witness returned has been replayed once.
     """
     uni = universe(arr)
     counter = [0]
-    memo: dict[tuple[int, int], tuple[bool, tuple[int, ...] | None, dict | None]] = {}
+    memo: dict[tuple[int, int], tuple[bool, tuple[int, ...] | None, int | None]] = {}
     try:
-        ok, exps, wit = _ind_free(uni, 0, uni._full_mask, memo, counter, node_cap)
+        ok, roots, _ = _ind_free(uni, 0, uni._full_mask, memo, counter, node_cap)
     except CapExhausted:
         return InductiveFreenessResult("undecided", None, None, counter[0])
-    return InductiveFreenessResult(ok, exps, wit, counter[0])
+    if not ok:
+        return InductiveFreenessResult(False, None, None, counter[0])
+    witness: list[int] = []
+
+    def choose(x: int, mask: int) -> int:
+        witness.append(memo[x, mask][2])
+        return witness[-1]
+
+    assert _replay(uni, 0, uni._full_mask, choose, {}) == roots
+    return InductiveFreenessResult(True, roots, witness, counter[0])
 
 
 def _ind_free(
@@ -102,7 +95,8 @@ def _ind_free(
     memo: dict,
     counter: list[int],
     cap: int,
-) -> tuple[bool, tuple[int, ...] | None, dict | None]:
+) -> tuple[bool, tuple[int, ...] | None, int | None]:
+    """(ok, exponents, chosen root index) of the node; memoized per node."""
     key = uni.node_key(x, mask)
     hit = memo.get(key)
     if hit is not None:
@@ -111,17 +105,14 @@ def _ind_free(
     if counter[0] > cap:
         raise CapExhausted(f"inductive-freeness search exceeded {cap} nodes")
     x, mask = key
-    d = uni.dim - uni.rank[x]
     elements = uni.node_elements(x, mask)
     if not elements:
-        res = (True, (0,) * d, {"empty": True, "exponents": [0] * d})
-        memo[key] = res
-        return res
+        memo[key] = (True, (0,) * (uni.dim - uni.rank[x]), None)
+        return memo[key]
     roots = uni.node_roots(x, mask)
     if roots is None:
         memo[key] = (False, None, None)
         return memo[key]
-    root_counter = Counter(roots)
     # order candidate hyperplanes by the size of their restriction (ascending)
     sized = []
     for e, pre in elements:
@@ -131,38 +122,74 @@ def _ind_free(
     for rsize, e, pre in sized:
         del_mask = mask & ~pre
         uni.deletion_chi(x, mask, e)  # the chi that node_roots reads, without a walk
-        droots = uni.node_roots(x, del_mask)
-        if droots is None:
+        # the addition pattern _replay checks, on chi roots
+        droots, rroots = uni.node_roots(x, del_mask), uni.node_roots(e, mask)
+        v = None if droots is None or rroots is None else _extra(rroots, droots)
+        if v is None or _extra(rroots, roots) != v + 1:
             continue
-        diff = root_counter - Counter(droots)
-        rdiff = Counter(droots) - root_counter
-        if sum(diff.values()) != 1 or sum(rdiff.values()) != 1:
-            continue
-        b = next(iter(diff))
-        if next(iter(rdiff)) != b - 1:
-            continue
-        ok_r, exps_r, wit_r = _ind_free(uni, e, mask, memo, counter, cap)
-        if not ok_r:
-            continue
-        ok_d, exps_d, wit_d = _ind_free(uni, x, del_mask, memo, counter, cap)
-        if not ok_d:
-            continue
-        wit = {
-            "exponents": list(roots),
-            "hyperplane": list(bit_indices(pre)),
-            "deletion": wit_d,
-            "restriction": wit_r,
-        }
-        res = (True, roots, wit)
-        memo[key] = res
-        return res
+        if (
+            _ind_free(uni, e, mask, memo, counter, cap)[0]
+            and _ind_free(uni, x, del_mask, memo, counter, cap)[0]
+        ):
+            memo[key] = (True, roots, (pre & -pre).bit_length() - 1)
+            return memo[key]
     memo[key] = (False, None, None)
     return memo[key]
 
 
+def _extra(small: tuple[int, ...], big: tuple[int, ...]) -> int | None:
+    """The v with big = small + {v} as multisets, or None if there is none."""
+    v = sum(big) - sum(small)
+    return v if sorted(big) == sorted(small + (v,)) else None
+
+
+def _replay(
+    uni: Universe,
+    x: int,
+    mask: int,
+    choose: Callable[[int, int], int],
+    proved: dict[tuple[int, int], tuple[int, ...]],
+) -> tuple[int, ...]:
+    """Exponents of the node (x, mask) by Terao's addition theorem.
+
+    An empty node has all exponents 0.  At a new non-empty node,
+    choose(x, mask) gives a root index h, and the element whose preimage
+    holds h is the chosen hyperplane; the walk derives the restriction, then
+    the deletion, and if exp(deletion) = exp(restriction) + {v} the node has
+    exp(restriction) + {v + 1}.  proved holds the nodes derived so far, so
+    each node takes one choice.  A choice outside the node or a broken
+    pattern raises CertificateError.
+    """
+    key = uni.node_key(x, mask)
+    exps = proved.get(key)
+    if exps is not None:
+        return exps
+    x, mask = key
+    elements = uni.node_elements(x, mask)
+    if not elements:
+        exps = (0,) * (uni.dim - uni.rank[x])
+    else:
+        h = choose(x, mask)
+        chosen = [(e, pre) for e, pre in elements if pre >> h & 1]
+        if not chosen:
+            raise CertificateError(f"hyperplane {h} is not in its node")
+        e, pre = chosen[0]
+        exps_r = _replay(uni, e, mask, choose, proved)
+        exps_d = _replay(uni, x, mask & ~pre, choose, proved)
+        v = _extra(exps_r, exps_d)
+        if v is None:
+            raise CertificateError(
+                f"choice {h}: deletion exponents {list(exps_d)} are not the "
+                f"restriction exponents {list(exps_r)} and one more"
+            )
+        exps = tuple(sorted(exps_r + (v + 1,)))
+    proved[key] = exps
+    return exps
+
+
 # -- certificates -----------------------------------------------------------
 
-CERT_SCHEMA = "hyperarr/free-cert-v2"
+CERT_SCHEMA = "hyperarr/free-cert-v3"
 
 
 class CertificateError(ValueError):
@@ -180,22 +207,21 @@ def verify_free_certificate(arr: Arrangement, cert: dict) -> CertificateReplay:
     """Replay a freeness certificate against an arrangement; no search runs.
 
     The certificate is a tree of nodes; steps counts them.
-    - An 'inductively-free' leaf carries a witness tree in the format of
-      InductiveFreenessResult.witness.  Every witness node is checked on the
-      leaf's lattice: its hyperplane is the whole preimage of one element of
-      the node, its subtrees sit at the deletion and the restriction by that
-      element, and its exponents follow from theirs by the addition theorem
-      (check_addition_deletion), from empty nodes with all exponents 0
-      upwards.  The exponents derived at the witness root must equal the chi
-      roots of the leaf; chi is not checked at inner witness nodes.
+    - An 'inductively-free' leaf carries a witness in the format of
+      InductiveFreenessResult.witness: a list of root indices, one per
+      distinct non-empty (flat, mask) node of the leaf's lattice.  _replay
+      takes the entries in order and derives every node's exponents by the
+      addition theorem, from empty nodes with all exponents 0 upwards.  The
+      list must be used up exactly, and the exponents derived at the root
+      must equal the chi roots of the leaf; chi is not read at inner nodes.
     - A 'cited-free' leaf cites established freeness.  It is accepted after
       a chi-splitting consistency check and reported in cited_leaves.
     - An 'addition' node claims: adjoining added_covector gives an
       arrangement with certified exponents, whose restriction to the new
-      hyperplane is certified too, and the two exponent multisets differ by
-      one element b.  By addition-deletion the present arrangement is then
-      free with the restriction exponents plus b-1, and that must be its chi
-      roots.
+      hyperplane is certified too, and the extension's exponents are the
+      restriction's and one more, b >= 1.  By addition-deletion the present
+      arrangement is then free with the restriction exponents plus b-1, and
+      that must be its chi roots.
     Optional 'exponents' claims on certificate nodes must match what the
     replay derives.  Any defect, malformed fields included, raises
     CertificateError.
@@ -225,16 +251,12 @@ def _ints(value, where: str) -> list[int]:
     return list(value)
 
 
-def _exponents(node: dict, where: str) -> tuple[int, ...]:
-    return tuple(sorted(_ints(node.get("exponents"), where + ".exponents")))
-
-
 def _claim_matches(node: dict, exps: tuple[int, ...], path: str) -> None:
     """The node's optional exponents claim, checked against the replay."""
-    if "exponents" in node and _exponents(node, path) != exps:
-        raise CertificateError(
-            f"{path}: claimed exponents {sorted(node['exponents'])} != replayed {list(exps)}"
-        )
+    if "exponents" in node:
+        claimed = sorted(_ints(node["exponents"], path + ".exponents"))
+        if claimed != list(exps):
+            raise CertificateError(f"{path}: claimed exponents {claimed} != replayed {list(exps)}")
 
 
 def _verify_node(uni: Universe, node: dict, cited: list[str], steps: list[int], path: str) -> tuple[int, ...]:
@@ -248,25 +270,16 @@ def _verify_node(uni: Universe, node: dict, cited: list[str], steps: list[int], 
     if kind == "inductively-free":
         if "witness" not in node:
             raise CertificateError(f"{path}: inductively-free leaf carries no witness")
-        derived = _check_witness(uni, node["witness"], 0, uni._full_mask, {}, path + ".witness")
-        roots = _chi_roots(uni)
-        if roots != derived:
-            raise CertificateError(
-                f"{path}: witness exponents {list(derived)} contradict chi roots {roots}"
-            )
-        _claim_matches(node, derived, path)
-        return derived
-    if kind == "cited-free":
-        roots = _chi_roots(uni)
-        if roots is None:
-            raise CertificateError(f"{path}: cited-free leaf has non-splitting chi")
-        _claim_matches(node, roots, path)
+        derived, what = _witness_exponents(uni, node["witness"], path + ".witness"), "witness"
+    elif kind == "cited-free":
         citation = node.get("citation", "unspecified")
         if not isinstance(citation, str):
             raise CertificateError(f"{path}: citation is not a string")
+        derived, what = _chi_roots(uni), "cited"
+        if derived is None:
+            raise CertificateError(f"{path}: cited-free leaf has non-splitting chi")
         cited.append(citation)
-        return roots
-    if kind == "addition":
+    elif kind == "addition":
         cov = _ints(node.get("added_covector"), path + ".added_covector")
         try:
             extended = arr.with_hyperplane(cov)
@@ -277,70 +290,41 @@ def _verify_node(uni: Universe, node: dict, cited: list[str], steps: list[int], 
         exps_res = _verify_node(
             Universe(restricted), node.get("restriction"), cited, steps, path + ".restriction"
         )
-        diff = Counter(exps_ext) - Counter(exps_res)
-        if sum(diff.values()) != 1:
+        b = _extra(exps_res, exps_ext)
+        if b is None or b < 1:
             raise CertificateError(
                 f"{path}: exponents {list(exps_ext)} vs {list(exps_res)} are not an addition pattern"
             )
-        b = next(iter(diff))
-        deduced = tuple(sorted(exps_res + (b - 1,)))
-        if not check_addition_deletion(exps_ext, deduced, exps_res):
-            raise CertificateError(f"{path}: addition-deletion pattern check failed")
-        roots = _chi_roots(uni)
-        if roots != deduced:
-            raise CertificateError(
-                f"{path}: deduced exponents {list(deduced)} contradict chi roots {roots}"
-            )
-        _claim_matches(node, deduced, path)
-        return deduced
-    raise CertificateError(f"{path}: unknown node type {kind!r}")
+        derived, what = tuple(sorted(exps_res + (b - 1,))), "deduced"
+    else:
+        raise CertificateError(f"{path}: unknown node type {kind!r}")
+    roots = _chi_roots(uni)
+    if roots != derived:
+        raise CertificateError(f"{path}: {what} exponents {list(derived)} contradict chi roots {roots}")
+    _claim_matches(node, derived, path)
+    return derived
 
 
-def _check_witness(
-    uni: Universe, node: dict, x: int, mask: int, proved: dict[tuple[int, int], tuple[int, ...]], where: str
-) -> tuple[int, ...]:
-    """Exponents of the node (x, mask) proved by a witness tree.
+def _witness_exponents(uni: Universe, witness: list[int], where: str) -> tuple[int, ...]:
+    """Exponents of the leaf derived from its witness list by _replay."""
+    if not isinstance(witness, (list, tuple)):
+        raise CertificateError(f"{where}: expected a list of root indices, got {witness!r}")
+    taken = 0
 
-    proved maps the nodes checked so far to their exponents: a subtree met
-    again at the same node only has its claimed exponents compared.
-    """
-    if not isinstance(node, dict):
-        raise CertificateError(f"{where}: witness node is not a JSON object")
-    claimed = _exponents(node, where)
-    key = uni.node_key(x, mask)
-    exps = proved.get(key)
-    if exps is None:
-        x, mask = key
-        if "empty" in node:
-            if node["empty"] is not True:
-                raise CertificateError(f"{where}: 'empty' must be true")
-            if uni.node_elements(x, mask):
-                raise CertificateError(f"{where}: node claimed empty has hyperplanes")
-            exps = (0,) * (uni.dim - uni.rank[x])
-        else:
-            for field in ("hyperplane", "deletion", "restriction"):
-                if field not in node:
-                    raise CertificateError(f"{where}: witness node has no {field!r}")
-            indices = _ints(node["hyperplane"], where + ".hyperplane")
-            if len(set(indices)) != len(indices) or not all(0 <= i < uni.m for i in indices):
-                raise CertificateError(
-                    f"{where}: hyperplane indices {indices} are not distinct indices of the leaf"
-                )
-            pre = mask_of(indices)
-            e = next((g for g, gpre in uni.node_elements(x, mask) if gpre == pre), None)
-            if e is None:
-                raise CertificateError(
-                    f"{where}: hyperplanes {indices} are not the preimage of an element of the node"
-                )
-            exps_r = _check_witness(uni, node["restriction"], e, mask, proved, where + ".restriction")
-            exps_d = _check_witness(uni, node["deletion"], x, mask & ~pre, proved, where + ".deletion")
-            if not check_addition_deletion(claimed, exps_d, exps_r):
-                raise CertificateError(
-                    f"{where}: exponents {list(claimed)} do not follow by addition from "
-                    f"deletion {list(exps_d)} and restriction {list(exps_r)}"
-                )
-            exps = claimed
-        proved[key] = exps
-    if claimed != exps:
-        raise CertificateError(f"{where}: claimed exponents {list(claimed)} != proved {list(exps)}")
+    def choose(x: int, mask: int) -> int:
+        nonlocal taken
+        if taken == len(witness):
+            raise CertificateError(f"ends after {taken} entries with nodes left")
+        h = witness[taken]
+        if type(h) is not int or h < 0:
+            raise CertificateError(f"entry {taken} is {h!r}, not a root index")
+        taken += 1
+        return h
+
+    try:
+        exps = _replay(uni, 0, uni._full_mask, choose, {})
+    except CertificateError as exc:
+        raise CertificateError(f"{where}: {exc}") from None
+    if taken != len(witness):
+        raise CertificateError(f"{where}: {len(witness) - taken} entries left over")
     return exps

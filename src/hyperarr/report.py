@@ -262,8 +262,9 @@ def _ladder(
             decide("free", "undecided", "no decision route succeeded")
         else:
             try:
-                verify_free_certificate(arr, cert)
-                decide("free", True, "certificate replay")
+                cited = verify_free_certificate(arr, cert).cited_leaves
+                why = f"certificate replay (cited: {'; '.join(cited)})" if cited else "certificate replay"
+                decide("free", True, why)
             except CertificateError as exc:
                 decide("free", "undecided", f"certificate rejected: {exc}")
     if props["free"].value is True:

@@ -20,8 +20,14 @@ from hyperarr import (
     poincare_block_sizes,
 )
 from hyperarr.arrangement import hyperplane_subspace
-from hyperarr.exactlinalg import canonicalize
-from hyperarr.factorization import _ifac_node, _is_nice_node, _restricted_blocks, canonical_partition
+from hyperarr.exactlinalg import canonicalize, rank_of
+from hyperarr.factorization import (
+    _ifac_node,
+    _is_nice_node,
+    _restricted_blocks,
+    _transversals_independent,
+    canonical_partition,
+)
 from hyperarr.polynomials import evaluate, multiply
 
 
@@ -58,6 +64,21 @@ def test_independent_partition_examples(h2, bool3):
 def test_independent_partition_transversal_cap(h2):
     with pytest.raises(RuntimeError):
         is_independent_partition(h2, ((0,), (1, 2, 3)), transversal_cap=2)
+
+
+def test_transversals_by_prefix_match_the_product_form():
+    """The depth-first transversal test against the rank of every transversal
+    on random blocks of small integer vectors, empty blocks included."""
+    rng = random.Random(1402)
+    outcomes = set()
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        sizes = [rng.choice((0, 1, 1, 2, 2, 3, 3)) for _ in range(rng.randint(0, dim))]
+        blocks = [[tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(k)] for k in sizes]
+        product = all(rank_of(pick, dim) == len(blocks) for pick in itertools.product(*blocks))
+        assert _transversals_independent(blocks, dim) == product, blocks
+        outcomes.add(product)
+    assert outcomes == {True, False}
 
 
 def test_is_nice_rejects_non_partitions(h2):

@@ -1,5 +1,9 @@
 import copy
 import json
+import random
+import re
+import tracemalloc
+from importlib import resources
 
 import pytest
 
@@ -19,7 +23,8 @@ from hyperarr import (
     verify_free_certificate,
 )
 from hyperarr.arrangement import restriction_to_hyperplane
-from hyperarr.freeness import check_addition_deletion
+from hyperarr.freeness import CERT_SCHEMA, _extra, _replay
+from hyperarr.lattice import universe
 
 import oracles
 
@@ -43,12 +48,56 @@ def test_chi_roots_count_zeros_for_nonessential():
 # -- addition-deletion pattern ---------------------------------------------------
 
 
+def _check_addition_deletion(exp_full, exp_deleted, exp_restricted):
+    """The exponent pattern of an addition-deletion triple, as stated: a
+    multiset B and b >= 1 with full = B + {b}, deleted = B + {b-1},
+    restricted = B."""
+    b = sum(exp_full) - sum(exp_restricted)  # the only candidate for b
+    base = list(exp_restricted)
+    return (
+        b >= 1
+        and sorted(exp_full) == sorted(base + [b])
+        and sorted(exp_deleted) == sorted(base + [b - 1])
+    )
+
+
 def test_check_addition_deletion_patterns():
-    assert check_addition_deletion((1, 5, 5, 5, 6), (1, 5, 5, 5, 5), (1, 5, 5, 5)) is True
-    assert check_addition_deletion((1, 3, 3, 5), (1, 3, 3, 4), (1, 3, 3)) is True
-    assert check_addition_deletion((1, 2), (1, 1), (2,)) is False
-    assert check_addition_deletion((1, 2), (1, 1), (1,)) is True
-    assert check_addition_deletion((1, 2, 3), (1, 2), (1, 2)) is False  # size mismatch
+    """_extra(small, big) is the v with big = small + {v}.  Both of its uses
+    decide the addition-deletion pattern on nonnegative exponents: the
+    witness walk from the deletion and the restriction, the certificate's
+    addition step from the extension and the restriction."""
+    triples = [
+        ((1, 5, 5, 5, 6), (1, 5, 5, 5, 5), (1, 5, 5, 5), True),
+        ((1, 3, 3, 5), (1, 3, 3, 4), (1, 3, 3), True),
+        ((1, 2), (1, 1), (2,), False),
+        ((1, 2), (1, 1), (1,), True),
+        ((1, 2, 3), (1, 2), (1, 2), False),  # size mismatch
+    ]
+    rng = random.Random(1414)
+    for _ in range(3000):
+        base = tuple(sorted(rng.randint(0, 4) for _ in range(rng.randint(0, 4))))
+        b = rng.randint(1, 5)
+        full = list(base + (b,))
+        deleted = list(base + (b - 1,))
+        for exps in (full, deleted):
+            if rng.random() < 0.4:
+                k = rng.randrange(len(exps))
+                exps[k] = max(0, exps[k] + rng.choice((-1, 1)))
+            if rng.random() < 0.1:
+                exps.append(rng.randint(0, 4))
+        rng.shuffle(full)
+        triples.append((tuple(full), tuple(deleted), base, None))
+    outcomes = set()
+    for full, deleted, base, known in triples:
+        expected = _check_addition_deletion(full, deleted, base)
+        assert known in (None, expected)
+        v = _extra(base, deleted)
+        walk = v is not None and sorted(full) == sorted(base + (v + 1,))
+        b = _extra(base, full)
+        step = b is not None and b >= 1 and sorted(deleted) == sorted(base + (b - 1,))
+        assert walk == expected == step, (full, deleted, base)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # -- inductive freeness ------------------------------------------------------------
@@ -77,26 +126,52 @@ def test_generic_is_not_inductively_free(generic4):
     assert is_inductively_free(generic4).status is False
 
 
-def test_witness_tree_replays(h3):
-    res = is_inductively_free(h3)
+def test_witness_of_three_lines_in_the_plane():
+    """One root index per new non-empty node, restriction before deletion:
+    0 at the root; 1 for the origin on line 0, where lines 1 and 2 meet
+    (one element, preimage {1, 2}); then the deletion {1, 2}: 1, 2 for the
+    origin on line 1, and 2 for {2}."""
+    res = is_inductively_free(from_vectors(2, [(1, 0), (0, 1), (1, 1)]))
+    assert res.witness == [0, 1, 1, 2, 2]
+    assert res.exponents == (1, 2)
+    assert is_inductively_free(Arrangement(3, ())).witness == []
 
-    def walk(arr, node):
-        assert tuple(sorted(node["exponents"])) == (chi_integer_roots(arr) or ())
-        if node.get("empty"):
-            assert len(arr) == 0
-            return
-        from hyperarr import restriction_to_hyperplane
 
-        idx = next(i for i in node["hyperplane"] if i < len(arr))
-        # chosen hyperplane is identified by root indices; map to this level
-        cov = None
-        for i in node["hyperplane"]:
-            if i < len(h3) and h3.covectors[i] in arr.covectors:
-                cov = h3.covectors[i]
-                break
-        assert cov is not None or len(arr) > 0
+def test_any_hyperplane_of_an_element_names_it():
+    """Entry 1 chooses the element of the restriction to line 0 whose
+    preimage is {1, 2}; either index names it."""
+    arr = from_vectors(2, [(1, 0), (0, 1), (1, 1)])
+    cert = {
+        "schema": CERT_SCHEMA,
+        "dim": 2,
+        "covectors": [list(c) for c in arr.covectors],
+        "claim": {"type": "inductively-free", "witness": [0, 2, 1, 2, 2]},
+    }
+    assert verify_free_certificate(arr, cert).exponents == (1, 2)
 
-    walk(h3, res.witness)
+
+def test_witness_tree_replays(random_pool):
+    """Replaying a search witness derives, at every node it meets, the chi
+    roots of that node, and the witness holds one choice per distinct
+    non-empty node."""
+    pool = [from_vectors(d, covs) for d, covs in random_pool]
+    pool += [hyperpolygonal(n) for n in range(1, 5)] + _h5_leaves()
+    free = 0
+    for arr in pool:
+        res = is_inductively_free(arr)
+        if res.status is not True:
+            continue
+        free += 1
+        assert all(type(h) is int for h in res.witness)
+        uni = universe(arr)
+        entries = iter(res.witness)
+        proved = {}
+        assert _replay(uni, 0, uni._full_mask, lambda x, mask: next(entries), proved) == res.exponents
+        assert next(entries, None) is None
+        for (x, mask), exps in proved.items():
+            assert exps == uni.node_roots(x, mask)
+        assert len(res.witness) == sum(1 for x, mask in proved if uni.node_elements(x, mask))
+    assert free >= 40
 
 
 # -- certificates -------------------------------------------------------------------
@@ -107,6 +182,21 @@ def test_packaged_certificate_replays(h5):
     replay = verify_free_certificate(h5, cert)
     assert replay.exponents == (1, 5, 5, 5, 5)
     assert replay.steps == 5
+
+
+def test_packaged_certificate_is_small():
+    """One root index per node keeps the shipped file and its parse small."""
+    text = resources.files("hyperarr").joinpath("data/h5_certificate.json").read_text()
+    assert len(text) < 16_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = packaged_certificate()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cert["schema"] == CERT_SCHEMA
+    assert live < 100_000
 
 
 def test_certificate_intermediate_exponent_claims_are_validated(h5):
@@ -153,7 +243,7 @@ def test_analyze_reports_a_rejected_non_object_certificate(h5):
 
 def test_inductively_free_leaf_certificate(h4):
     cert = {
-        "schema": "hyperarr/free-cert-v2",
+        "schema": CERT_SCHEMA,
         "dim": 4,
         "covectors": [list(c) for c in h4.covectors],
         "claim": {
@@ -170,7 +260,7 @@ def test_inductively_free_leaf_certificate(h4):
 
 def test_cited_leaf_requires_chi_consistency(h4):
     cert = {
-        "schema": "hyperarr/free-cert-v2",
+        "schema": CERT_SCHEMA,
         "dim": 4,
         "covectors": [list(c) for c in h4.covectors],
         "claim": {"type": "cited-free", "exponents": [1, 3, 4, 4], "citation": "nowhere"},
@@ -210,8 +300,13 @@ def _certificate_leaves(arr, node):
         yield from _certificate_leaves(restricted, node["restriction"])
 
 
+def _h5_leaves():
+    """The arrangements of the packaged certificate's inductively-free leaves."""
+    return [arr for arr, _ in _certificate_leaves(hyperpolygonal(5), packaged_certificate()["claim"])]
+
+
 def test_packaged_witnesses_are_the_search_witnesses(h5):
-    """The packaged witness trees are what the search returns on each leaf;
+    """The packaged witnesses are what the search returns on each leaf;
     this records where they come from, the replay does not rely on it."""
     leaves = list(_certificate_leaves(h5, packaged_certificate()["claim"]))
     assert [len(arr) for arr, _ in leaves] == [22, 17, 11]
@@ -219,101 +314,18 @@ def test_packaged_witnesses_are_the_search_witnesses(h5):
         assert leaf["witness"] == is_inductively_free(arr).witness
 
 
-def _first_witness_node(witness, accept):
-    """The first node in replay order (restriction before deletion) that
-    accept takes; replay checks it in full, not as a repeated subtree."""
-    stack = [witness]
-    while stack:
-        node = stack.pop()
-        if accept(node):
-            return node
-        if "empty" not in node:
-            stack += [node["deletion"], node["restriction"]]
-    raise LookupError("no such witness node")
-
-
-def _wrong_inner_exponents(w):
-    node = _first_witness_node(w["deletion"], lambda n: "empty" not in n and len(n["hyperplane"]) == 1)
-    node["exponents"] = sorted(node["exponents"])[:-1] + [sorted(node["exponents"])[-1] + 1]
-
-
-def _not_an_element(w):
-    w["restriction"]["hyperplane"] = list(w["hyperplane"])  # the hyperplane restricted to
-
-
-def _partial_preimage(w):
-    _first_witness_node(w, lambda n: len(n.get("hyperplane", ())) > 1)["hyperplane"].pop()
-
-
-def _cut_deletion(w):
-    del _first_witness_node(w["restriction"], lambda n: "empty" not in n)["deletion"]
-
-
-def _cut_restriction(w):
-    del w["deletion"]["restriction"]
-
-
-def _swapped_branches(w):
-    w["deletion"], w["restriction"] = w["restriction"], w["deletion"]
-
-
-def _empty_claimed(w):
-    node = w["deletion"]
-    exponents = node["exponents"]
-    node.clear()
-    node.update(empty=True, exponents=[0] * len(exponents))
-
-
-@pytest.mark.parametrize(
-    "fault, message",
-    [
-        (_wrong_inner_exponents, "do not follow by addition|claimed exponents"),
-        (_not_an_element, "not the preimage of an element"),
-        (_partial_preimage, "not the preimage of an element"),
-        (_cut_deletion, "has no 'deletion'"),
-        (_cut_restriction, "has no 'restriction'"),
-        (_swapped_branches, r"witness\.restriction: .*not the preimage"),
-        (_empty_claimed, "claimed empty has hyperplanes"),
-    ],
-)
-def test_faulty_witness_rejected(h5, fault, message):
-    cert = copy.deepcopy(packaged_certificate())
-    fault(cert["claim"]["extended"]["witness"])
-    with pytest.raises(CertificateError, match=message):
-        verify_free_certificate(h5, cert)
-
-
-def _repeated_subtree(witness):
-    """The first non-empty witness node that repeats, in replay order, a
-    subtree met before; replay compares only its exponents."""
-    seen = set()
-    stack = [witness]
-    while stack:
-        node = stack.pop()
-        if "empty" in node:
-            continue
-        text = json.dumps(node, sort_keys=True)
-        if text in seen:
-            return node
-        seen.add(text)
-        stack += [node["deletion"], node["restriction"]]
-    raise LookupError("no repeated subtree")
-
-
-def test_wrong_exponents_on_a_repeated_subtree_rejected(h5):
-    cert = copy.deepcopy(packaged_certificate())
-    node = _repeated_subtree(cert["claim"]["restriction"]["restriction"]["witness"])
-    node["exponents"][-1] += 1
-    with pytest.raises(CertificateError, match=r"claimed exponents .* != proved"):
-        verify_free_certificate(h5, cert)
-
-
-def test_wrong_exponents_on_an_empty_node_rejected(h5):
-    cert = copy.deepcopy(packaged_certificate())
-    node = _first_witness_node(cert["claim"]["extended"]["witness"], lambda n: "empty" in n and n["exponents"])
-    node["exponents"][-1] = 1
-    with pytest.raises(CertificateError, match=r"claimed exponents .* != proved"):
-        verify_free_certificate(h5, cert)
+def test_cited_leaf_shows_in_the_ladder_provenance(h5):
+    """A certificate that cites freeness is not a proof; the ladder says so."""
+    arr = from_vectors(5, [(c[0] + c[1],) + c[1:] for c in h5.covectors])
+    cert = {
+        "schema": CERT_SCHEMA,
+        "dim": 5,
+        "covectors": [list(c) for c in arr.covectors],
+        "claim": {"type": "cited-free", "citation": "trust me"},
+    }
+    rep = analyze(arr, certificate=cert)
+    assert rep.properties["free"] == PropertyDecision(True, "certificate replay (cited: trust me)")
+    assert rep.exponents == (1, 5, 5, 5, 5)
 
 
 def test_witness_exponents_are_checked_against_chi_at_the_leaf_root(h5, monkeypatch):
@@ -343,42 +355,108 @@ def _set(path, value):
     return fault
 
 
+def _pattern_breaking_choices(arr):
+    """The lowest root index of every node, up to the first choice whose
+    deletion and restriction exponents break the addition pattern: each
+    entry is a hyperplane of its node, and the walk fails on the pattern."""
+    uni = universe(arr)
+    taken = []
+
+    def choose(x, mask):
+        taken.append((mask & -mask).bit_length() - 1)
+        return taken[-1]
+
+    with pytest.raises(CertificateError, match="and one more"):
+        _replay(uni, 0, uni._full_mask, choose, {})
+    return taken
+
+
+def _set_witness(make):
+    """A fault that replaces the witness of the 22-hyperplane leaf by
+    make(witness)."""
+
+    def fault(cert):
+        leaf = cert["claim"]["extended"]
+        leaf["witness"] = make(leaf["witness"])
+
+    return fault
+
+
+def _v2_schema(cert):
+    cert["schema"] = "hyperarr/free-cert-v2"
+
+
 MALFORMED = {
-    "float in added_covector": _set(("claim", "added_covector"), [1.5, 0, 0, 0, 0]),
-    "string in added_covector": _set(("claim", "added_covector"), [1, "a", 0, 0, 0]),
-    "null exponents": _set(("claim", "exponents"), None),
-    "covectors not a list": _set(("covectors",), 5),
-    "string in a covector": _set(("covectors", 0), [1, "a", 0, 0, 0]),
-    "string in cited exponents": _set(
-        ("claim", "restriction"), {"type": "cited-free", "exponents": [1, "a"], "citation": "x"}
+    "float in added_covector": (
+        _set(("claim", "added_covector"), [1.5, 0, 0, 0, 0]),
+        r"claim\.added_covector: expected a list of integers",
     ),
-    "citation not a string": _set(
-        ("claim", "restriction"), {"type": "cited-free", "exponents": [1, 5, 5, 5], "citation": 7}
+    "string in added_covector": (
+        _set(("claim", "added_covector"), [1, "a", 0, 0, 0]),
+        r"claim\.added_covector: expected a list of integers",
     ),
-    "witness not an object": _set(("claim", "extended", "witness"), [1, 5, 5, 5, 6]),
-    "witness without keys": _set(("claim", "extended", "witness"), {}),
-    "witness node without hyperplane": _set(("claim", "extended", "witness"), {"exponents": [1, 5, 5, 5, 6]}),
-    "string in witness hyperplane": _set(("claim", "extended", "witness", "hyperplane"), ["5"]),
-    "witness hyperplane out of range": _set(("claim", "extended", "witness", "hyperplane"), [-1]),
-    "repeated witness hyperplane index": _set(("claim", "extended", "witness", "hyperplane"), [5, 5]),
-    "witness empty not true": _set(("claim", "extended", "witness", "empty"), 1),
+    "null exponents": (_set(("claim", "exponents"), None), r"claim\.exponents: expected a list of integers"),
+    "covectors not a list": (_set(("covectors",), 5), "covectors: expected a list of covectors"),
+    "string in a covector": (
+        _set(("covectors", 0), [1, "a", 0, 0, 0]),
+        r"covectors\[0\]: expected a list of integers",
+    ),
+    "string in cited exponents": (
+        _set(("claim", "restriction"), {"type": "cited-free", "exponents": [1, "a"], "citation": "x"}),
+        r"claim\.restriction\.exponents: expected a list of integers",
+    ),
+    "citation not a string": (
+        _set(("claim", "restriction"), {"type": "cited-free", "exponents": [1, 5, 5, 5], "citation": 7}),
+        r"claim\.restriction: citation is not a string",
+    ),
+    # a list of indices, but not this leaf's choices
+    "witness not an object": (
+        _set(("claim", "extended", "witness"), [1, 5, 5, 5, 6]),
+        r"claim\.extended\.witness: hyperplane 5 is not in its node",
+    ),
+    "witness without keys": (
+        _set(("claim", "extended", "witness"), {}),
+        "expected a list of root indices",
+    ),
+    "witness node without hyperplane": (
+        _set(("claim", "extended", "witness"), {"exponents": [1, 5, 5, 5, 6]}),
+        "expected a list of root indices",
+    ),
+    # the second node is the restriction to the first choice, which lacks it
+    "repeated witness hyperplane index": (
+        _set_witness(lambda w: [w[0], w[0]] + w[2:]),
+        r"hyperplane \d+ is not in its node",
+    ),
+    "witness hyperplane out of range": (_set_witness(lambda w: [-1] + w[1:]), "entry 0 is -1, not a root index"),
+    "bool": (_set_witness(lambda w: w[:3] + [True] + w[4:]), "entry 3 is True, not a root index"),
+    "string in witness hyperplane": (_set_witness(lambda w: ["5"] + w[1:]), "entry 0 is '5', not a root index"),
+    "cut by one entry": (_set_witness(lambda w: w[:-1]), "ends after 2366 entries with nodes left"),
+    "one extra entry": (_set_witness(lambda w: w + [0]), "1 entries left over"),
+    "pattern broken": (
+        _set_witness(lambda w: _pattern_breaking_choices(_h5_leaves()[0])),
+        r"choice \d+: deletion exponents .* and one more",
+    ),
+    "version 2 schema": (_v2_schema, "unknown certificate schema 'hyperarr/free-cert-v2'"),
 }
 
 
-@pytest.mark.parametrize("fault", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_certificate_rejected_by_api_and_cli(h5, tmp_path, capsys, fault):
+@pytest.mark.parametrize("fault, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_certificate_rejected_by_api_and_cli(h5, tmp_path, capsys, fault, message):
     cert = copy.deepcopy(packaged_certificate())
     fault(cert)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match=message):
         verify_free_certificate(h5, cert)
     free = analyze(h5, certificate=cert).properties["free"]
     assert free.value == "undecided"
     assert free.provenance.startswith("certificate rejected: ")
+    assert re.search(message, free.provenance)
     arr_path, cert_path = tmp_path / "h5.arr", tmp_path / "cert.json"
     arr_path.write_text(format_arrangement_text(h5))
     cert_path.write_text(json.dumps(cert))
     assert cli.main(["free", str(arr_path), "--certificate", str(cert_path)]) == 0
-    assert capsys.readouterr().out.startswith("certificate rejected: ")
+    out = capsys.readouterr().out
+    assert out.startswith("certificate rejected: ")
+    assert re.search(message, out)
 
 
 # -- the CLI's freeness decision -------------------------------------------------------
