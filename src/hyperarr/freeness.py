@@ -291,6 +291,8 @@ def _verify_node(uni: Universe, node: dict, cited: list[str], steps: list[int], 
             Universe(restricted), node.get("restriction"), cited, steps, path + ".restriction"
         )
         b = _extra(exps_res, exps_ext)
+        # b < 1 cannot fire alone: the subclaims' exponents are chi roots, which
+        # sum to |A|, so b = |extended| - |restricted| >= 1 once both pass
         if b is None or b < 1:
             raise CertificateError(
                 f"{path}: exponents {list(exps_ext)} vs {list(exps_res)} are not an addition pattern"

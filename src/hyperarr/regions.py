@@ -14,17 +14,20 @@ The candidates come straight from the lattice build, which stores a
 primitive integer basis of every flat: a one-dimensional flat's basis is one
 vector, turned so that its first nonzero entry is positive.
 
-That gives an exact enumeration with no numeric feasibility solver.  A sign
-vector, partial or full, admits a strictly feasible point if and only if the
-candidate rays compatible with it have full rank: a generic positive
-combination of a full-rank compatible set satisfies all assigned constraints
-strictly.  The depth-first search over sign assignments therefore prunes on
-"compatible rays have rank below the dimension" and visits exactly the
-prefixes of genuine regions.  Each node carries a witness of its full rank,
-the mask of dim-many independent compatible rays.  A child that keeps every
-witness ray inherits the witness with no linear algebra; otherwise an
-echelon is seeded with the witness rays that survived and filled from the
-child's other compatible rays, and failing to reach full rank prunes it.
+That gives an exact enumeration with no numeric feasibility solver and no
+linear algebra.  The depth-first search fixes the signs of h_0, h_1, ... in
+turn; a node is a nonempty open prefix cone C (signs fixed on h_0..h_{i-1})
+with its alive set, the candidates weakly on the fixed side of each of those
+hyperplanes.  The closure of C is the union of the closures of the regions
+inside C; each of those is pointed, the input being essential, and spanned by
+its extreme rays, which are alive.  The alive candidates lie in closure(C),
+so closure(C) = cone(alive(C)).  C is open and dense in its closure, so it
+meets the open side h_i > 0 exactly when its closure does, that is, when
+some alive candidate is strictly positive on h_i; likewise for the negative
+side.  So a child is pushed after one bit test against the candidates
+strictly on its side, and the search visits exactly the prefixes of genuine
+regions.  At a full sign vector the alive candidates are the region's extreme
+rays.
 
 The rank generating function of the poset of regions based at B counts
 regions by the number of hyperplanes separating them from B; it is compared
@@ -36,8 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, essentialize
-from .exactlinalg import IntEchelon
-from .lattice import bit_indices, universe
+from .lattice import _trace_columns, bit_indices, universe
 from .polynomials import IntPoly, multiply, trim
 
 
@@ -93,81 +95,49 @@ def enumerate_regions(arr: Arrangement) -> RegionSet:
     """Enumerate all regions with their extreme rays.
 
     Works on the essentialization (same hyperplane indices, same region
-    bitmasks); the ray vectors live in the essential coordinates.
+    bitmasks); the ray vectors live in the essential coordinates.  The search
+    over sign prefixes branches by bit tests only: closure(C) = cone(alive(C))
+    for a prefix cone C, so a side of the next hyperplane meets C exactly when
+    an alive candidate lies strictly on it (see the module docstring).
     """
     ess = essentialize(arr) if not arr.is_essential else arr
     m = len(ess)
-    ell = ess.dim
     if m == 0:
         return RegionSet(ess, (Region(0, ()),))
     cands = _candidate_rays(ess)
-    nc = len(cands)
-    full_alive = (1 << nc) - 1
-    # per-hyperplane kill masks: branching positive kills the strictly
-    # negative candidates and vice versa
-    kill_if_plus = [0] * m
-    kill_if_minus = [0] * m
-    for k, v in enumerate(cands):
-        for i, c in enumerate(ess.covectors):
-            d = sum(ci * vi for ci, vi in zip(c, v))
-            if d < 0:
-                kill_if_plus[i] |= 1 << k
-            elif d > 0:
-                kill_if_minus[i] |= 1 << k
-
-    def witness(alive: int, kept: int) -> int:
-        """Mask of ell independent candidates of alive, starting from the
-        independent candidates kept (a subset of alive); 0 if alive has rank
-        below ell."""
-        ech = IntEchelon(ell)
-        rest = kept
-        while rest:
-            low = rest & -rest
-            ech.add(cands[low.bit_length() - 1])
-            rest ^= low
-        out = kept
-        rest = alive & ~kept
-        while ech.rank < ell and rest:
-            low = rest & -rest
-            if ech.add(cands[low.bit_length() - 1]):
-                out |= low
-            rest ^= low
-        return out if ech.rank == ell else 0
-
-    wit = witness(full_alive, 0)
-    if not wit:
-        raise ValueError("arrangement is not essential")
-
-    found: list[tuple[int, int]] = []  # (sign mask, alive candidate mask)
-    # depth-first over sign assignments; antipodal symmetry fixes the first
-    # hyperplane positive and mirrors at the end.  Each node carries a witness:
-    # ell independent alive candidates, kept by every child that keeps them.
-    alive = full_alive & ~kill_if_plus[0]
-    wit = witness(alive, alive & wit)
-    stack = [(0, 0, alive, wit)] if wit else []
-    while stack:
-        i, smask, alive, wit = stack.pop()
-        i += 1
-        if i == m:
-            found.append((smask | 1, alive))
-            continue
-        for bit, kill in ((1 << i, kill_if_plus[i]), (0, kill_if_minus[i])):
-            child = alive & ~kill
-            if child & wit == wit:
-                stack.append((i, smask | bit, child, wit))
-            else:
-                child_wit = witness(child, child & wit)
-                if child_wit:
-                    stack.append((i, smask | bit, child, child_wit))
+    # candidates strictly on the positive / negative side of each hyperplane;
+    # v is candidate 2t and -v is 2t+1, so one packed product serves both
+    pos = [0] * m
+    neg = [0] * m
+    column = _trace_columns(list(ess.covectors), ess.dim)
+    for t in range(0, len(cands), 2):
+        plus, minus = 1 << t, 2 << t
+        for i, d in enumerate(column(cands[t])):
+            if d > 0:
+                pos[i] |= plus
+                neg[i] |= minus
+            elif d < 0:
+                pos[i] |= minus
+                neg[i] |= plus
 
     full_m = (1 << m) - 1
     regions: list[Region] = []
-    for smask, alive in found:
-        idx = bit_indices(alive)
-        regions.append(Region(smask, tuple(cands[k] for k in idx)))
-        # a pointed cone never holds both v and -v, so swapping each pair
-        # (v at 2t, -v at 2t+1) keeps the order of the antipodal region's rays
-        regions.append(Region(smask ^ full_m, tuple(cands[k ^ 1] for k in idx)))
+    # antipodal symmetry fixes the first hyperplane positive and mirrors each
+    # region found; h_0 is nonzero, so the root cone h_0 > 0 is nonempty
+    stack = [(1, 1, ((1 << len(cands)) - 1) & ~neg[0])]
+    while stack:
+        i, smask, alive = stack.pop()
+        if i == m:
+            idx = bit_indices(alive)
+            regions.append(Region(smask, tuple(cands[k] for k in idx)))
+            # a pointed cone never holds both v and -v, so swapping each pair
+            # keeps the order of the antipodal region's rays
+            regions.append(Region(smask ^ full_m, tuple(cands[k ^ 1] for k in idx)))
+            continue
+        if alive & pos[i]:
+            stack.append((i + 1, smask | 1 << i, alive & ~neg[i]))
+        if alive & neg[i]:
+            stack.append((i + 1, smask, alive & ~pos[i]))
     regions.sort(key=lambda r: r.mask)
     return RegionSet(ess, tuple(regions))
 

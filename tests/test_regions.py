@@ -233,7 +233,26 @@ def _dim5_arrangement(seed, size):
     return from_vectors(5, sorted(covs))
 
 
-def test_flat_basis_witness_dfs_matches_rank_test_dfs():
+def _low_prefix_dim5_arrangement(seed, size):
+    """Seeded distinct hyperplanes in dimension 5 whose first five span only a
+    3-dimensional space (their last two entries are zero), so the search's
+    early prefix cones are not pointed; the rest are drawn freely."""
+    import random
+
+    from hyperarr.arrangement import canonicalize
+
+    rng = random.Random(seed)
+    covs = {}
+    while len(covs) < size:
+        v = [rng.randint(-2, 2) for _ in range(5)]
+        if len(covs) < 5:
+            v[3] = v[4] = 0
+        if any(v):
+            covs.setdefault(canonicalize(v), None)
+    return from_vectors(5, list(covs))
+
+
+def test_bit_test_dfs_matches_rank_test_dfs():
     from hyperarr.lattice import universe
     from hyperarr.regions import _candidate_rays
 
@@ -243,6 +262,10 @@ def test_flat_basis_witness_dfs_matches_rank_test_dfs():
     ]
     pool += [hyperpolygonal(n) for n in range(2, 6)]
     pool += [_dim5_arrangement(seed, size) for seed, size in ((61, 12), (62, 13), (63, 14))]
+    low = [_low_prefix_dim5_arrangement(seed, size) for seed, size in ((64, 10), (65, 12), (66, 13))]
+    for arr in low:
+        assert arr.rank == 5 and oracles.frac_rank(arr.covectors[:5]) < 5
+    pool += low
     assert {arr.dim for arr in pool} >= {2, 3, 4, 5}
     flipped = 0
     for arr in pool:
@@ -258,6 +281,29 @@ def test_flat_basis_witness_dfs_matches_rank_test_dfs():
             uni = universe(ess)
             flipped += sum(next(x for x in uni.flat_kernel(f)[0] if x) < 0 for f in uni.by_rank[ess.dim - 1])
     assert flipped  # some stored line bases start negative and get turned
+
+
+def test_dim5_regions_are_pointed_and_open():
+    """What the rank test used to guarantee, checked by the oracles: every
+    region's rays span the space, the sum of its rays lies strictly on the
+    region's sides, and the count is Zaslavsky's.  The oracles run on the
+    regions positive on h_0; each other region must be the negative of one
+    of those, which carries both properties over."""
+    for seed, size in ((71, 12), (72, 13), (73, 14)):
+        arr = _dim5_arrangement(seed, size)
+        assert arr.rank == 5
+        regs = enumerate_regions(arr)
+        covs = regs.arrangement.covectors
+        full = (1 << len(covs)) - 1
+        by_mask = {reg.mask: reg for reg in regs.regions}
+        assert len(by_mask) == len(regs) == zaslavsky_region_count(arr)
+        for reg in regs.regions:
+            if not reg.mask & 1:
+                continue
+            assert oracles.frac_rank(reg.rays) == 5
+            assert oracles.sign_mask(covs, oracles.interior_point(reg)) == reg.mask
+            twin = by_mask[reg.mask ^ full]
+            assert sorted(twin.rays) == sorted(tuple(-x for x in r) for r in reg.rays)
 
 
 def _full_scan_zeta_bases(regs, exponents):
