@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +30,9 @@ from .exactlinalg import (
 )
 
 Covector = tuple[int, ...]
+
+# rank-many subsets whose ranks the genericity check may enumerate
+SUBSET_CAP = 10**6
 
 
 class ParseError(ValueError):
@@ -178,14 +183,14 @@ def essentialize(arr: Arrangement) -> Arrangement:
     return Arrangement(ech.rank, tuple(covs))
 
 
-def is_generic(arr: Arrangement, subset_cap: int = 10**6) -> bool:
+def is_generic(arr: Arrangement) -> bool:
     """True iff |A| > r(A) and every r(A)-subset of covectors has rank r(A).
 
     Genericity is measured against the rank, not the ambient dimension, so a
     non-essential arrangement is generic exactly when its essentialization is.
     A quick uniformity pre-check (no rank-2 flat of the lattice build holds
     three hyperplanes) avoids subset enumeration in most negative cases;
-    enumeration beyond subset_cap raises rather than guessing.
+    enumeration beyond SUBSET_CAP raises rather than guessing.
     """
     from .lattice import universe
 
@@ -197,9 +202,9 @@ def is_generic(arr: Arrangement, subset_cap: int = 10**6) -> bool:
         uni = universe(arr, up_to_rank=2)
         if any(uni.bits[f].bit_count() >= 3 for f in uni.by_rank[2]):
             return False
-    if math.comb(m, r) > subset_cap:
+    if math.comb(m, r) > SUBSET_CAP:
         raise RuntimeError(
-            f"genericity check needs {math.comb(m, r)} subset ranks (cap {subset_cap})"
+            f"genericity check needs {math.comb(m, r)} subset ranks (cap {SUBSET_CAP})"
         )
     for sub in itertools.combinations(arr.covectors, r):
         if rank_of(sub, arr.dim) != r:
@@ -236,11 +241,35 @@ def verify_linear_isomorphism(
     return images == set(target.covectors)
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(tok: str, lineno: int) -> int | None:
+    """tok as an ASCII decimal integer, or None if it is not one (int() alone
+    also reads 1_0 and non-ASCII digits).  Past Python's int-string limit the
+    digits cannot be read, which is a ParseError of its own."""
+    if not _DECIMAL.fullmatch(tok):
+        return None
+    try:
+        return int(tok)
+    except ValueError:  # the digits match, so only the limit is left
+        raise ParseError(
+            f"line {lineno}: a number of {len(tok.lstrip('+-'))} digits exceeds Python's "
+            f"limit of {sys.get_int_max_str_digits()} digits for integer text"
+        ) from None
+
+
+def _excerpt(text: str, width: int = 60) -> str:
+    """repr of text, cut short after width characters."""
+    return repr(text if len(text) <= width else text[:width] + "...")
+
+
 def parse_arrangement_text(text: str) -> Arrangement:
     """Parse the plain text format: first line `dim L`, then one covector per line.
 
-    `#` starts a comment; blank lines are skipped.  Covectors are canonicalized;
-    duplicates are dropped with a warning.
+    `#` starts a comment; blank lines are skipped.  Numbers are ASCII decimal
+    integers with an optional sign.  Covectors are canonicalized; duplicates
+    are dropped with a warning.
     """
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -252,24 +281,22 @@ def parse_arrangement_text(text: str) -> Arrangement:
     head_no, head_text = lines[0]
     head = head_text.split()
     if len(head) != 2 or head[0] != "dim":
-        raise ParseError(f"line {head_no}: first line must be 'dim L', got {head_text!r}")
-    try:
-        dim = int(head[1])
-    except ValueError as exc:
-        raise ParseError(f"line {head_no}: bad dimension {head[1]!r}") from exc
+        raise ParseError(f"line {head_no}: first line must be 'dim L', got {_excerpt(head_text)}")
+    dim = _decimal(head[1], head_no)
+    if dim is None:
+        raise ParseError(f"line {head_no}: bad dimension {_excerpt(head[1])}")
     if dim < 1:
         raise ParseError(f"line {head_no}: dimension must be >= 1")
     covs: list[Covector] = []
     for lineno, ln in lines[1:]:
         toks = ln.split()
         if len(toks) != dim:
-            raise ParseError(f"line {lineno}: expected {dim} entries, got {len(toks)}: {ln!r}")
-        try:
-            vec = [int(t) for t in toks]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer entry in {ln!r}") from exc
+            raise ParseError(f"line {lineno}: expected {dim} entries, got {len(toks)}: {_excerpt(ln)}")
+        vec = [_decimal(t, lineno) for t in toks]
+        if None in vec:
+            raise ParseError(f"line {lineno}: non-integer entry in {_excerpt(ln)}")
         if all(x == 0 for x in vec):
-            raise ParseError(f"line {lineno}: zero covector: {ln!r}")
+            raise ParseError(f"line {lineno}: zero covector: {_excerpt(ln)}")
         c = canonicalize(vec)
         if c in covs:
             warnings.warn(f"line {lineno}: duplicate hyperplane {c} dropped", stacklevel=2)

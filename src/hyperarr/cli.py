@@ -2,7 +2,9 @@
 
 Exit codes: 0 = analysis completed; 2 = input could not be parsed;
 3 = the output contains "undecided": a capped search was exhausted, or
-projective uniqueness found no witness and no motion refutation.
+projective uniqueness found no witness and no motion refutation;
+141 = standard output was closed before all of it was written (for example
+by `| head`), 128 + SIGPIPE as a shell reports a pipe writer it ended.
 Property values (true/false) never drive exit codes.  So `free --certificate`
 exits 0 when it rejects the certificate, since the replay completed and
 printed its verdict.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from .report import PropertyReport, _ladder, analyze, report
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNDECIDED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _load(path: str) -> Arrangement:
@@ -281,10 +285,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the unwritten rest goes to devnull, so the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -33,10 +33,15 @@ from typing import Iterable, Literal
 from .arrangement import Arrangement
 from .exactlinalg import IntEchelon
 from .formality import rank2_flats
+from .freeness import chi_integer_roots
 from .lattice import Universe, bit_indices, mask_of, universe
-from .polynomials import monic_linear_roots
 
 Partition = tuple[tuple[int, ...], ...]
+
+# hyperplanes of the largest input the nice-partition search takes on, and
+# transversals of the largest partition whose independence is tested
+PARTITION_CAP = 16
+TRANSVERSAL_CAP = 10**6
 
 
 def canonical_partition(blocks: Iterable[Iterable[int]]) -> Partition:
@@ -48,35 +53,25 @@ def poincare_block_sizes(arr: Arrangement) -> tuple[int, ...] | None:
 
     pi(A,t) = prod (1 + b_i t) over positive integers b_i is necessary for a
     nice partition; the multiset {b_i} (the would-be block sizes) is unique.
+    It holds exactly when chi(t) = t^(dim - rank) prod (t - b_i), so the b_i
+    are the chi roots after the dim - rank zeros (the others are positive).
     """
-    uni = universe(arr)
-    chi = uni.chi()
-    r = arr.rank
-    # pi_k = (-1)^k * chi coefficient at t^(dim - k)
-    pi = [(-1) ** k * (chi[arr.dim - k] if arr.dim - k < len(chi) else 0) for k in range(r + 1)]
-    # roots of q(t) = prod (t - b_i) = sum_j (-1)^(r-j) pi_(r-j) t^j
-    q = tuple((-1) ** (r - j) * pi[r - j] for j in range(r + 1))
-    roots = monic_linear_roots(q)
-    if roots is None or len(roots) != r or any(b < 1 for b in roots):
-        return None
-    return roots
+    roots = chi_integer_roots(arr)
+    return None if roots is None else roots[arr.dim - arr.rank :]
 
 
-def is_independent_partition(arr: Arrangement, blocks: Partition, transversal_cap: int = 10**6) -> bool:
+def is_independent_partition(arr: Arrangement, blocks: Partition) -> bool:
     """Every transversal of the blocks has rank equal to the number of blocks."""
-    return _transversals_independent(
-        [[arr.covectors[i] for i in b] for b in blocks], arr.dim, transversal_cap
-    )
+    return _transversals_independent([[arr.covectors[i] for i in b] for b in blocks], arr.dim)
 
 
-def _transversals_independent(
-    blocks: list[list[tuple[int, ...]]], dim: int, transversal_cap: int = 10**6
-) -> bool:
+def _transversals_independent(blocks: list[list[tuple[int, ...]]], dim: int) -> bool:
     """Every choice of one vector per block has rank len(blocks): depth first,
-    each vector must enlarge a copy of the echelon of its prefix."""
+    each vector must enlarge a copy of the echelon of its prefix.  More than
+    TRANSVERSAL_CAP transversals raise RuntimeError."""
     total = math.prod(len(b) for b in blocks)
-    if total > transversal_cap:
-        raise RuntimeError(f"{total} transversals exceed cap {transversal_cap}")
+    if total > TRANSVERSAL_CAP:
+        raise RuntimeError(f"{total} transversals exceed cap {TRANSVERSAL_CAP}")
 
     def extends(prefix: IntEchelon, k: int) -> bool:
         if k == len(blocks):
@@ -126,13 +121,13 @@ def _is_nice_node(uni: Universe, x: int, mask: int, blocks: list[int]) -> bool:
 
 
 def find_nice_partition(
-    arr: Arrangement, search_cap: int = 16, find_all: bool = False
+    arr: Arrangement, find_all: bool = False
 ) -> tuple[Literal[True, False, "undecided"], list[Partition]]:
     """Search for nice partitions.
 
     Returns (status, partitions): status False means provably none exists
     (non-splitting Poincare polynomial, or exhausted forced-size search);
-    "undecided" means the instance exceeded search_cap hyperplanes.  With
+    "undecided" means the instance exceeded PARTITION_CAP hyperplanes.  With
     find_all the list carries every nice partition, else at most one.
     """
     m = len(arr)
@@ -141,7 +136,7 @@ def find_nice_partition(
     sizes = poincare_block_sizes(arr)
     if sizes is None:
         return False, []
-    if m > search_cap:
+    if m > PARTITION_CAP:
         return "undecided", []
     lines = rank2_flats(arr)
     elem_lines: list[list[int]] = [[] for _ in range(m)]
@@ -214,16 +209,14 @@ def find_nice_partition(
     return False, []
 
 
-def is_inductively_factored(
-    arr: Arrangement, search_cap: int = 16
-) -> tuple[Literal[True, False, "undecided"], Partition | None]:
+def is_inductively_factored(arr: Arrangement) -> tuple[Literal[True, False, "undecided"], Partition | None]:
     """Decide inductive factoredness by searching over nice partitions.
 
-    Sound and complete within the search cap: the block sizes of any nice
+    Sound and complete within PARTITION_CAP: the block sizes of any nice
     partition are forced by the Poincare polynomial, so a completed search
     with no witness refutes.  Above the cap the status is "undecided".
     """
-    status, parts = find_nice_partition(arr, search_cap=search_cap, find_all=True)
+    status, parts = find_nice_partition(arr, find_all=True)
     if status == "undecided":
         return "undecided", None
     if status is False:

@@ -42,6 +42,11 @@ from .arrangement import Arrangement
 from .exactlinalg import IntEchelon, canonicalize, primitive_kernel_basis, rank_of
 from .lattice import Universe, bit_indices, mask_of, universe
 
+# largest current set a generation-closure round decides on its full
+# sub-lattice, and candidate seeds the projective-uniqueness witness scan tries
+EXACT_CURRENT_CAP = 18
+WITNESS_CAP = 10**6
+
 
 def rank2_flats(arr: Arrangement) -> list[tuple[int, ...]]:
     """All rank-2 flats as sorted index tuples, read off the lattice build
@@ -231,13 +236,11 @@ def _spans_hyperplane_pairwise(
     return ech.rank == d - 1
 
 
-def gen_closure(
-    arr: Arrangement, seed: Iterable[int], exact_current_cap: int = 18
-) -> GenClosure:
+def gen_closure(arr: Arrangement, seed: Iterable[int]) -> GenClosure:
     """Generation closure of a seed within the hyperplane pool of arr.
 
     Each round adds every pool hyperplane spanned by the current sub-lattice
-    flats it contains.  Rounds whose current set has at most exact_current_cap
+    flats it contains.  Rounds whose current set has at most EXACT_CURRENT_CAP
     hyperplanes are decided exactly via the full sub-lattice; larger rounds
     use the sound pairwise certificate and mark the run incomplete if any
     remaining hyperplane goes uncertified (never excluded unsoundly).  In
@@ -259,7 +262,7 @@ def gen_closure(
         pool = [h for h in range(m) if h not in current]
         if not pool:
             break
-        exact = len(current) <= exact_current_cap
+        exact = len(current) <= EXACT_CURRENT_CAP
         entered: list[int] = []
         uncertified: list[int] = []
         cur_sorted = sorted(current)
@@ -413,10 +416,8 @@ def _seed_witness(arr: Arrangement, seed: tuple[int, ...]) -> UniquenessWitness 
 
 
 def projective_uniqueness_witness(
-    arr: Arrangement, candidate_cap: int = 10**6
-) -> tuple[
-    Literal[True, False, "undecided"], UniquenessWitness | MotionRefutation | None
-]:
+    arr: Arrangement,
+) -> tuple[Literal[True, False, "undecided"], UniquenessWitness | MotionRefutation | None]:
     """Decide projective uniqueness with a checkable object.
 
     True comes with a UniquenessWitness: rank+1 hyperplanes whose generation
@@ -427,7 +428,7 @@ def projective_uniqueness_witness(
     Requires an essential irreducible arrangement (the rigidity argument
     breaks on products).  The natural construction seed is tried first, then
     the one-hyperplane motion search, then the other candidates in
-    lexicographic order, at most candidate_cap candidates in all.  A hit cap
+    lexicographic order, at most WITNESS_CAP candidates in all.  A hit cap
     or an exhausted scan gives "undecided".  Subsets of deficient rank or
     with a disconnected matroid are skipped: a generating set of an
     irreducible essential arrangement has neither defect.
@@ -454,7 +455,7 @@ def projective_uniqueness_witness(
         if S == nat:
             continue
         tried += 1
-        if tried > candidate_cap:
+        if tried > WITNESS_CAP:
             return "undecided", None
         wit = _seed_witness(arr, S)
         if wit is not None:

@@ -28,6 +28,9 @@ from typing import Callable, Literal
 from .arrangement import Arrangement, restriction_to_hyperplane
 from .lattice import Universe, universe
 
+# visited (flat, mask) nodes of the inductive-freeness search
+NODE_CAP = 2_000_000
+
 
 class CapExhausted(RuntimeError):
     """A bounded search ran out of budget before deciding."""
@@ -52,7 +55,7 @@ class InductiveFreenessResult:
     nodes_visited: int
 
 
-def is_inductively_free(arr: Arrangement, node_cap: int = 2_000_000) -> InductiveFreenessResult:
+def is_inductively_free(arr: Arrangement) -> InductiveFreenessResult:
     """Decide membership in the inductively free class.
 
     An arrangement is inductively free iff it is empty, or some hyperplane H
@@ -61,7 +64,7 @@ def is_inductively_free(arr: Arrangement, node_cap: int = 2_000_000) -> Inductiv
     chi roots, so non-splitting chi prunes, and the addition-deletion exponent
     pattern between the arrangement and a candidate deletion is necessary for
     that branch.  Exhaustive over all hyperplanes, with memoization on
-    (flat, mask) nodes; node_cap bounds visited nodes ("undecided" beyond).
+    (flat, mask) nodes; NODE_CAP bounds visited nodes ("undecided" beyond).
 
     The witness is the list of the search's hyperplane choices, one root
     index per distinct non-empty node (the lowest index of the chosen
@@ -73,7 +76,7 @@ def is_inductively_free(arr: Arrangement, node_cap: int = 2_000_000) -> Inductiv
     counter = [0]
     memo: dict[tuple[int, int], tuple[bool, tuple[int, ...] | None, int | None]] = {}
     try:
-        ok, roots, _ = _ind_free(uni, 0, uni._full_mask, memo, counter, node_cap)
+        ok, roots, _ = _ind_free(uni, 0, uni._full_mask, memo, counter)
     except CapExhausted:
         return InductiveFreenessResult("undecided", None, None, counter[0])
     if not ok:
@@ -94,7 +97,6 @@ def _ind_free(
     mask: int,
     memo: dict,
     counter: list[int],
-    cap: int,
 ) -> tuple[bool, tuple[int, ...] | None, int | None]:
     """(ok, exponents, chosen root index) of the node; memoized per node."""
     key = uni.node_key(x, mask)
@@ -102,8 +104,8 @@ def _ind_free(
     if hit is not None:
         return hit
     counter[0] += 1
-    if counter[0] > cap:
-        raise CapExhausted(f"inductive-freeness search exceeded {cap} nodes")
+    if counter[0] > NODE_CAP:
+        raise CapExhausted(f"inductive-freeness search exceeded {NODE_CAP} nodes")
     x, mask = key
     elements = uni.node_elements(x, mask)
     if not elements:
@@ -128,8 +130,8 @@ def _ind_free(
         if v is None or _extra(rroots, roots) != v + 1:
             continue
         if (
-            _ind_free(uni, e, mask, memo, counter, cap)[0]
-            and _ind_free(uni, x, del_mask, memo, counter, cap)[0]
+            _ind_free(uni, e, mask, memo, counter)[0]
+            and _ind_free(uni, x, del_mask, memo, counter)[0]
         ):
             memo[key] = (True, roots, (pre & -pre).bit_length() - 1)
             return memo[key]

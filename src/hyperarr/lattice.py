@@ -472,49 +472,7 @@ def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
     return restrict_to_subspace(arr, uni.flat_subspace(f))
 
 
-# -- modularity and supersolvability --------------------------------------
-
-
-def modular_flat_indices(arr: Arrangement) -> list[int]:
-    """Indices of flats X with r(X) + r(Y) = r(X v Y) + r(X ^ Y) for all Y.
-
-    Equivalent to the subspace condition that X + Y is again a flat for every
-    flat Y.  Always contains the ambient space, all hyperplanes, and the
-    center.  Intended for modest lattices: it tests every pair of flats, and
-    each join walks the children lists.  Supersolvability uses a lazy search
-    instead.
-    """
-    uni = universe(arr)
-    return [f for f in range(uni.flat_count()) if _is_modular(uni, f)]
-
-
-def _is_modular(uni: Universe, x: int) -> bool:
-    rx = uni.rank[x]
-    if rx <= 1 or rx == len(uni.by_rank) - 1:
-        return True  # ambient space, hyperplanes and the centre
-    bits, rank, children = uni.bits, uni.rank, uni.children
-    bx = bits[x]
-    # same-rank flats violate most often; scan them first
-    levels = [uni.by_rank[rx]] + [lv for k, lv in enumerate(uni.by_rank) if k != rx]
-    for level in levels:
-        for y in level:
-            by = bits[y]
-            meet = uni.index_of_bits.get(bx & by)
-            if meet is None:  # closed sets are intersection-closed; must exist
-                raise AssertionError("flat intersection missing from lattice")
-            # the join X v Y: go up the covers from x over y's hyperplanes,
-            # each time to the cover that holds the lowest one still missing
-            join = x
-            hs = by & ~bx
-            while hs:
-                low = hs & -hs
-                for join in children[join]:
-                    if bits[join] & low:
-                        break
-                hs &= ~bits[join]
-            if rx + rank[y] != rank[join] + rank[meet]:
-                return False
-    return True
+# -- supersolvability ---------------------------------------------------
 
 
 def is_supersolvable(arr: Arrangement) -> tuple[bool, list[tuple[int, ...]] | None]:

@@ -27,6 +27,7 @@ from importlib import resources
 from math import comb
 from typing import Literal
 
+from . import formality
 from .arrangement import Arrangement, hyperpolygonal
 from .factorization import is_inductively_factored
 from .formality import (
@@ -47,13 +48,6 @@ from .polynomials import evaluate, format_poly
 from .regions import simplicial_defect
 
 REPORT_SCHEMA = "hyperarr/report-v1"
-
-# caps of the exponential searches: visited (flat, mask) nodes of the
-# inductive-freeness search, hyperplanes of the nice-partition search, and
-# candidate subsets of the projective-uniqueness witness scan
-NODE_CAP = 2_000_000
-PARTITION_CAP = 16
-WITNESS_CAP = 10**6
 
 TriBool = Literal[True, False, "undecided"]
 
@@ -178,10 +172,10 @@ def matching_packaged_certificate(arr: Arrangement) -> dict | None:
     return None
 
 
-def _uniqueness_decision(arr: Arrangement, candidate_cap: int = WITNESS_CAP) -> PropertyDecision:
+def _uniqueness_decision(arr: Arrangement) -> PropertyDecision:
     """projectively_unique with its evidence in the provenance."""
     try:
-        status, evidence = projective_uniqueness_witness(arr, candidate_cap=candidate_cap)
+        status, evidence = projective_uniqueness_witness(arr)
     except ValueError as exc:  # not essential or not irreducible
         return PropertyDecision("undecided", str(exc))
     if isinstance(evidence, UniquenessWitness):
@@ -193,7 +187,7 @@ def _uniqueness_decision(arr: Arrangement, candidate_cap: int = WITNESS_CAP) -> 
         )
     if status is False:
         return PropertyDecision(False, "no subset of rank+1 hyperplanes exists")
-    if comb(len(arr), arr.rank + 1) > candidate_cap:
+    if comb(len(arr), arr.rank + 1) > formality.WITNESS_CAP:
         return PropertyDecision(status, "witness scan (candidate cap exhausted)")
     return PropertyDecision(status, "no witness and no motion refutation")
 
@@ -249,11 +243,11 @@ def _ladder(
     if is_open("supersolvable"):
         decide("supersolvable", is_supersolvable(arr)[0], "modular chain search")
     if is_open("inductively_free"):
-        status = is_inductively_free(arr, node_cap=NODE_CAP).status
+        status = is_inductively_free(arr).status
         cap = " (node cap exhausted)" if status == "undecided" else ""
         decide("inductively_free", status, "addition-deletion search" + cap)
     if is_open("inductively_factored"):
-        status = is_inductively_factored(arr, search_cap=PARTITION_CAP)[0]
+        status = is_inductively_factored(arr)[0]
         cap = " (size cap exhausted)" if status == "undecided" else ""
         decide("inductively_factored", status, "nice partition recursion" + cap)
     if is_open("free"):
@@ -291,10 +285,10 @@ def analyze(
     """Full decision ladder for an arbitrary arrangement.
 
     Exponential searches (inductive freeness, nice partitions, witness scan)
-    are capped by NODE_CAP, PARTITION_CAP and WITNESS_CAP and report
-    "undecided" when exhausted, and projective uniqueness is "undecided" when
-    it finds neither a witness nor a motion refutation; every other flag is
-    decided exactly.  The characteristic polynomial and the region count are
+    are capped by freeness.NODE_CAP, factorization.PARTITION_CAP and
+    formality.WITNESS_CAP and report "undecided" when exhausted, and
+    projective uniqueness is "undecided" when it finds neither a witness nor
+    a motion refutation; every other flag is decided exactly.  The characteristic polynomial and the region count are
     always reported.
     """
     rep = _ladder(arr, label, certificate)

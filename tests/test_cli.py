@@ -285,6 +285,49 @@ def test_regions_base_with_all_bases_exit_code(tmp_path, capsys):
     _assert_parse_exit(capsys, ["regions", path, "--zeta", "--base", "0", "--all-bases"])
 
 
+@pytest.mark.parametrize("text", ["dim 2\n1_0 1\n", "dim 2\n١ 1\n", "dim 1_0\n1 1\n", "dim ٢\n1 1\n"])
+def test_only_ascii_decimal_integers_parse(tmp_path, capsys, text):
+    """int() alone reads 1_0 as 10 and the Arabic-Indic digits as 1 and 2."""
+    path = tmp_path / "odd.arr"
+    path.write_text(text, encoding="utf-8")
+    _assert_parse_exit(capsys, ["chi", str(path)])
+
+
+def test_entry_past_the_int_string_limit_is_its_own_parse_error(tmp_path, capsys):
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.arr"
+    path.write_text(f"dim 2\n{'7' * (limit + 100)} 1\n")
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and err.count("\n") == 1
+    assert f"{limit + 100} digits" in err and f"limit of {limit} digits" in err
+    assert "non-integer" not in err and len(err) < 200
+
+
+def test_closed_stdout_ends_quietly_with_141(tmp_path):
+    """The reader closes the pipe after one line of a large output."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = write_family(tmp_path, 5)  # the lattice JSON is about 80 KB
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperarr.cli", "lattice", path],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == cli.EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_main_reuses_one_parser_without_carry_over(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     assert cli.build_parser() is cli.build_parser()

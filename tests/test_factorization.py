@@ -10,6 +10,7 @@ from hyperarr import (
     Arrangement,
     boolean,
     chi,
+    factorization,
     find_nice_partition,
     from_vectors,
     hyperpolygonal,
@@ -28,7 +29,9 @@ from hyperarr.factorization import (
     _transversals_independent,
     canonical_partition,
 )
-from hyperarr.polynomials import evaluate, multiply
+from hyperarr.polynomials import evaluate, monic_linear_roots, multiply
+
+import oracles
 
 
 def poincare_coefficients(arr):
@@ -53,6 +56,31 @@ def test_poincare_block_sizes_match_poincare_roots(h2, h3, bool3):
         assert product == poincare_coefficients(arr)
 
 
+def _reshuffled_block_sizes(arr):
+    """The previous poincare_block_sizes: the roots of q(t) = chi(t) / t^(d - r),
+    its coefficients reshuffled out of the Poincare polynomial."""
+    c = chi(arr)
+    r = arr.rank
+    pi = [(-1) ** k * (c[arr.dim - k] if arr.dim - k < len(c) else 0) for k in range(r + 1)]
+    roots = monic_linear_roots(tuple((-1) ** (r - j) * pi[r - j] for j in range(r + 1)))
+    if roots is None or len(roots) != r or any(b < 1 for b in roots):
+        return None
+    return roots
+
+
+def test_block_sizes_from_chi_roots_match_the_reshuffle():
+    randoms = oracles.random_arrangements(300, seed=424242, max_dim=5, max_size=11)
+    pool = [from_vectors(d, c) for d, c in randoms]
+    pool += [hyperpolygonal(n) for n in range(1, 6)]
+    pool.append(from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0)]))  # rank 2 in Q^4
+    split = 0
+    for arr in pool:
+        sizes = poincare_block_sizes(arr)
+        assert sizes == _reshuffled_block_sizes(arr)
+        split += sizes is not None
+    assert split == 161
+
+
 def test_independent_partition_examples(h2, bool3):
     assert is_independent_partition(h2, ((0,), (1, 2, 3)))
     singles = tuple((i,) for i in range(len(bool3)))
@@ -61,9 +89,10 @@ def test_independent_partition_examples(h2, bool3):
     assert not is_independent_partition(dependent, ((0,), (1,), (2,)))
 
 
-def test_independent_partition_transversal_cap(h2):
+def test_independent_partition_transversal_cap(monkeypatch, h2):
+    monkeypatch.setattr(factorization, "TRANSVERSAL_CAP", 2)
     with pytest.raises(RuntimeError):
-        is_independent_partition(h2, ((0,), (1, 2, 3)), transversal_cap=2)
+        is_independent_partition(h2, ((0,), (1, 2, 3)))
 
 
 def test_transversals_by_prefix_match_the_product_form():
@@ -111,8 +140,9 @@ def test_find_nice_partition_small(h3, h4):
     assert status1 is True and parts1 == [((0,),)]
 
 
-def test_find_nice_partition_cap(h5):
-    status, parts = find_nice_partition(h5, search_cap=4)
+def test_find_nice_partition_cap(monkeypatch, h5):
+    monkeypatch.setattr(factorization, "PARTITION_CAP", 4)
+    status, parts = find_nice_partition(h5)
     assert status == "undecided" and parts == []
 
 
@@ -144,10 +174,11 @@ def test_inductively_factored_ladder(h2, h3, h4):
     assert ok4 is False and part4 is None
 
 
-def test_inductively_factored_edge_cases(h5):
+def test_inductively_factored_edge_cases(monkeypatch, h5):
     ok, part = is_inductively_factored(from_vectors(2, []))
     assert ok is True and part == ()
-    status, part5 = is_inductively_factored(h5, search_cap=4)
+    monkeypatch.setattr(factorization, "PARTITION_CAP", 4)
+    status, part5 = is_inductively_factored(h5)
     assert status == "undecided" and part5 is None
 
 

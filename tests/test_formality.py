@@ -8,6 +8,7 @@ from hyperarr import (
     MotionRefutation,
     boolean,
     canonicalize,
+    formality,
     from_vectors,
     gen_closure,
     hyperpolygonal,
@@ -108,10 +109,11 @@ def test_gen_closure_idempotent_and_monotone(h4):
     assert set(g.seed) <= set(g.generated)
 
 
-def test_gen_closure_cap_is_sound(h4):
-    g = gen_closure(h4, natural_seed(4, len(h4)), exact_current_cap=3)
-    assert not g.complete
+def test_gen_closure_cap_is_sound(monkeypatch, h4):
     exact = gen_closure(h4, natural_seed(4, len(h4)))
+    monkeypatch.setattr(formality, "EXACT_CURRENT_CAP", 3)
+    g = gen_closure(h4, natural_seed(4, len(h4)))
+    assert not g.complete
     assert set(g.generated) <= set(exact.generated)
 
 
@@ -521,7 +523,7 @@ def _scan_gen_closure(arr, seed, cap):
     return tuple(sorted(current)), tuple(rounds), complete
 
 
-def test_rank2_queries_match_pairwise_scans(generic4):
+def test_rank2_queries_match_pairwise_scans(monkeypatch, generic4):
     import random
 
     from hyperarr import find_generic_rank3_localization, is_generic, rank2_flats
@@ -561,7 +563,8 @@ def test_rank2_queries_match_pairwise_scans(generic4):
         for _ in range(2):
             seed = tuple(sorted(rng.sample(range(m), min(m, arr.rank + 1))))
             cap = rng.randint(0, len(seed))
-            g = gen_closure(arr, seed, exact_current_cap=cap)
+            monkeypatch.setattr(formality, "EXACT_CURRENT_CAP", cap)
+            g = gen_closure(arr, seed)
             assert (g.generated, g.rounds, g.complete) == _scan_gen_closure(arr, seed, cap)
     for arr in arrs:
         m = len(arr)

@@ -14,7 +14,6 @@ from hyperarr import (
     is_generic,
     is_supersolvable,
     localization,
-    modular_flat_indices,
     restriction,
     zaslavsky_region_count,
 )
@@ -159,30 +158,6 @@ def test_restriction_lattice_invariant_under_coordinate_change(h3):
 # -- modularity and supersolvability -----------------------------------------------
 
 
-def test_every_flat_of_the_rank2_member_is_modular(h2):
-    assert len(modular_flat_indices(h2)) == 6
-
-
-def test_trivial_flats_always_modular(h3, generic4, bool3):
-    for arr in (h3, generic4, bool3):
-        uni = universe(arr)
-        lat = build_lattice(arr)
-        modular = set(modular_flat_indices(arr))
-        assert 0 in modular  # ambient space
-        for f in lat.flats():
-            if f.rank == 1 or f.rank == arr.rank:
-                assert f.index in modular
-        assert len(modular) <= uni.flat_count()
-
-
-def test_no_modular_lines_in_generic_rank3(generic4):
-    lat = build_lattice(generic4)
-    modular = set(modular_flat_indices(generic4))
-    for f in lat.flats():
-        if f.rank == 2:
-            assert f.index not in modular
-
-
 def test_supersolvability(h2, h3, bool3):
     ok, witness_chain = is_supersolvable(h2)
     assert ok is True
@@ -197,12 +172,12 @@ def test_supersolvable_chain_is_nested_and_modular(bool3, h2):
         ok, witness_chain = is_supersolvable(arr)
         assert ok
         lat = build_lattice(arr)
-        modular = {tuple(lat.flats()[i].contains) for i in modular_flat_indices(arr)}
+        steps = [frozenset(step) for step in witness_chain]
+        assert _brute_modular_sets(arr, _brute_flats(arr.covectors), candidates=steps) == set(steps)
         prev: set[int] = set()
         for rank, step in enumerate(witness_chain):
             assert prev <= set(step)
             assert lat.flat_by_contains(step).rank == rank
-            assert tuple(step) in modular
             prev = set(step)
 
 
@@ -488,17 +463,13 @@ def _brute_supersolvable(arr, modular):
 
 
 def test_modular_flats_and_supersolvability_match_brute_rank_formula():
-    # rank 4 is the first rank where joins take more than one cover step
     pool = [arr for arr in _differential_pool() if len(arr) <= 8 or arr.rank == 4] + [boolean(4)]
     for arr in pool:
-        lat = build_lattice(arr)
-        engine = {frozenset(lat.flats()[i].contains) for i in modular_flat_indices(arr)}
         if len(arr) <= 8:
             flats = _brute_flats(arr.covectors)
         else:  # the build test checks these flat sets against the previous build
-            flats = {frozenset(f.contains) for f in lat.flats()}
+            flats = {frozenset(f.contains) for f in build_lattice(arr).flats()}
         brute = _brute_modular_sets(arr, flats)
-        assert engine == brute
         ok, chain_sets = is_supersolvable(arr)
         assert ok == _brute_supersolvable(arr, brute)
         if ok:
@@ -645,11 +616,32 @@ def _with_coloops(arr, k):
     return from_vectors(d, vecs + [tuple(int(j == arr.dim + i) for j in range(d)) for i in range(k)])
 
 
+def _is_modular(uni, x):
+    """The previous modularity test: r(X) + r(Y) = r(X v Y) + r(X ^ Y) for
+    every flat Y, each join walked up the covers from x."""
+    rx = uni.rank[x]
+    if rx <= 1 or rx == len(uni.by_rank) - 1:
+        return True  # ambient space, hyperplanes and the centre
+    bits, rank, children = uni.bits, uni.rank, uni.children
+    bx = bits[x]
+    # same-rank flats violate most often; scan them first
+    for y in uni.by_rank[rx] + [y for k, lv in enumerate(uni.by_rank) if k != rx for y in lv]:
+        by = bits[y]
+        meet = uni.index_of_bits[bx & by]
+        join, hs = x, by & ~bx
+        while hs:  # to the cover holding the lowest hyperplane still missing
+            low = hs & -hs
+            join = next(g for g in children[join] if bits[g] & low)
+            hs &= ~bits[join]
+        if rx + rank[y] != rank[join] + rank[meet]:
+            return False
+    return True
+
+
 def _bottom_up_supersolvable(arr):
     """The previous search: a modular flat of every rank, up from the ambient
     space, each tested against every flat by _is_modular."""
     from hyperarr.arrangement import essentialize
-    from hyperarr.lattice import _is_modular
 
     ess = essentialize(arr)
     uni = universe(ess)

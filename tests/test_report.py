@@ -159,8 +159,8 @@ def test_report_json_and_text_round_trip(h3):
     assert "supersolvable" in rendered and "exponents: [1, 3, 3]" in rendered
 
 
-def test_projectively_unique_provenance_names_its_evidence(h2, bool3, rigid7):
-    from hyperarr import MotionRefutation, from_vectors, verify_motion_refutation
+def test_projectively_unique_provenance_names_its_evidence(monkeypatch, h2, bool3, rigid7):
+    from hyperarr import MotionRefutation, formality, from_vectors, verify_motion_refutation
     from hyperarr.report import _uniqueness_decision
 
     moved = PropertyDecision(False, "motion refutation: hyperplane 0 -> [1, 2]")
@@ -169,24 +169,26 @@ def test_projectively_unique_provenance_names_its_evidence(h2, bool3, rigid7):
     assert report(3).properties["projectively_unique"].provenance == (
         "generation-closure witness [0, 1, 3, 6]"
     )
-    assert _uniqueness_decision(bool3, 10**6) == PropertyDecision(
+    assert _uniqueness_decision(bool3) == PropertyDecision(
         False, "no subset of rank+1 hyperplanes exists"
     )
-    assert _uniqueness_decision(rigid7, 10**6) == PropertyDecision(
+    assert _uniqueness_decision(rigid7) == PropertyDecision(
         "undecided", "no witness and no motion refutation"
     )
-    assert _uniqueness_decision(rigid7, 3) == PropertyDecision(
-        "undecided", "witness scan (candidate cap exhausted)"
-    )
+    with monkeypatch.context() as mp:
+        mp.setattr(formality, "WITNESS_CAP", 3)
+        assert _uniqueness_decision(rigid7) == PropertyDecision(
+            "undecided", "witness scan (candidate cap exhausted)"
+        )
     flat = from_vectors(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    assert _uniqueness_decision(flat, 10**6) == PropertyDecision(
+    assert _uniqueness_decision(flat) == PropertyDecision(
         "undecided", "witness search requires an essential arrangement"
     )
     # every False names a refutation that replays, or the size reason
     refuted = 0
     for d, covs in oracles.random_arrangements(30, seed=101, max_dim=4, max_size=8):
         arr = from_vectors(d, covs)
-        dec = _uniqueness_decision(arr, 10**6)
+        dec = _uniqueness_decision(arr)
         if dec.value is not False or dec.provenance == "no subset of rank+1 hyperplanes exists":
             continue
         head, _, covector = dec.provenance.partition(" -> ")
@@ -196,6 +198,49 @@ def test_projectively_unique_provenance_names_its_evidence(h2, bool3, rigid7):
         assert verify_motion_refutation(arr, MotionRefutation(h, c))
         refuted += 1
     assert refuted >= 5
+
+
+FRAME = [(1, -1, 0), (1, 2, 0), (1, -2, 2), (1, 1, 2)]  # four planes, no natural seed
+
+
+@pytest.mark.parametrize(
+    "module, cap, flag, vectors, provenance",
+    [
+        ("freeness", "NODE_CAP", "inductively_free", None,
+         "addition-deletion search (node cap exhausted)"),
+        ("factorization", "PARTITION_CAP", "inductively_factored", None,
+         "nice partition recursion (size cap exhausted)"),
+        ("formality", "WITNESS_CAP", "projectively_unique", FRAME,
+         "witness scan (candidate cap exhausted)"),
+    ],
+)
+def test_a_cap_set_on_its_module_reaches_the_ladder(monkeypatch, h3, module, cap, flag, vectors, provenance):
+    """H_3 runs the freeness and factoredness searches, FRAME the witness
+    scan; each is True with the default caps and "undecided" with a cap of 0."""
+    import importlib
+
+    from hyperarr import from_vectors
+
+    arr = h3 if vectors is None else from_vectors(3, vectors)
+    assert analyze(arr).properties[flag].value is True
+    monkeypatch.setattr(importlib.import_module(f"hyperarr.{module}"), cap, 0)
+    assert analyze(arr).properties[flag] == PropertyDecision("undecided", provenance)
+
+
+def test_no_search_takes_a_cap_parameter():
+    import inspect
+
+    import hyperarr
+    from hyperarr.report import _uniqueness_decision
+
+    searches = [
+        getattr(hyperarr, name) for name in (
+            "is_inductively_free", "find_nice_partition", "is_inductively_factored",
+            "is_independent_partition", "gen_closure", "projective_uniqueness_witness", "is_generic",
+        )
+    ]
+    for fn in searches + [_uniqueness_decision]:
+        assert not [p for p in inspect.signature(fn).parameters if p.endswith("cap")], fn.__name__
 
 
 def test_non_essential_analyze_builds_one_lattice(monkeypatch):
@@ -248,7 +293,7 @@ def _old_aspherical(simplicial, supersolvable, has_loc):
     return "unknown"
 
 
-def _old_analyze(arr, node_cap=2_000_000, partition_cap=16, witness_cap=10**6):
+def _old_analyze(arr):
     from hyperarr import (
         CapExhausted,
         CertificateError,
@@ -270,12 +315,12 @@ def _old_analyze(arr, node_cap=2_000_000, partition_cap=16, witness_cap=10**6):
     chi = universe(arr).chi()
     roots = chi_integer_roots(arr)
     regions = abs(sum(((-1) ** k) * c for k, c in enumerate(chi)))
-    ifree = is_inductively_free(arr, node_cap=node_cap)
+    ifree = is_inductively_free(arr)
     v["inductively_free"] = ifree.status
     if ifree.status is False:
         v["inductively_factored"] = False
     else:
-        v["inductively_factored"] = is_inductively_factored(arr, search_cap=partition_cap)[0]
+        v["inductively_factored"] = is_inductively_factored(arr)[0]
     cert = matching_packaged_certificate(arr)
     loc = find_generic_rank3_localization(arr)
     v["has_generic_rank3_localization"] = loc is not None
@@ -298,7 +343,7 @@ def _old_analyze(arr, node_cap=2_000_000, partition_cap=16, witness_cap=10**6):
     v["simplicial"] = simplicial_defect(arr) == 0
     v["aspherical"] = _old_aspherical(v["simplicial"], ss, loc is not None)
     v["formal"] = is_formal(arr)
-    v["projectively_unique"] = _uniqueness_decision(arr, witness_cap).value
+    v["projectively_unique"] = _uniqueness_decision(arr).value
     return v, exponents, chi, regions
 
 
@@ -345,7 +390,7 @@ def _old_report(n):
         v["aspherical"] = _old_aspherical(v["simplicial"], ss, loc is not None)
     natural_basis = tuple(range(n - 1)) + (n,) if n >= 2 else (0,)
     v["formal"] = True if is_lc_basis(arr, natural_basis) else is_formal(arr)
-    v["projectively_unique"] = _uniqueness_decision(arr, 10**6).value
+    v["projectively_unique"] = _uniqueness_decision(arr).value
     return v, exponents, chi, regions
 
 

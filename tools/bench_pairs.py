@@ -4,11 +4,14 @@
         --pairs chambers:7101,7102,7103 --pairs analyze-h6:7201
 
 For each workload and seed it runs ``perfbench/run.py --trace 0`` once in the
-parent checkout and once in this repository, back to back, so that drift in
-host speed hits both sides of a pair alike; which side runs first alternates
-from pair to pair.  The parent checkout is revision REV of this repository,
-exported with ``git archive`` into a temporary directory that is removed
-afterwards.  Each run lasts the ``run_seconds`` that BENCHMARK.json fixes.
+parent checkout and once in the change checkout, back to back, so that drift
+in host speed hits both sides of a pair alike; which side runs first
+alternates from pair to pair.  The parent checkout is revision REV of this
+repository and the change checkout is HEAD, each exported with ``git
+archive`` into a temporary directory that is removed afterwards, so neither
+side runs from the working tree.  The tool refuses to run while tracked files
+have uncommitted changes, since those would not be measured.  Each run lasts
+the ``run_seconds`` that BENCHMARK.json fixes.
 
 The output file holds, per workload: the seeds; for every pair the
 end-to-end metric values and the failed-operation counts of both sides; per
@@ -81,7 +84,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def record(parent: Path, plan: dict[str, list[int]], bench: dict) -> dict:
+def record(parent: Path, change: Path, plan: dict[str, list[int]], bench: dict) -> dict:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     workloads = {}
@@ -89,7 +92,7 @@ def record(parent: Path, plan: dict[str, list[int]], bench: dict) -> dict:
     for name, seeds in plan.items():
         pairs = []
         for seed in seeds:
-            sides = [("parent", parent), ("change", ROOT)]
+            sides = [("parent", parent), ("change", change)]
             if count % 2:
                 sides.reverse()
             count += 1
@@ -105,7 +108,13 @@ def record(parent: Path, plan: dict[str, list[int]], bench: dict) -> dict:
 
 
 def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.rstrip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the committed files of rev into dest."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
 def main(argv=None) -> int:
@@ -116,18 +125,20 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=None, help="output path (default: BENCH_<N>.json at the repository root)")
     args = p.parse_args(argv)
     plan = parse_pairs(args.pairs)
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    if dirty:
+        raise SystemExit(f"tracked files have uncommitted changes, which would not be measured:\n{dirty}")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.parent_rev], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
-        workloads = record(parent, plan, bench)
+    with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
+        export(args.parent_rev, Path(parent))
+        export("HEAD", Path(change))
+        workloads = record(Path(parent), Path(change), plan, bench)
     out = {
         "number": args.number,
         "command": "perfbench/run.py --trace 0",
         "seconds": bench["run_seconds"],
         "parent": git("rev-parse", args.parent_rev),
-        "change": git("describe", "--always", "--dirty", "--abbrev=40"),
+        "change": git("rev-parse", "HEAD"),
         "workloads": workloads,
     }
     path = args.out or ROOT / f"BENCH_{args.number}.json"
