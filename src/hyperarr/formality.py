@@ -266,8 +266,7 @@ def gen_closure(arr: Arrangement, seed: Iterable[int]) -> GenClosure:
         entered: list[int] = []
         uncertified: list[int] = []
         cur_sorted = sorted(current)
-        # built per round, not cached: another seed rarely meets the same set
-        sub = Universe(arr.subset(cur_sorted)) if exact else None
+        sub = universe(arr.subset(cur_sorted)) if exact else None
         for h in pool:
             if exact:
                 ok = _spans_hyperplane_exact(sub, arr.covectors[h])
@@ -349,8 +348,7 @@ def _moves_within_lattice(arr: Arrangement, h: int, c: tuple[int, ...]) -> bool:
     if c in arr.covectors:
         return False  # unmoved, or onto another hyperplane
     moved = Arrangement(arr.dim, arr.covectors[:h] + (c,) + arr.covectors[h + 1 :])
-    # built directly, not through universe(), so nothing is cached
-    return set(Universe(moved).bits) == set(universe(arr).bits)
+    return set(universe(moved).bits) == set(universe(arr).bits)
 
 
 def _motion_search(arr: Arrangement) -> MotionRefutation | None:
@@ -360,10 +358,13 @@ def _motion_search(arr: Arrangement) -> MotionRefutation | None:
     minus h is not a flat), every realization with the same lattice puts h
     through X.  L_h, the covectors vanishing on all such X, holds c_h; when
     it has dimension >= 2, c_h + t v for v in L_h not parallel to c_h keeps
-    each of them, and each flat not holding h rules out one t at most, so
-    one of t = 1 .. flat_count() + 1 moves it within the lattice; the rest
-    is checked once per h, so the result passes verify_motion_refutation.
-    Everything is read off the full lattice of arr.
+    each of them.  For S in A minus h, c_h lies in the span of S exactly when
+    h holds X = cl(S), and then X minus h is not a flat, so L_h keeps it
+    there; otherwise c_h + t v enters that span only at the one t, if any,
+    where c_h . k + t v . k = 0 for every k spanning X.  So the least t >= 1
+    that no flat outside h rules out keeps the lattice, and one check of it
+    suffices; the rest is checked once per h, so the result passes
+    verify_motion_refutation.  Everything is read off the full lattice of arr.
     """
     uni = universe(arr)
     d = arr.dim
@@ -380,10 +381,18 @@ def _motion_search(arr: Arrangement) -> MotionRefutation | None:
             continue  # dim L_h = 1: h cannot move without changing the lattice
         ch = arr.covectors[h]
         v = next(k for k in primitive_kernel_basis(ech.rows, d) if k != ch)
-        for t in range(1, uni.flat_count() + 2):
-            c = canonicalize([a + t * b for a, b in zip(ch, v)])
-            if _moves_within_lattice(arr, h, c):
-                return MotionRefutation(h, c)
+        bad = set()
+        for f, bf in enumerate(uni.bits):
+            if bf >> h & 1:
+                continue
+            dots = [(sum(map(mul, ch, k)), sum(map(mul, v, k))) for k in uni.flat_kernel(f)]
+            a, b = next((p for p in dots if p[1]), (1, 0))
+            if b and not a % b and all(x * b == y * a for x, y in dots):
+                bad.add(-a // b)
+        t = min(set(range(1, len(bad) + 2)) - bad)
+        c = canonicalize([a + t * b for a, b in zip(ch, v)])
+        if _moves_within_lattice(arr, h, c):
+            return MotionRefutation(h, c)
         raise AssertionError(f"no lattice-preserving motion of hyperplane {h}")
     return None
 

@@ -242,7 +242,7 @@ def verify_free_certificate(arr: Arrangement, cert: dict) -> CertificateReplay:
         raise CertificateError("certificate root arrangement does not match input")
     cited: list[str] = []
     steps = [0]
-    exps = _verify_node(universe(arr), cert.get("claim"), cited, steps, path="claim")
+    exps = _verify_node(arr, cert.get("claim"), cited, steps, path="claim")
     return CertificateReplay(exps, cited, steps[0])
 
 
@@ -261,10 +261,9 @@ def _claim_matches(node: dict, exps: tuple[int, ...], path: str) -> None:
             raise CertificateError(f"{path}: claimed exponents {claimed} != replayed {list(exps)}")
 
 
-def _verify_node(uni: Universe, node: dict, cited: list[str], steps: list[int], path: str) -> tuple[int, ...]:
-    """Replay one node on the lattice of its arrangement; the lattices of the
-    arrangements the certificate adds are built here and not cached."""
-    arr = uni.arr
+def _verify_node(arr: Arrangement, node: dict, cited: list[str], steps: list[int], path: str) -> tuple[int, ...]:
+    """Replay one node on the lattice of its arrangement."""
+    uni = universe(arr)
     if not isinstance(node, dict) or "type" not in node:
         raise CertificateError(f"{path}: malformed node")
     steps[0] += 1
@@ -287,11 +286,9 @@ def _verify_node(uni: Universe, node: dict, cited: list[str], steps: list[int], 
             extended = arr.with_hyperplane(cov)
         except ValueError as exc:
             raise CertificateError(f"{path}: cannot add hyperplane: {exc}") from exc
-        exps_ext = _verify_node(Universe(extended), node.get("extended"), cited, steps, path + ".extended")
+        exps_ext = _verify_node(extended, node.get("extended"), cited, steps, path + ".extended")
         restricted = restriction_to_hyperplane(extended, len(extended) - 1)
-        exps_res = _verify_node(
-            Universe(restricted), node.get("restriction"), cited, steps, path + ".restriction"
-        )
+        exps_res = _verify_node(restricted, node.get("restriction"), cited, steps, path + ".restriction")
         b = _extra(exps_res, exps_ext)
         # b < 1 cannot fire alone: the subclaims' exponents are chi roots, which
         # sum to |A|, so b = |extended| - |restricted| >= 1 once both pass

@@ -48,6 +48,7 @@ the meet of two modular flats is modular (T. Brylawski, Trans. AMS 203
 from __future__ import annotations
 
 import sys
+import weakref
 from array import array
 from dataclasses import dataclass
 from math import comb, gcd
@@ -75,10 +76,11 @@ class Flat:
 
 
 class Universe:
-    """Master lattice data for one arrangement (possibly built partially)."""
+    """Master lattice data for one arrangement (possibly built partially);
+    it holds no reference to the arrangement, so universe() can drop it."""
 
     def __init__(self, arr: Arrangement, up_to_rank: int | None = None):
-        self.arr = arr
+        self.arr_rank = arr.rank
         self.m = len(arr)
         self.dim = arr.dim
         self.normals = list(arr.covectors)
@@ -99,11 +101,10 @@ class Universe:
 
     def extend(self, up_to_rank: int | None = None) -> None:
         """Build the ranks up to up_to_rank (all by default) not built yet."""
-        arr_rank = self.arr.rank
-        limit = arr_rank if up_to_rank is None else min(up_to_rank, arr_rank)
+        limit = self.arr_rank if up_to_rank is None else min(up_to_rank, self.arr_rank)
         if limit > self.built_to:
             self._build(limit)
-        self.is_full = self.built_to >= arr_rank
+        self.is_full = self.built_to >= self.arr_rank
 
     # -- construction ------------------------------------------------------
 
@@ -365,12 +366,12 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-_universe_cache: dict[Arrangement, Universe] = {}
+_universe_cache: weakref.WeakKeyDictionary[Arrangement, Universe] = weakref.WeakKeyDictionary()
 
 
 def universe(arr: Arrangement, up_to_rank: int | None = None) -> Universe:
-    """Shared lattice engine per arrangement; a partial build is extended in
-    place on demand, so every holder of it sees the new ranks."""
+    """Shared lattice engine per arrangement while it lives; a partial build
+    is extended in place on demand, so every holder of it sees the new ranks."""
     uni = _universe_cache.get(arr)
     if uni is None:
         uni = _universe_cache[arr] = Universe(arr, up_to_rank)

@@ -606,15 +606,17 @@ def test_motion_search_checks_each_rest_once(monkeypatch):
         arr = from_vectors(d, covs)
         if arr.is_essential and len(arr) > d and is_matroid_connected(arr, range(len(arr))):
             pool.append(arr)
-    refuted = several = 0
+    refuted = 0
     for arr in pool:
         rigid_calls.clear()
         tries.clear()
         ref = formality._motion_search(arr)
         assert all(count == 1 for count in rigid_calls.values())
         assert all(rigid_calls[h] == 1 for h in tries)
-        several += max(tries.values(), default=0) >= 2
+        # the t that would give the moved hyperplane a new flat are skipped
+        # before any build, so every tried hyperplane gets one move check
+        assert all(count == 1 for count in tries.values())
         if ref is not None:
             refuted += 1
             assert verify_motion_refutation(arr, ref)
-    assert several >= 10 and refuted >= 20
+    assert refuted >= 20

@@ -208,6 +208,22 @@ def test_generic_rank3_localization_scan_pins_no_sub_lattice(h6):
         lattice._universe_cache.update(saved)
 
 
+def test_held_universe_does_not_keep_its_arrangement():
+    import gc
+    import weakref
+
+    covs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (1, -2, 3)]
+    arr = from_vectors(3, covs)
+    uni = universe(arr)
+    alive = weakref.ref(arr)
+    del arr
+    gc.collect()
+    assert alive() is None
+    # the held lattice still answers; the cache dropped it with the arrangement
+    assert uni.is_full and uni.chi() == chi(from_vectors(3, covs))
+    assert universe(from_vectors(3, covs)) is not uni
+
+
 def _built_rank3_localization(arr):
     """The previous scan: the Moebius value read off a localization build."""
     from hyperarr.lattice import Flat, Universe
@@ -564,22 +580,22 @@ def test_cover_walk_matches_row_walk_on_random_nodes(h5, h6):
         tables[arr] = _trace_grouped_cover_table(arr)[1]
         for _ in range(6):
             x = rng.randrange(uni.flat_count())
-            nodes.append((uni, x, rng.getrandbits(len(arr))))  # about half the bits
+            nodes.append((arr, uni, x, rng.getrandbits(len(arr))))  # about half the bits
     for arr, count in ((h5, 6), (h6, 3)):
         uni = universe(arr)
         tables[arr] = _trace_grouped_cover_table(arr)[1]
         full = (1 << len(arr)) - 1
         for rank in range(1, arr.rank):  # restriction nodes, the whole mask
             for x in rng.sample(uni.by_rank[rank], count):
-                nodes.append((uni, x, full))
+                nodes.append((arr, uni, x, full))
         for _ in range(count):  # many-bit submasks of the whole lattice
-            nodes.append((uni, 0, full & ~(1 << rng.randrange(len(arr)))))
-            nodes.append((uni, 0, full & ~rng.getrandbits(len(arr)) & ~rng.getrandbits(len(arr))))
+            nodes.append((arr, uni, 0, full & ~(1 << rng.randrange(len(arr)))))
+            nodes.append((arr, uni, 0, full & ~rng.getrandbits(len(arr)) & ~rng.getrandbits(len(arr))))
     full_nodes = 0
-    for uni, x, mask in nodes:
+    for arr, uni, x, mask in nodes:
         order, parents, ranks = uni.node_walk(x, mask)
         got = _node_table(order, parents, ranks, uni.node_mobius(x, mask)[1])
-        old = _row_walk(uni, tables[uni.arr], x, mask)
+        old = _row_walk(uni, tables[arr], x, mask)
         assert got == _node_table(*old)
         if mask & uni._full_mask == uni._full_mask:  # same order on whole-mask nodes
             assert order == old[0]

@@ -264,7 +264,9 @@ def test_non_essential_analyze_builds_one_lattice(monkeypatch):
     assert built == [arr]
 
 
-def test_ladder_pins_only_the_family_lattices():
+def test_ladder_pins_no_lattice():
+    import gc
+
     from hyperarr import lattice
 
     saved = dict(lattice._universe_cache)
@@ -272,9 +274,35 @@ def test_ladder_pins_only_the_family_lattices():
     try:
         for n in range(1, 7):
             report(n)
-        assert set(lattice._universe_cache) == {hyperpolygonal(n) for n in range(1, 7)}
+        gc.collect()
+        assert not lattice._universe_cache
     finally:
-        lattice._universe_cache.clear()
+        lattice._universe_cache.update(saved)
+
+
+def test_long_lived_process_keeps_no_lattice():
+    import gc
+    import tracemalloc
+
+    from hyperarr import from_vectors, lattice
+
+    pool = oracles.random_arrangements(60, seed=424242, max_dim=5, max_size=11)
+    saved = dict(lattice._universe_cache)
+    lattice._universe_cache.clear()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        for d, covs in pool:
+            analyze(from_vectors(d, covs))
+        for n in range(1, 7):
+            report(n)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+        assert not lattice._universe_cache
+        assert grown < 500_000, f"{grown} bytes still live"
+    finally:
+        tracemalloc.stop()
         lattice._universe_cache.update(saved)
 
 
