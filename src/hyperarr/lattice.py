@@ -4,9 +4,14 @@ The engine builds the lattice rank by rank: a flat is identified by the bitset
 of hyperplane indices containing it (the closed sets of the matroid of
 normals), and each flat records the flats covering it in children[f] and the
 flats it covers in parents[f].  No cover table is kept: the cover of f that
-holds a hyperplane h outside f is the child whose bits hold h.  Two matroid
-facts make subarrangements and restrictions cheap on top of one master
-lattice:
+holds a hyperplane h outside f is the child whose bits hold h.  Flat ids are
+given in rank order, and both cover tables are Rows: one int array of all
+rows end to end and one of row offsets, so a cover edge costs 4 bytes and no
+list object.  A flat's children row is written when the build reaches it,
+and the parent rows of a new rank are collected per flat and appended at the
+end of that rank's pass, so rows stay in id order and a partial build grows
+in place.  Two matroid facts make subarrangements and restrictions cheap on
+top of one master lattice:
 
   * for B a subset of A and S closed in B, cl_B(S + h) = cl_A(S + h), so the
     lattice of any subarrangement is walked over the master's covers;
@@ -32,7 +37,11 @@ covers, keeping a cover g of f when g holds a node hyperplane that f does
 not.  Moebius values come from Weisner's theorem: for Y above x and an atom
 a of [x, Y], mu(x, Y) = -sum mu(x, P) over the flats P covered by Y that do
 not lie above a.  This reads only the local cover lists of the interval
-walk, so it costs O(cover edges) time and O(flats) memory.
+walk, so it costs O(cover edges) time and O(flats) memory.  The walk of the
+whole lattice, node (0, all hyperplanes), would find the flats in the order
+the build made them, each with its stored parents; so it is not walked: the
+stored rows are its local parent lists, and chi, IntersectionLattice.flats()
+and simplicial_defect read them in place.
 
 Supersolvability needs no joins.  A coatom of a simple geometric lattice is
 modular exactly when it meets every rank-2 flat (J. Oxley, Matroid Theory,
@@ -51,9 +60,10 @@ import sys
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, gcd
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, restrict_to_subspace
 from .exactlinalg import SubspaceBasis
@@ -75,6 +85,30 @@ class Flat:
     mobius: int
 
 
+class Rows:
+    """Rows of flat ids in one int array: row f is values[start[f]:start[f + 1]].
+
+    Reading a row slices it out; hot loops slice values and start directly.
+    """
+
+    __slots__ = ("values", "start")
+
+    def __init__(self) -> None:
+        self.values = array("i")
+        self.start = array("i", [0])
+
+    def __getitem__(self, f: int) -> array:
+        return self.values[self.start[f] : self.start[f + 1]]
+
+    def __iter__(self) -> Iterator[array]:
+        values, start = self.values, self.start
+        return (values[a:b] for a, b in zip(start, islice(start, 1, None)))
+
+    def append(self, row: Iterable[int]) -> None:
+        self.values.extend(row)
+        self.start.append(len(self.values))
+
+
 class Universe:
     """Master lattice data for one arrangement (possibly built partially);
     it holds no reference to the arrangement, so universe() can drop it."""
@@ -86,11 +120,11 @@ class Universe:
         self.normals = list(arr.covectors)
         self.bits: list[int] = [0]
         self.rank: list[int] = [0]
-        self._basis: list[tuple[tuple[int, ...], ...]] = [
-            tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
-        ]
-        self.parents: list[list[int]] = [[]]
-        self.children: list[list[int]] = [[]]
+        self._basis: list[tuple[tuple[int, ...], ...]] = []
+        self.parents = Rows()
+        self.children = Rows()
+        self.parents.append(())
+        self.children.append(())
         self.by_rank: list[list[int]] = [[0]]
         self.index_of_bits: dict[int, int] = {0: 0}
         self._full_mask = (1 << self.m) - 1
@@ -109,14 +143,22 @@ class Universe:
     # -- construction ------------------------------------------------------
 
     def _build(self, limit: int) -> None:
-        bits, parents, children = self.bits, self.parents, self.children
-        index_of_bits, bases = self.index_of_bits, self._basis
+        bits, index_of_bits = self.bits, self.index_of_bits
+        self.flat_kernel(0)  # makes the ambient basis on first use
+        bases = self._basis
+        kids, kid_start = self.children.values, self.children.start
+        ups, up_start = self.parents.values, self.parents.start
+        # the top built rank has empty children rows until this pass fills them
+        del kid_start[len(bits) - len(self.by_rank[self.built_to]) + 1 :]
+        add_kid = kids.append
         full = self._full_mask
         column = _trace_columns(self.normals, self.dim)
         canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         while self.built_to < limit:
             rank = self.built_to + 1
+            first = len(bits)
             nxt: list[int] = []
+            new_ups: list[list[int]] = []  # parent rows of the new flats
             for f in self.by_rank[self.built_to]:
                 bf = bits[f]
                 basis = bases[f]
@@ -138,7 +180,6 @@ class Universe:
                             key = canonical[trace] = _canonical_trace(trace)
                         if key:  # () is the zero trace of the members of f
                             groups[key] = groups.get(key, 0) | group
-                kids = children[f]
                 for trace, group in groups.items():
                     nb = bf | group
                     g = index_of_bits.get(nb)
@@ -147,14 +188,18 @@ class Universe:
                         bits.append(nb)
                         self.rank.append(rank)
                         bases.append(_cut_basis(basis, trace))
-                        parents.append([])
-                        children.append([])
+                        new_ups.append([])
                         index_of_bits[nb] = g
                         nxt.append(g)
-                    parents[g].append(f)
-                    kids.append(g)
+                    new_ups[g - first].append(f)
+                    add_kid(g)
+                kid_start.append(len(kids))
+            for row in new_ups:
+                ups.extend(row)
+                up_start.append(len(ups))
             self.by_rank.append(nxt)
             self.built_to = rank
+        kid_start.extend([len(kids)] * (len(bits) + 1 - len(kid_start)))  # the new top rank
         if not self.by_rank[-1]:
             self.by_rank.pop()
 
@@ -167,8 +212,13 @@ class Universe:
         """Primitive integer vectors spanning the flat as a subspace.
 
         This is the Q-basis the build fixed for the flat, cut down from its
-        first parent's basis; it is not canonical (flat_subspace is).
+        first parent's basis; it is not canonical (flat_subspace is).  The
+        identity at the ambient flat is made on first use, so an empty
+        arrangement in high dimension never makes it.
         """
+        if not self._basis:
+            d = self.dim
+            self._basis.append(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
         return self._basis[f]
 
     def flat_subspace(self, f: int) -> SubspaceBasis:
@@ -180,15 +230,23 @@ class Universe:
     def node_key(self, x: int, mask: int) -> tuple[int, int]:
         return (x, mask & self._full_mask & ~self.bits[x])
 
-    def node_walk(self, x: int, mask: int) -> tuple[list[int], list[list[int]], list[int]]:
+    def node_walk(
+        self, x: int, mask: int
+    ) -> tuple[Sequence[int], Sequence[Sequence[int]], Sequence[int]]:
         """Flats of the interval above x in the subarrangement given by mask.
 
         Returns (master flat ids in rank order, local parent lists, local
-        relative ranks).  Requires a fully built lattice.
+        relative ranks).  Requires a fully built lattice.  The whole lattice,
+        node (0, all hyperplanes), is the stored structure itself: the walk
+        would find the flats in id order, so local ids are master ids and
+        the result is (range of ids, parents, rank) with nothing copied.
         """
         if not self.is_full:
             raise RuntimeError("interval walk requires a fully built lattice")
-        bits, children = self.bits, self.children
+        if x == 0 and mask & self._full_mask == self._full_mask:
+            return range(len(self.bits)), self.parents, self.rank
+        bits = self.bits
+        kids, kid_start = self.children.values, self.children.start
         mask &= ~bits[x]
         order = [x]
         local = {x: 0}
@@ -202,7 +260,7 @@ class Universe:
             for f in frontier:
                 fl = local[f]
                 out = mask & ~bits[f]
-                for g in children[f]:
+                for g in kids[kid_start[f] : kid_start[f + 1]]:
                     if not bits[g] & out:
                         continue  # no node hyperplane leads from f to g
                     gl = local.get(g)
@@ -225,14 +283,15 @@ class Universe:
         """
         order, parents, _ = self.node_walk(x, mask)
         mask &= ~self.bits[x]
-        bits = self.bits
-        local_bits = [bits[f] for f in order]
+        local_bits = self.bits if parents is self.parents else [self.bits[f] for f in order]
         mob = [1] * len(order)
-        for i in range(1, len(order)):
+        for i, row in enumerate(parents):
+            if not row:
+                continue  # x itself
             own = local_bits[i] & mask
             atom = own & -own
             acc = 0
-            for p in parents[i]:
+            for p in row:
                 if not local_bits[p] & atom:
                     acc += mob[p]
             mob[i] = -acc
@@ -396,29 +455,19 @@ class IntersectionLattice:
         # the shared build may have grown since the last call
         if self._flats is None or len(self._flats) != self._uni.flat_count():
             uni = self._uni
-            if uni.is_full:
-                order, mob = uni.node_mobius(0, uni._full_mask)
-                mob_by_id = dict(zip(order, mob))
-            else:
-                mob_by_id = {}
+            # the whole node's Moebius values are in flat id order
+            mob = uni.node_mobius(0, uni._full_mask)[1] if uni.is_full else [0] * uni.flat_count()
             self._flats = [
                 Flat(
                     index=f,
                     rank=uni.rank[f],
                     contains=bit_indices(uni.bits[f]),
                     dim=uni.dim - uni.rank[f],
-                    mobius=mob_by_id.get(f, 0),
+                    mobius=mob[f],
                 )
                 for f in range(uni.flat_count())
             ]
         return self._flats
-
-    def flat_by_contains(self, indices: Iterable[int]) -> Flat:
-        mask = mask_of(indices)
-        f = self._uni.index_of_bits.get(mask)
-        if f is None:
-            raise KeyError(f"no flat with contains set {sorted(bit_indices(mask))}")
-        return self.flats()[f]
 
     def counts_by_rank(self) -> list[int]:
         return [len(level) for level in self._uni.by_rank]

@@ -19,11 +19,6 @@ def add(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
 
 
-def subtract(p: Sequence[int], q: Sequence[int]) -> IntPoly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)])
-
-
 def multiply(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -90,13 +85,6 @@ def _positive_divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def from_roots(roots: Sequence[int]) -> IntPoly:
-    p: IntPoly = (1,)
-    for b in roots:
-        p = multiply(p, (-b, 1))
-    return p
 
 
 def format_poly(p: Sequence[int], var: str = "t") -> str:

@@ -50,6 +50,24 @@ def whitney_chi(dim: int, covectors) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def subtract(p, q) -> tuple[int, ...]:
+    """p - q on ascending coefficient tuples, trailing zeros trimmed."""
+    n = max(len(p), len(q))
+    coeffs = [(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs) if coeffs else (0,)
+
+
+def from_roots(roots) -> tuple[int, ...]:
+    """prod (t - b) over the roots b, as an ascending coefficient tuple."""
+    coeffs = [1]
+    for b in roots:
+        shifted = [0] + coeffs
+        coeffs = [a - b * c for a, c in zip(shifted, coeffs + [0])]
+    return tuple(coeffs)
+
+
 def brute_flat_sets(covectors) -> set[frozenset[int]]:
     """All flats as closed hyperplane-index sets, by sweeping every subset:
     the closure of S is every index whose covector lies in span(S)."""

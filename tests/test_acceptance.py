@@ -28,8 +28,10 @@ from hyperarr import (
     zeta_polynomial,
 )
 from hyperarr.freeness import verify_free_certificate
-from hyperarr.polynomials import evaluate, from_roots
+from hyperarr.polynomials import evaluate
 from hyperarr.report import packaged_certificate
+
+from oracles import from_roots
 
 
 @contextmanager

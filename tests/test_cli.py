@@ -41,6 +41,19 @@ def test_analyze_json(tmp_path, capsys):
     assert data["exponents"] == [1, 3, 3, 5]
 
 
+def test_analyze_empty_arrangement_in_high_dimension(tmp_path, capsys):
+    import time
+
+    path = tmp_path / "empty.arr"
+    path.write_text("dim 10000\n")
+    start = time.perf_counter()
+    assert cli.main(["analyze", str(path), "--json"]) == 0
+    assert time.perf_counter() - start < 5  # 20 s when the ambient identity basis was built
+    data = json.loads(capsys.readouterr().out)
+    assert data["chi"] == [0] * 10000 + [1]  # t^10000
+    assert data["hyperplanes"] == 0 and data["undecided"] == []
+
+
 def test_analyze_exit_codes_ignore_property_values(tmp_path, capsys):
     path = tmp_path / "generic.arr"
     path.write_text("dim 3\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")

@@ -17,10 +17,15 @@ from hyperarr import (
     restriction,
     zaslavsky_region_count,
 )
-from hyperarr.lattice import bit_indices, universe
-from hyperarr.polynomials import from_roots
+from hyperarr.lattice import bit_indices, mask_of, universe
 
 import oracles
+from oracles import from_roots
+
+
+def _flat(lat, indices):
+    """The flat of lat whose members are exactly the given hyperplanes."""
+    return lat.flats()[lat._uni.index_of_bits[mask_of(indices)]]
 
 
 # -- lattice construction ------------------------------------------------------
@@ -120,7 +125,7 @@ def test_localization_at_center_is_whole_arrangement(h3):
 
 def test_localization_at_hyperplane_is_singleton(h3):
     lat = build_lattice(h3)
-    f = lat.flat_by_contains([2])
+    f = _flat(lat, [2])
     assert localization(h3, f).covectors == (h3.covectors[2],)
 
 
@@ -134,11 +139,10 @@ def test_localization_lattice_is_lower_interval(h4):
 
 def test_restriction_chi_satisfies_deletion_restriction(h3):
     from hyperarr import triple
-    from hyperarr.polynomials import subtract
 
     for idx in range(len(h3)):
         full, deleted, restricted = triple(h3, idx)
-        assert chi(full) == subtract(chi(deleted), chi(restricted))
+        assert chi(full) == oracles.subtract(chi(deleted), chi(restricted))
 
 
 def test_restriction_lattice_invariant_under_coordinate_change(h3):
@@ -177,7 +181,7 @@ def test_supersolvable_chain_is_nested_and_modular(bool3, h2):
         prev: set[int] = set()
         for rank, step in enumerate(witness_chain):
             assert prev <= set(step)
-            assert lat.flat_by_contains(step).rank == rank
+            assert _flat(lat, step).rank == rank
             prev = set(step)
 
 
@@ -259,7 +263,7 @@ def test_explicit_four_sign_sum_localization_in_h6(h6):
 
     idxs = [h6.index_of(form(I)) for I in ({1}, {1, 2, 3}, {1, 4, 5}, {1, 2, 3, 4, 5})]
     lat = build_lattice(h6, up_to_rank=3)
-    flat = lat.flat_by_contains(idxs)
+    flat = _flat(lat, idxs)
     assert flat.rank == 3
     assert sorted(flat.contains) == sorted(idxs)  # exactly those four
     assert is_generic(localization(h6, flat))
@@ -374,12 +378,17 @@ def _trace_grouped_cover_table(arr):
     return bits, T
 
 
+def _rows(table, uni):
+    """A stored cover table as a list of lists, one row per flat in id order."""
+    return [list(table[f]) for f in range(uni.flat_count())]
+
+
 def _cover_rows(uni):
     """The cover table as children and bits hold it: h outside f leads to
     the child of f whose bits hold h."""
     T = [[-1] * uni.m for _ in range(uni.flat_count())]
-    for f, kids in enumerate(uni.children):
-        for g in kids:
+    for f in range(uni.flat_count()):
+        for g in uni.children[f]:
             for h in bit_indices(uni.bits[g] & ~uni.bits[f]):
                 T[f][h] = g
     return T
@@ -406,7 +415,7 @@ def test_trace_grouped_build_matches_membership_build_and_oracle():
         bits, rank, T, parents, by_rank = _membership_build(arr)
         assert uni.bits == bits and uni.rank == rank
         assert _trace_grouped_cover_table(arr) == (bits, T)
-        assert _cover_rows(uni) == T and uni.parents == parents
+        assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
         assert uni.by_rank == [lv for lv in by_rank if lv]
         if len(arr) <= 8:  # the subset sweep takes 18 s on H_4's 12 hyperplanes
             engine = {frozenset(f.contains) for f in build_lattice(arr).flats()}
@@ -526,8 +535,7 @@ def test_flat_bases_span_each_flat_and_children_mirror_the_cover_table(h6):
             ran["dimension_one"] += len(basis) == 1 and bool(uni.children[f])
         bits, T = _trace_grouped_cover_table(arr)
         assert bits == uni.bits
-        for f in range(uni.flat_count()):
-            assert uni.children[f] == list(dict.fromkeys(g for g in T[f] if g >= 0))
+        assert _rows(uni.children, uni) == [list(dict.fromkeys(g for g in row if g >= 0)) for row in T]
     assert ran["gcd_split"] >= 20 and ran["dimension_one"] >= 20
 
 
@@ -598,9 +606,85 @@ def test_cover_walk_matches_row_walk_on_random_nodes(h5, h6):
         old = _row_walk(uni, tables[arr], x, mask)
         assert got == _node_table(*old)
         if mask & uni._full_mask == uni._full_mask:  # same order on whole-mask nodes
-            assert order == old[0]
+            assert list(order) == old[0]
             full_nodes += 1
     assert full_nodes >= 20 and len(nodes) >= 150
+
+
+# Covers are stored as rows of int arrays, and the whole-lattice node
+# (0, all hyperplanes) is the stored structure itself, read with no copy.
+# Checked against the walk that copied every parent row into local ids, on
+# whole builds and on builds grown from rank 3.
+
+
+def _copying_walk(uni, x, mask):
+    """The previous interval walk, with local parent lists for every node,
+    and Weisner's Moebius values on it."""
+    bits = uni.bits
+    mask &= ~bits[x]
+    order, local, parents, ranks = [x], {x: 0}, [[]], [0]
+    frontier, rel = [x], 0
+    while frontier:
+        rel += 1
+        nxt = []
+        for f in frontier:
+            out = mask & ~bits[f]
+            for g in uni.children[f]:
+                if not bits[g] & out:
+                    continue
+                if g not in local:
+                    local[g] = len(order)
+                    order.append(g)
+                    parents.append([])
+                    ranks.append(rel)
+                    nxt.append(g)
+                parents[local[g]].append(local[f])
+        frontier = nxt
+    mob = [1] * len(order)
+    for i in range(1, len(order)):
+        own = bits[order[i]] & mask
+        atom = own & -own
+        mob[i] = -sum(mob[p] for p in parents[i] if not bits[order[p]] & atom)
+    return order, parents, ranks, mob
+
+
+def test_whole_lattice_walk_reads_the_stored_covers():
+    from hyperarr.lattice import Universe
+
+    for arr in _differential_pool() + [hyperpolygonal(n) for n in range(1, 7)]:
+        whole = Universe(arr)
+        grown = Universe(arr, up_to_rank=3)
+        grown.extend()
+        assert (grown.bits, grown.rank, grown.by_rank) == (whole.bits, whole.rank, whole.by_rank)
+        assert _rows(grown.parents, grown) == _rows(whole.parents, whole)
+        assert _rows(grown.children, grown) == _rows(whole.children, whole)
+        for uni in (whole, grown):
+            full = uni._full_mask
+            order, parents, ranks = uni.node_walk(0, full)
+            assert parents is uni.parents and ranks is uni.rank  # nothing copied
+            copied = _copying_walk(uni, 0, full)
+            assert list(order) == copied[0] == list(range(uni.flat_count()))
+            assert [list(row) for row in parents] == copied[1] and ranks == copied[2]
+            mob_order, mob = uni.node_mobius(0, full)
+            assert list(mob_order) == copied[0] and mob == copied[3]
+
+
+def test_build_and_chi_of_h5_stay_under_a_traced_memory_bound():
+    """The traced peak of building H_5's lattice (568 flats) and its chi:
+    0.38-0.40 MB with list-of-lists covers and a chi pass that copied the
+    parent lists, 0.23 MB with int-array rows read in place (Python 3.11)."""
+    import tracemalloc
+
+    from hyperarr.lattice import Universe
+
+    arr = hyperpolygonal(5)
+    tracemalloc.start()
+    try:
+        Universe(arr).chi()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.30 * 2**20
 
 
 # The lattice keeps no cover table: traces are read from packed lanes (one
@@ -736,7 +820,7 @@ def test_wide_entry_build_matches_membership_build(h3):
         uni = Universe(arr)
         bits, rank, T, parents, by_rank = _membership_build(arr)
         assert uni.bits == bits == universe(small).bits and uni.rank == rank
-        assert _cover_rows(uni) == T and uni.parents == parents
+        assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
         assert uni.by_rank == [lv for lv in by_rank if lv]
         entry = max(abs(x) for c in arr.covectors for x in c)
         for f in range(uni.flat_count()):

@@ -3,12 +3,11 @@ from hyperarr.polynomials import (
     degree,
     evaluate,
     format_poly,
-    from_roots,
     monic_linear_roots,
     multiply,
-    subtract,
     trim,
 )
+from oracles import from_roots, subtract
 
 
 def test_trim_strips_leading_zeros_only():

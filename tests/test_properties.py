@@ -11,7 +11,7 @@ from hyperarr import (
     triple,
     zeta_polynomial,
 )
-from hyperarr.polynomials import subtract
+from oracles import subtract
 
 
 def test_mobius_alternation_on_random_pool(random_pool):
