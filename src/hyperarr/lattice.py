@@ -88,14 +88,15 @@ class Flat:
 class Rows:
     """Rows of flat ids in one int array: row f is values[start[f]:start[f + 1]].
 
-    Reading a row slices it out; hot loops slice values and start directly.
+    A new table holds one empty row, that of the ambient flat.  Reading a row
+    slices it out; hot loops slice values and start directly.
     """
 
     __slots__ = ("values", "start")
 
     def __init__(self) -> None:
         self.values = array("i")
-        self.start = array("i", [0])
+        self.start = array("i", [0, 0])
 
     def __getitem__(self, f: int) -> array:
         return self.values[self.start[f] : self.start[f + 1]]
@@ -103,10 +104,6 @@ class Rows:
     def __iter__(self) -> Iterator[array]:
         values, start = self.values, self.start
         return (values[a:b] for a, b in zip(start, islice(start, 1, None)))
-
-    def append(self, row: Iterable[int]) -> None:
-        self.values.extend(row)
-        self.start.append(len(self.values))
 
 
 class Universe:
@@ -123,8 +120,6 @@ class Universe:
         self._basis: list[tuple[tuple[int, ...], ...]] = []
         self.parents = Rows()
         self.children = Rows()
-        self.parents.append(())
-        self.children.append(())
         self.by_rank: list[list[int]] = [[0]]
         self.index_of_bits: dict[int, int] = {0: 0}
         self._full_mask = (1 << self.m) - 1
@@ -150,7 +145,6 @@ class Universe:
         ups, up_start = self.parents.values, self.parents.start
         # the top built rank has empty children rows until this pass fills them
         del kid_start[len(bits) - len(self.by_rank[self.built_to]) + 1 :]
-        add_kid = kids.append
         full = self._full_mask
         column = _trace_columns(self.normals, self.dim)
         canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -180,6 +174,7 @@ class Universe:
                             key = canonical[trace] = _canonical_trace(trace)
                         if key:  # () is the zero trace of the members of f
                             groups[key] = groups.get(key, 0) | group
+                covers: list[int] = []  # the children row of f
                 for trace, group in groups.items():
                     nb = bf | group
                     g = index_of_bits.get(nb)
@@ -192,10 +187,11 @@ class Universe:
                         index_of_bits[nb] = g
                         nxt.append(g)
                     new_ups[g - first].append(f)
-                    add_kid(g)
+                    covers.append(g)
+                kids.fromlist(covers)  # fromlist, as extend goes item by item
                 kid_start.append(len(kids))
-            for row in new_ups:
-                ups.extend(row)
+            for up_row in new_ups:
+                ups.fromlist(up_row)
                 up_start.append(len(ups))
             self.by_rank.append(nxt)
             self.built_to = rank
@@ -332,8 +328,9 @@ class Universe:
     def node_elements(self, x: int, mask: int) -> list[tuple[int, int]]:
         """Hyperplanes of the node: (flat id one rank above x, preimage mask)."""
         bits = self.bits
+        kids, kid_start = self.children.values, self.children.start
         mask &= ~bits[x]
-        out = [(g, bits[g] & mask) for g in self.children[x] if bits[g] & mask]
+        out = [(g, bits[g] & mask) for g in kids[kid_start[x] : kid_start[x + 1]] if bits[g] & mask]
         out.sort()
         return out
 

@@ -20,7 +20,6 @@ from hyperarr import (
 from hyperarr.lattice import bit_indices, mask_of, universe
 
 import oracles
-from oracles import from_roots
 
 
 def _flat(lat, indices):
@@ -82,10 +81,10 @@ def test_lattice_json_shape(h2):
 
 
 def test_chi_fixed_values(h2, h3, h4, h5):
-    assert chi(h2) == from_roots((1, 3))
-    assert chi(h3) == from_roots((1, 3, 3))
-    assert chi(h4) == from_roots((1, 3, 3, 5))
-    assert chi(h5) == from_roots((1, 5, 5, 5, 5))
+    assert chi(h2) == oracles.from_roots((1, 3))
+    assert chi(h3) == oracles.from_roots((1, 3, 3))
+    assert chi(h4) == oracles.from_roots((1, 3, 3, 5))
+    assert chi(h5) == oracles.from_roots((1, 5, 5, 5, 5))
 
 
 def test_chi_empty_arrangement():
