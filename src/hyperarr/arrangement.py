@@ -11,7 +11,6 @@ subsets, so it has n + 2^(n-1) hyperplanes for n >= 2.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 import sys
 import warnings
@@ -30,9 +29,6 @@ from .exactlinalg import (
 )
 
 Covector = tuple[int, ...]
-
-# rank-many subsets whose ranks the genericity check may enumerate
-SUBSET_CAP = 10**6
 
 
 class ParseError(ValueError):
@@ -188,26 +184,20 @@ def is_generic(arr: Arrangement) -> bool:
 
     Genericity is measured against the rank, not the ambient dimension, so a
     non-essential arrangement is generic exactly when its essentialization is.
-    A quick uniformity pre-check (no rank-2 flat of the lattice build holds
-    three hyperplanes) avoids subset enumeration in most negative cases;
-    enumeration beyond SUBSET_CAP raises rather than guessing.
+    With |A| > r, some r-subset is dependent exactly when a flat of rank
+    k < r holds more than k hyperplanes: a dependent r-subset spans such a
+    flat, and k + 1 hyperplanes of such a flat with any r - k - 1 others
+    form a dependent r-subset.  So the lattice is read one rank at a time,
+    from the lines up, and the build stops at the first overfull rank.
     """
     from .lattice import universe
 
-    m = len(arr)
     r = arr.rank
-    if m <= r:
+    if len(arr) <= r:
         return False
-    if r >= 3:
-        uni = universe(arr, up_to_rank=2)
-        if any(uni.bits[f].bit_count() >= 3 for f in uni.by_rank[2]):
-            return False
-    if math.comb(m, r) > SUBSET_CAP:
-        raise RuntimeError(
-            f"genericity check needs {math.comb(m, r)} subset ranks (cap {SUBSET_CAP})"
-        )
-    for sub in itertools.combinations(arr.covectors, r):
-        if rank_of(sub, arr.dim) != r:
+    for k in range(2, r):
+        uni = universe(arr, up_to_rank=k)
+        if any(uni.bits[f].bit_count() > k for f in uni.by_rank[k]):
             return False
     return True
 
@@ -287,7 +277,7 @@ def parse_arrangement_text(text: str) -> Arrangement:
         raise ParseError(f"line {head_no}: bad dimension {_excerpt(head[1])}")
     if dim < 1:
         raise ParseError(f"line {head_no}: dimension must be >= 1")
-    covs: list[Covector] = []
+    covs: dict[Covector, None] = {}  # first-seen order
     for lineno, ln in lines[1:]:
         toks = ln.split()
         if len(toks) != dim:
@@ -301,7 +291,7 @@ def parse_arrangement_text(text: str) -> Arrangement:
         if c in covs:
             warnings.warn(f"line {lineno}: duplicate hyperplane {c} dropped", stacklevel=2)
             continue
-        covs.append(c)
+        covs[c] = None
     return Arrangement(dim, tuple(covs))
 
 

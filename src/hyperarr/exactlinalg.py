@@ -194,17 +194,9 @@ class SubspaceBasis:
             ech.add(clear_denominators(v))
         return cls(n, ech.reduced())
 
-    @classmethod
-    def full(cls, n: int) -> "SubspaceBasis":
-        return cls(n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def kernel(self) -> "SubspaceBasis":
-        """Annihilator {v : r . v = 0 for all basis rows} as a subspace."""
-        return SubspaceBasis.from_vectors(primitive_kernel_basis(self.rows, self.n), self.n)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubspaceBasis) and self.n == other.n and self.rows == other.rows

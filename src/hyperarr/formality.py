@@ -4,7 +4,9 @@ witnesses and refutations.
 Relation space: the linear dependencies among the defining covectors.  An
 arrangement is (combinatorially) formal when the dependencies supported on
 rank-2 flats already span the whole relation space; this is decided exactly
-by stacking local kernels.  A line-closure basis certifies formality
+by stacking the relations of each line.  Rank, relations and matroid
+connectivity of any set of covectors are read from one augmented echelon
+(_relations).  A line-closure basis certifies formality
 combinatorially: a set of rank-many independent hyperplanes whose iterated
 rank-2-flat closure recovers the whole arrangement.  The rank-2 flats (lines)
 behind every query here are read off one shared lattice build,
@@ -34,12 +36,13 @@ natural seed, then this search, then the witness scan, and reports
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .arrangement import Arrangement
-from .exactlinalg import IntEchelon, canonicalize, primitive_kernel_basis, rank_of
+from .exactlinalg import IntEchelon, canonicalize, primitive_kernel_basis
 from .lattice import Universe, bit_indices, mask_of, universe
 
 # largest current set a generation-closure round decides on its full
@@ -73,12 +76,10 @@ def is_formal(arr: Arrangement) -> bool:
     for members in rank2_flats(arr):
         if len(members) < 3:
             continue
-        cols = [arr.covectors[k] for k in members]
-        transposed = [tuple(c[t] for c in cols) for t in range(arr.dim)]
-        for lam in primitive_kernel_basis(transposed, len(members)):
+        for lam in _relations(arr, members)[1]:
             vec = [0] * m
-            for pos, k in enumerate(members):
-                vec[k] = lam[pos]
+            for k, x in zip(members, lam):
+                vec[k] = x
             ech.add(vec)
             if ech.rank == target:
                 return True
@@ -126,68 +127,57 @@ def is_lc_basis(arr: Arrangement, seed: Iterable[int]) -> bool:
     r = arr.rank
     if len(seed) != r:
         return False
-    if rank_of([arr.covectors[i] for i in seed], arr.dim) != r:
+    if _relations(arr, seed)[0] != r:
         return False
     closed, _ = line_closure(arr, seed)
     return len(closed) == len(arr)
 
 
-def fundamental_circuit(
-    arr: Arrangement, basis: Sequence[int], extra: int
-) -> tuple[int, ...]:
-    """The unique circuit inside basis + extra (extra dependent on the basis).
+def _relations(arr: Arrangement, idx: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """(rank, relation rows) of the covectors of idx, from one echelon.
 
-    Each of the k = r + 1 covectors enters an integer echelon on d + k columns
-    as (c_i | e_i), with e_i the i-th unit vector.  A row whose pivot falls in
+    Each of the k covectors enters an integer echelon on d + k columns as
+    (c_i | e_i), with e_i the i-th unit vector.  A row whose pivot falls in
     the last k columns has its first d entries zero, so its last k entries
-    are a relation among the covectors; the circuit is the support of the one
-    such row.  ValueError when the relations are not exactly one line.
+    are a relation among the covectors; the other rows number the rank.  The
+    relation rows come last and form an echelon of their own, so they are
+    reduced alone: up to one common factor, these are the relation rows of
+    the whole reduced form.  They span all relations, and each is supported
+    on its own pivot and on the positions that are no pivot; those form a
+    basis, so the support is the fundamental circuit of the pivot element.
     """
-    idx = list(basis) + [extra]
     d, k = arr.dim, len(idx)
     ech = IntEchelon(d + k)
     for pos, i in enumerate(idx):
         ech.add(arr.covectors[i] + tuple(int(t == pos) for t in range(k)))
-    relations = [row[d:] for row, c in zip(ech.rows, ech.pivots) if c >= d]
-    if len(relations) != 1:
-        raise ValueError("extra hyperplane is not spanned by the basis")
-    (lam,) = relations
-    return tuple(sorted(idx[t] for t in range(k) if lam[t]))
+    rank = bisect_left(ech.pivots, d)
+    tail = IntEchelon(k)
+    tail.rows = [row[d:] for row in ech.rows[rank:]]
+    tail.pivots = [c - d for c in ech.pivots[rank:]]
+    return rank, tail.reduced()
+
+
+def _rank_and_connected(arr: Arrangement, idx: Sequence[int]) -> tuple[int, bool]:
+    """Rank and matroid connectivity of the covectors of idx: connected
+    exactly when the fundamental circuits of one basis link all elements."""
+    rank, relations = _relations(arr, idx)
+    full = (1 << len(idx)) - 1
+    circuits = [mask_of(t for t, x in enumerate(lam) if x) for lam in relations]
+    reached = full & 1
+    grew = True
+    while grew:
+        grew = False
+        for c in circuits:
+            if c & reached and c & ~reached:
+                reached |= c
+                grew = True
+    return rank, reached == full
 
 
 def is_matroid_connected(arr: Arrangement, subset: Iterable[int]) -> bool:
-    """Connectivity of the matroid of the chosen covectors, via the
-    fundamental circuits of one basis: connected exactly when the union of
-    those circuits links all elements."""
-    subset = tuple(sorted(set(subset)))
-    if len(subset) <= 1:
-        return True
-    ech = IntEchelon(arr.dim)
-    basis: list[int] = []
-    others: list[int] = []
-    for i in subset:
-        if ech.add(arr.covectors[i]):
-            basis.append(i)
-        else:
-            others.append(i)
-    if not others:
-        return False  # independent with >= 2 elements: a direct sum of coloops
-    parent = {i: i for i in subset}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    for e in others:
-        for b in fundamental_circuit(arr, basis, e):
-            union(e, b)
-    root = find(subset[0])
-    return all(find(i) == root for i in subset)
+    """Connectivity of the matroid of the chosen covectors (a coloop among
+    two or more elements disconnects it)."""
+    return _rank_and_connected(arr, sorted(set(subset)))[1]
 
 
 @dataclass(frozen=True)
@@ -303,10 +293,8 @@ class MotionRefutation:
 def _rest_is_rigid(arr: Arrangement, h: int) -> bool:
     """A minus hyperplane h spans and has a connected matroid, so a linear
     map fixing each of its hyperplanes is a scalar."""
-    rest = [i for i in range(len(arr)) if i != h]
-    return rank_of([arr.covectors[i] for i in rest], arr.dim) == arr.dim and (
-        is_matroid_connected(arr, rest)
-    )
+    rank, connected = _rank_and_connected(arr, [i for i in range(len(arr)) if i != h])
+    return rank == arr.dim and connected
 
 
 def verify_motion_refutation(arr: Arrangement, ref: MotionRefutation) -> bool:
@@ -416,9 +404,8 @@ def _natural_seed(arr: Arrangement) -> tuple[int, ...] | None:
 def _seed_witness(arr: Arrangement, seed: tuple[int, ...]) -> UniquenessWitness | None:
     """The witness of a seed of full rank and connected matroid whose
     generation closure covers the (essential) arrangement, or None."""
-    if rank_of([arr.covectors[i] for i in seed], arr.dim) != arr.dim:
-        return None
-    if not is_matroid_connected(arr, seed):
+    rank, connected = _rank_and_connected(arr, seed)
+    if rank != arr.dim or not connected:
         return None
     gc = gen_closure(arr, seed)
     return UniquenessWitness(seed, gc) if len(gc.generated) == len(arr) else None

@@ -226,32 +226,28 @@ class Universe:
     def node_key(self, x: int, mask: int) -> tuple[int, int]:
         return (x, mask & self._full_mask & ~self.bits[x])
 
-    def node_walk(
-        self, x: int, mask: int
-    ) -> tuple[Sequence[int], Sequence[Sequence[int]], Sequence[int]]:
+    def node_walk(self, x: int, mask: int) -> tuple[Sequence[int], Sequence[Sequence[int]]]:
         """Flats of the interval above x in the subarrangement given by mask.
 
-        Returns (master flat ids in rank order, local parent lists, local
-        relative ranks).  Requires a fully built lattice.  The whole lattice,
-        node (0, all hyperplanes), is the stored structure itself: the walk
-        would find the flats in id order, so local ids are master ids and
-        the result is (range of ids, parents, rank) with nothing copied.
+        Returns (master flat ids in rank order, local parent lists); the
+        rank of a flat g in the node is rank[g] - rank[x].  Requires a fully
+        built lattice.  The whole lattice, node (0, all hyperplanes), is the
+        stored structure itself: the walk would find the flats in id order,
+        so local ids are master ids and the result is (range of ids,
+        parents) with nothing copied.
         """
         if not self.is_full:
             raise RuntimeError("interval walk requires a fully built lattice")
         if x == 0 and mask & self._full_mask == self._full_mask:
-            return range(len(self.bits)), self.parents, self.rank
+            return range(len(self.bits)), self.parents
         bits = self.bits
         kids, kid_start = self.children.values, self.children.start
         mask &= ~bits[x]
         order = [x]
         local = {x: 0}
         parents: list[list[int]] = [[]]
-        ranks = [0]
         frontier = [x]
-        rel = 0
         while frontier:
-            rel += 1
             nxt: list[int] = []
             for f in frontier:
                 fl = local[f]
@@ -265,11 +261,10 @@ class Universe:
                         local[g] = gl
                         order.append(g)
                         parents.append([])
-                        ranks.append(rel)
                         nxt.append(g)
                     parents[gl].append(fl)
             frontier = nxt
-        return order, parents, ranks
+        return order, parents
 
     def node_mobius(self, x: int, mask: int) -> tuple[list[int], list[int]]:
         """(master flat ids, Moebius values) for the interval/submask node.
@@ -277,7 +272,7 @@ class Universe:
         Weisner's theorem with the atom of the lowest hyperplane of Y in the
         node: mu(Y) = -sum of mu(P) over the covers P below Y missing it.
         """
-        order, parents, _ = self.node_walk(x, mask)
+        order, parents = self.node_walk(x, mask)
         mask &= ~self.bits[x]
         local_bits = self.bits if parents is self.parents else [self.bits[f] for f in order]
         mob = [1] * len(order)
@@ -334,8 +329,8 @@ class Universe:
         out.sort()
         return out
 
-    def chi(self, mask: int | None = None) -> IntPoly:
-        return self.node_chi(0, self._full_mask if mask is None else mask)
+    def chi(self) -> IntPoly:
+        return self.node_chi(0, self._full_mask)
 
 
 def _trace_columns(
@@ -439,21 +434,16 @@ def universe(arr: Arrangement, up_to_rank: int | None = None) -> Universe:
 class IntersectionLattice:
     """Public view of the intersection lattice of one arrangement."""
 
-    def __init__(self, arr: Arrangement, up_to_rank: int | None = None):
+    def __init__(self, arr: Arrangement):
         self.arrangement = arr
-        self._uni = universe(arr, up_to_rank)
+        self._uni = universe(arr)
         self._flats: list[Flat] | None = None
 
-    @property
-    def is_full(self) -> bool:
-        return self._uni.is_full
-
     def flats(self) -> list[Flat]:
-        # the shared build may have grown since the last call
-        if self._flats is None or len(self._flats) != self._uni.flat_count():
+        if self._flats is None:
             uni = self._uni
             # the whole node's Moebius values are in flat id order
-            mob = uni.node_mobius(0, uni._full_mask)[1] if uni.is_full else [0] * uni.flat_count()
+            mob = uni.node_mobius(0, uni._full_mask)[1]
             self._flats = [
                 Flat(
                     index=f,
@@ -478,7 +468,7 @@ class IntersectionLattice:
             "schema": "hyperarr/lattice-v1",
             "dim": self.arrangement.dim,
             "covectors": [list(c) for c in self.arrangement.covectors],
-            "full": self.is_full,
+            "full": True,
             "flats": [
                 {
                     "rank": fl.rank,
@@ -491,8 +481,8 @@ class IntersectionLattice:
         }
 
 
-def build_lattice(arr: Arrangement, up_to_rank: int | None = None) -> IntersectionLattice:
-    return IntersectionLattice(arr, up_to_rank)
+def build_lattice(arr: Arrangement) -> IntersectionLattice:
+    return IntersectionLattice(arr)
 
 
 def chi(arr: Arrangement) -> IntPoly:

@@ -35,10 +35,6 @@ def evaluate(p: Sequence[int], x: int) -> int:
     return acc
 
 
-def degree(p: Sequence[int]) -> int:
-    return len(trim(p)) - 1
-
-
 def monic_linear_roots(p: Sequence[int]) -> tuple[int, ...] | None:
     """Roots (with multiplicity) if p factors as prod (t - b_i), b_i >= 0 integers.
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .arrangement import Arrangement, essentialize
 from .lattice import _trace_columns, bit_indices, universe
-from .polynomials import IntPoly, multiply, trim
+from .polynomials import IntPoly, evaluate, multiply, trim
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def enumerate_regions(arr: Arrangement) -> RegionSet:
     for a prefix cone C, so a side of the next hyperplane meets C exactly when
     an alive candidate lies strictly on it (see the module docstring).
     """
-    ess = essentialize(arr) if not arr.is_essential else arr
+    ess = essentialize(arr)
     m = len(ess)
     if m == 0:
         return RegionSet(ess, (Region(0, ()),))
@@ -165,12 +165,10 @@ def simplicial_defect(arr: Arrangement) -> int:
         return 0
     uni = universe(arr)
     full = (1 << m) - 1
-    b = uni.chi()
-    total_regions = abs(sum(((-1) ** k) * c for k, c in enumerate(b)))
+    total_regions = abs(evaluate(uni.chi(), -1))
     walls = 0
     for h in range(m):
-        chi_h = uni.node_chi(uni.index_of_bits[1 << h], full)
-        walls += abs(sum(((-1) ** k) * c for k, c in enumerate(chi_h)))
+        walls += abs(evaluate(uni.node_chi(uni.index_of_bits[1 << h], full), -1))
     defect = 2 * walls - ell * total_regions
     if defect < 0:
         raise AssertionError("facet count below the simplicial minimum")

@@ -198,12 +198,7 @@ def _set_chi_and_regions(rep: PropertyReport, arr: Arrangement) -> None:
     rep.regions = abs(evaluate(rep.chi, -1))
 
 
-def _ladder(
-    arr: Arrangement,
-    label: str,
-    certificate: dict | None = None,
-    free_only: bool = False,
-) -> PropertyReport:
+def _ladder(arr: Arrangement, label: str, free_only: bool = False) -> PropertyReport:
     """The decision ladder: cheap refuters, then searches for the open flags.
 
     A flag is open while it has no entry; after every step the implications
@@ -251,7 +246,7 @@ def _ladder(
         cap = " (size cap exhausted)" if status == "undecided" else ""
         decide("inductively_factored", status, "nice partition recursion" + cap)
     if is_open("free"):
-        cert = certificate if certificate is not None else matching_packaged_certificate(arr)
+        cert = matching_packaged_certificate(arr)
         if cert is None:
             decide("free", "undecided", "no decision route succeeded")
         else:
@@ -279,9 +274,7 @@ def _ladder(
     return rep
 
 
-def analyze(
-    arr: Arrangement, label: str = "arrangement", certificate: dict | None = None
-) -> PropertyReport:
+def analyze(arr: Arrangement, label: str = "arrangement") -> PropertyReport:
     """Full decision ladder for an arbitrary arrangement.
 
     Exponential searches (inductive freeness, nice partitions, witness scan)
@@ -291,7 +284,7 @@ def analyze(
     a motion refutation; every other flag is decided exactly.  The characteristic polynomial and the region count are
     always reported.
     """
-    rep = _ladder(arr, label, certificate)
+    rep = _ladder(arr, label)
     if rep.chi is None:
         _set_chi_and_regions(rep, arr)
     return rep

@@ -68,6 +68,15 @@ def from_roots(roots) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def degree(p) -> int:
+    """Degree of an ascending coefficient tuple, trailing zeros ignored (0 for
+    a constant, the zero polynomial included)."""
+    coeffs = list(p)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return max(len(coeffs) - 1, 0)
+
+
 def brute_flat_sets(covectors) -> set[frozenset[int]]:
     """All flats as closed hyperplane-index sets, by sweeping every subset:
     the closure of S is every index whose covector lies in span(S)."""

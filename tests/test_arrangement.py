@@ -174,6 +174,17 @@ def test_is_generic_invariance(generic4):
     assert is_generic(mapped) == is_generic(generic4)
 
 
+def test_is_generic_reads_the_lattice_without_a_subset_cap():
+    """Many hyperplanes: the lattice is read rank by rank, and no C(m, r)
+    subset count caps it (the enumeration it replaced raised RuntimeError
+    past 10^6 subsets)."""
+    plane = from_vectors(2, [(1, k) for k in range(1500)])
+    assert is_generic(plane) is True  # rank 2: no rank below it can overfill
+    moment = from_vectors(3, [(1, t, t * t) for t in range(200)])
+    assert is_generic(moment) is True  # C(200, 3) > 10^6, C(200, 2) lines
+    assert is_generic(moment.with_hyperplane((0, 1, 5))) is False  # (1,2,4), (1,3,9)
+
+
 # -- linear isomorphisms -------------------------------------------------------
 
 
@@ -234,6 +245,27 @@ def test_parse_accepts_comments_and_blanks():
     text = "# header\n\ndim 2\n1 0\n# middle\n0 1\n"
     arr = parse_arrangement_text(text)
     assert arr.covectors == ((1, 0), (0, 1))
+
+
+def test_parse_drops_duplicates_in_time_linear_in_the_lines():
+    """20,000 lines parse in well under two seconds; the duplicate check
+    that searched a list took 7.6 s here.  Duplicates warn with their line
+    and keep the first-seen order."""
+    import time
+    import warnings
+
+    n = 20_000
+    text = "dim 3\n" + "".join(f"1 {k} {k * k}\n" for k in range(n)) + "2 4 8\n-1 0 0\n0 0 7\n"
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        arr = parse_arrangement_text(text)
+    assert time.perf_counter() - start < 2.0
+    assert arr.covectors == tuple((1, k, k * k) for k in range(n)) + ((0, 0, 1),)
+    assert [str(w.message) for w in caught] == [
+        f"line {n + 2}: duplicate hyperplane (1, 2, 4) dropped",
+        f"line {n + 3}: duplicate hyperplane (1, 0, 0) dropped",
+    ]
 
 
 def test_parse_errors_carry_line_numbers():

@@ -308,18 +308,25 @@ def _kernel_circuit(arr, basis, extra):
 
 
 def test_fundamental_circuit_matches_kernel_route():
+    """The relations of basis + extra from the augmented echelon are one row
+    whose support is the circuit of the kernel route; otherwise their count
+    is not one, and rank plus relations is the number of elements."""
     import random
 
-    from hyperarr.formality import fundamental_circuit
+    from hyperarr.formality import _relations
 
     def both(basis, extra):
+        idx = basis + [extra]
+        rank, relations = _relations(arr, idx)
+        assert rank == oracles.frac_rank([arr.covectors[i] for i in idx])
+        assert rank + len(relations) == len(idx)
         try:
             want = _kernel_circuit(arr, basis, extra)
         except ValueError:
-            with pytest.raises(ValueError):
-                fundamental_circuit(arr, basis, extra)
+            assert len(relations) != 1
             return None
-        assert fundamental_circuit(arr, basis, extra) == want
+        (lam,) = relations
+        assert tuple(sorted(idx[t] for t, x in enumerate(lam) if x)) == want
         return want
 
     rng = random.Random(7)
@@ -344,24 +351,135 @@ def test_fundamental_circuit_matches_kernel_route():
     assert circuits >= 150 and raised >= 75
 
 
+def _kernel_route_connected(arr, subset):
+    """Matroid connectivity by the kernel route: a greedy Fraction basis,
+    the kernel circuit of each other element, and a union-find over them."""
+    subset = sorted(set(subset))
+    basis, others = [], []
+    for i in subset:
+        grown = basis + [i]
+        (basis if oracles.frac_rank([arr.covectors[j] for j in grown]) == len(grown)
+         else others).append(i)
+    parent = {i: i for i in subset}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for e in others:
+        for b in _kernel_circuit(arr, basis, e):
+            parent[find(b)] = find(e)
+    return len({find(i) for i in subset}) <= 1
+
+
+def test_matroid_connectivity_matches_the_kernel_route_oracle():
+    """is_matroid_connected and the rank behind rigidity agree with a
+    kernel-route union-find on random (arrangement, subset) pairs, empty,
+    singleton and coloop subsets among them."""
+    import random
+
+    from hyperarr.formality import _rank_and_connected
+
+    rng = random.Random(19)
+    arrs = [from_vectors(d, covs) for d, covs in
+            oracles.random_arrangements(120, seed=1901, max_dim=5, max_size=10)]
+    arrs += [hyperpolygonal(n) for n in range(2, 6)]
+    # a direct sum of two rank-2 pieces: disconnected subsets with no coloop
+    arrs += [from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0),
+                              (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 2)])] * 8
+    seen = {"empty": 0, "singleton": 0, "coloop": 0, "connected": 0, "split": 0}
+    pairs = 0
+    for arr in arrs:
+        m = len(arr)
+        subsets = [(), (rng.randrange(m),)]
+        subsets += [rng.sample(range(m), rng.randint(2, m)) for _ in range(16)] if m >= 2 else []
+        for subset in subsets:
+            want = _kernel_route_connected(arr, subset)
+            rank, connected = _rank_and_connected(arr, sorted(set(subset)))
+            assert is_matroid_connected(arr, subset) == connected == want
+            assert rank == oracles.frac_rank([arr.covectors[i] for i in subset])
+            pairs += 1
+            seen["empty"] += not subset
+            seen["singleton"] += len(subset) == 1
+            coloop = len(subset) >= 2 and any(
+                oracles.frac_rank([arr.covectors[j] for j in subset if j != i]) < rank for i in subset
+            )
+            seen["coloop"] += coloop
+            seen["connected"] += len(subset) >= 2 and want
+            seen["split"] += not (want or coloop)
+    assert pairs >= 2000
+    assert min(seen.values()) >= 20, seen
+
+
+def _kernel_route_is_formal(arr):
+    """The previous formality route: the transposed primitive kernel of each
+    line with three or more hyperplanes, stacked."""
+    from hyperarr.exactlinalg import IntEchelon, primitive_kernel_basis
+
+    ech = IntEchelon(len(arr))
+    for members in formality.rank2_flats(arr):
+        cols = [arr.covectors[k] for k in members]
+        transposed = [tuple(c[t] for c in cols) for t in range(arr.dim)]
+        for lam in primitive_kernel_basis(transposed, len(members)):
+            vec = [0] * len(arr)
+            for k, x in zip(members, lam):
+                vec[k] = x
+            ech.add(vec)
+    return ech.rank == relation_space_dim(arr)
+
+
+def test_is_formal_matches_the_kernel_route():
+    arrs = [from_vectors(d, covs) for d, covs in
+            oracles.random_arrangements(150, seed=1907, max_dim=5, max_size=11)]
+    arrs += [hyperpolygonal(n) for n in range(1, 6)]
+    verdicts = [is_formal(arr) for arr in arrs]
+    assert verdicts == [_kernel_route_is_formal(arr) for arr in arrs]
+    assert 20 <= sum(verdicts) <= len(arrs) - 20
+
+
 # -- differential check of the exact generation step ---------------------------------
+
+
+def _frac_kernel(rows, n):
+    """A basis of {v : r . v = 0 for every row} by Fraction elimination; the
+    identity when there are no rows."""
+    from fractions import Fraction
+
+    red = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(n):
+        piv = next((i for i in range(len(pivots), len(red)) if red[i][c]), None)
+        if piv is None:
+            continue
+        top = len(pivots)
+        red[top], red[piv] = red[piv], red[top]
+        red[top] = [x / red[top][c] for x in red[top]]
+        for i in range(len(red)):
+            f = red[i][c]
+            if i != top and f:
+                red[i] = [a - f * b for a, b in zip(red[i], red[top])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(int(t == free)) for t in range(n)]
+        for row, p in zip(red, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
 
 
 def _fraction_spans_exact(arr, current, h):
     """The previous exact step: Fraction kernels of every sub-lattice flat,
     keeping those orthogonal to h, then the rank of their union."""
-    from hyperarr import SubspaceBasis, build_lattice
+    from hyperarr import build_lattice
 
     sub = arr.subset(current)
     vectors = []
     for flat in build_lattice(sub).flats():
-        rows = [sub.covectors[i] for i in flat.contains]
-        if rows:
-            basis = SubspaceBasis.from_vectors(rows, arr.dim).kernel()
-        else:
-            basis = SubspaceBasis.full(arr.dim)
-        if all(sum(x * y for x, y in zip(arr.covectors[h], row)) == 0 for row in basis.rows):
-            vectors.extend(basis.rows)
+        basis = _frac_kernel([sub.covectors[i] for i in flat.contains], arr.dim)
+        if all(sum(x * y for x, y in zip(arr.covectors[h], row)) == 0 for row in basis):
+            vectors.extend(basis)
     return oracles.frac_rank(vectors) == arr.dim - 1
 
 
@@ -578,8 +696,21 @@ def test_rank2_queries_match_pairwise_scans(monkeypatch, generic4):
                 ok = _spans_hyperplane_pairwise(arr, current, h)
                 assert ok == _scan_spans_pairwise(arr, current, h)
                 seen["certified" if ok else "missed"] += 1
+    # generic inputs of rank 4 and 5 (points of the moment curve), and
+    # inputs whose first overfull flat has rank 3 or 4, with no overfull line
+    moments = [from_vectors(d, [tuple(t**i for i in range(d)) for t in range(1, 8)]) for d in (4, 5)]
+    deep = [
+        from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1), (1, 2, 3, 4)]),
+        from_vectors(5, [tuple(t**i for i in range(4)) + (0,) for t in range(1, 6)]
+                     + [(0, 0, 0, 0, 1), (1, 2, 3, 4, 5)]),
+    ]
+    for arr in moments + deep:
+        assert all(len(line) == 2 for line in rank2_flats(arr))
+        generic = is_generic(arr)
+        assert generic == _scan_is_generic(arr) == (arr in moments)
+        seen["generic"] += generic
     # every branch must be exercised in both directions
-    assert seen["grew"] >= 10 and seen["generic"] >= 2 and seen["localization"] >= 3
+    assert seen["grew"] >= 10 and seen["generic"] >= 4 and seen["localization"] >= 3
     assert seen["certified"] >= 20 and seen["missed"] >= 20
 
 

@@ -53,11 +53,13 @@ def test_partial_build_is_extended_in_place():
     saved = dict(lattice._universe_cache)
     lattice._universe_cache.clear()
     try:
-        lat = build_lattice(arr, up_to_rank=2)
-        partial = len(lat.flats())
-        assert not lat.is_full and partial == sum(lat.counts_by_rank())
+        uni = universe(arr, up_to_rank=2)
+        partial = uni.flat_count()
+        assert not uni.is_full and partial == sum(map(len, uni.by_rank))
         poly = chi(arr)
-        assert lat.is_full and universe(arr) is lat._uni
+        assert uni.is_full and universe(arr) is uni
+        lat = build_lattice(arr)
+        assert lat._uni is uni
         flats = lat.flats()
         counts = lat.counts_by_rank()
         assert len(flats) == sum(counts) > partial
@@ -261,11 +263,10 @@ def test_explicit_four_sign_sum_localization_in_h6(h6):
         return tuple(1 if i + 1 in I else -1 for i in range(6))
 
     idxs = [h6.index_of(form(I)) for I in ({1}, {1, 2, 3}, {1, 4, 5}, {1, 2, 3, 4, 5})]
-    lat = build_lattice(h6, up_to_rank=3)
-    flat = _flat(lat, idxs)
-    assert flat.rank == 3
-    assert sorted(flat.contains) == sorted(idxs)  # exactly those four
-    assert is_generic(localization(h6, flat))
+    uni = universe(h6, up_to_rank=3)
+    f = uni.index_of_bits[mask_of(idxs)]
+    assert uni.rank[f] == 3  # exactly those four, at rank 3
+    assert is_generic(h6.subset(idxs))
 
 
 # -- region counts ------------------------------------------------------------------
@@ -600,7 +601,8 @@ def test_cover_walk_matches_row_walk_on_random_nodes(h5, h6):
             nodes.append((arr, uni, 0, full & ~rng.getrandbits(len(arr)) & ~rng.getrandbits(len(arr))))
     full_nodes = 0
     for arr, uni, x, mask in nodes:
-        order, parents, ranks = uni.node_walk(x, mask)
+        order, parents = uni.node_walk(x, mask)
+        ranks = [uni.rank[g] - uni.rank[x] for g in order]
         got = _node_table(order, parents, ranks, uni.node_mobius(x, mask)[1])
         old = _row_walk(uni, tables[arr], x, mask)
         assert got == _node_table(*old)
@@ -659,11 +661,12 @@ def test_whole_lattice_walk_reads_the_stored_covers():
         assert _rows(grown.children, grown) == _rows(whole.children, whole)
         for uni in (whole, grown):
             full = uni._full_mask
-            order, parents, ranks = uni.node_walk(0, full)
-            assert parents is uni.parents and ranks is uni.rank  # nothing copied
+            order, parents = uni.node_walk(0, full)
+            assert parents is uni.parents  # nothing copied
             copied = _copying_walk(uni, 0, full)
             assert list(order) == copied[0] == list(range(uni.flat_count()))
-            assert [list(row) for row in parents] == copied[1] and ranks == copied[2]
+            assert [list(row) for row in parents] == copied[1]
+            assert [uni.rank[g] for g in order] == copied[2]
             mob_order, mob = uni.node_mobius(0, full)
             assert list(mob_order) == copied[0] and mob == copied[3]
 

@@ -1,13 +1,12 @@
 from hyperarr.polynomials import (
     add,
-    degree,
     evaluate,
     format_poly,
     monic_linear_roots,
     multiply,
     trim,
 )
-from oracles import from_roots, subtract
+from oracles import degree, from_roots, subtract
 
 
 def test_trim_strips_leading_zeros_only():
