@@ -137,24 +137,23 @@ def _relations(arr: Arrangement, idx: Sequence[int]) -> tuple[int, list[tuple[in
     """(rank, relation rows) of the covectors of idx, from one echelon.
 
     Each of the k covectors enters an integer echelon on d + k columns as
-    (c_i | e_i), with e_i the i-th unit vector.  A row whose pivot falls in
-    the last k columns has its first d entries zero, so its last k entries
-    are a relation among the covectors; the other rows number the rank.  The
-    relation rows come last and form an echelon of their own, so they are
-    reduced alone: up to one common factor, these are the relation rows of
-    the whole reduced form.  They span all relations, and each is supported
-    on its own pivot and on the positions that are no pivot; those form a
-    basis, so the support is the fundamental circuit of the pivot element.
+    (c_i | e_i), with the unit vectors e_i in reverse order of i.  A row
+    whose pivot falls in the last k columns has its first d entries zero,
+    so its last k entries are a relation among the covectors; the other
+    rows number the rank.  In this order the row of an element i that
+    depends on the elements before it is reduced against the rank rows only,
+    whose unit parts lie on the independent elements before i, and it
+    pivots on e_i, where no other row has an entry.  So the relation rows
+    are already the reduced form: each is supported on its own element and
+    on the greedy basis, which makes its support the fundamental circuit of
+    that element.  They are returned in the order of their elements.
     """
     d, k = arr.dim, len(idx)
     ech = IntEchelon(d + k)
     for pos, i in enumerate(idx):
-        ech.add(arr.covectors[i] + tuple(int(t == pos) for t in range(k)))
+        ech.add(arr.covectors[i] + tuple(int(t == k - 1 - pos) for t in range(k)))
     rank = bisect_left(ech.pivots, d)
-    tail = IntEchelon(k)
-    tail.rows = [row[d:] for row in ech.rows[rank:]]
-    tail.pivots = [c - d for c in ech.pivots[rank:]]
-    return rank, tail.reduced()
+    return rank, [row[d:][::-1] for row in reversed(ech.rows[rank:])]
 
 
 def _rank_and_connected(arr: Arrangement, idx: Sequence[int]) -> tuple[int, bool]:

@@ -310,23 +310,27 @@ def _kernel_circuit(arr, basis, extra):
 def test_fundamental_circuit_matches_kernel_route():
     """The relations of basis + extra from the augmented echelon are one row
     whose support is the circuit of the kernel route; otherwise their count
-    is not one, and rank plus relations is the number of elements."""
+    is not one, and rank plus relations is the number of elements.  On a
+    whole shuffled arrangement, the relation rows are the kernel circuits of
+    the dependent elements with respect to the greedy basis, in order."""
     import random
 
     from hyperarr.formality import _relations
 
-    def both(basis, extra):
-        idx = basis + [extra]
+    def supports(idx):
         rank, relations = _relations(arr, idx)
         assert rank == oracles.frac_rank([arr.covectors[i] for i in idx])
         assert rank + len(relations) == len(idx)
+        return [tuple(sorted(idx[t] for t, x in enumerate(lam) if x)) for lam in relations]
+
+    def both(basis, extra):
+        got = supports(basis + [extra])
         try:
             want = _kernel_circuit(arr, basis, extra)
         except ValueError:
-            assert len(relations) != 1
+            assert len(got) != 1
             return None
-        (lam,) = relations
-        assert tuple(sorted(idx[t] for t, x in enumerate(lam) if x)) == want
+        assert got == [want]
         return want
 
     rng = random.Random(7)
@@ -342,6 +346,7 @@ def test_fundamental_circuit_matches_kernel_route():
             grown = basis + [i]
             (basis if oracles.frac_rank([arr.covectors[j] for j in grown]) == len(grown)
              else others).append(i)
+        assert supports(order) == [_kernel_circuit(arr, basis, e) for e in others]
         for e in others:
             circuits += both(basis, e) is not None
         if basis[1:]:  # a hyperplane outside the span of the rest of the basis
