@@ -26,11 +26,12 @@ and any hyperplane it cannot certify is marked undecided rather than excluded.
 Motion refutation: a hyperplane h moved to a new covector without changing
 the labelled lattice, while the other hyperplanes span and have a connected
 matroid, refutes projective uniqueness (verify_motion_refutation checks it
-with one lattice build and gives the argument).  The moves that keep every
-flat h is forced through form a space L_h read off the full lattice; when it
-has dimension >= 2, a lattice-preserving move exists.  The decision runs the
-natural seed, then this search, then the witness scan, and reports
-"undecided" when none of them settles it.
+on the input's own lattice, by the modular cut of h, and gives the
+argument; no lattice of the moved arrangement is built).  The moves that
+keep every flat h is forced through form a space L_h read off the full
+lattice; when it has dimension >= 2, a lattice-preserving move exists.  The
+decision runs the natural seed, then this search, then the witness scan, and
+reports "undecided" when none of them settles it.
 """
 
 from __future__ import annotations
@@ -302,7 +303,16 @@ def verify_motion_refutation(arr: Arrangement, ref: MotionRefutation) -> bool:
     Accepts when the new covector c' is canonical, differs from c_h and from
     every other covector, the arrangement with c' in place of c_h (same index
     order) has exactly the flats (bits sets) of arr, and A minus h spans and
-    has a connected matroid.  Bad input gives False, never an exception.
+    has a connected matroid.  Bad input, bools among it, gives False, never
+    an exception.
+
+    Flats.  Both arrangements are single-element extensions of A minus h,
+    and such an extension is fixed by its modular cut: the flats of A minus
+    h whose span holds the new covector (H. Crapo, Single-element extensions
+    of matroids, J. Res. NBS 69B, 1965).  So the flats agree exactly when c'
+    and c_h lie in the span of the same flats of A minus h, which
+    _moves_within_lattice reads off the flat bases of the lattice of arr;
+    no lattice of the moved arrangement is built.
 
     Soundness.  Along the line c(t) = c_h + t (c' - c_h), each membership
     event "c(t) lies in the span of the covectors of a flat" is linear in t,
@@ -320,9 +330,9 @@ def verify_motion_refutation(arr: Arrangement, ref: MotionRefutation) -> bool:
     except (AttributeError, TypeError):
         return False
     d, m = arr.dim, len(arr)
-    if not (isinstance(h, int) and 0 <= h < m):
+    if not (type(h) is int and 0 <= h < m):
         return False
-    if len(c) != d or not all(isinstance(x, int) for x in c) or not any(c):
+    if len(c) != d or not all(type(x) is int for x in c) or not any(c):
         return False
     if c != canonicalize(c):
         return False
@@ -330,12 +340,30 @@ def verify_motion_refutation(arr: Arrangement, ref: MotionRefutation) -> bool:
 
 
 def _moves_within_lattice(arr: Arrangement, h: int, c: tuple[int, ...]) -> bool:
-    """The canonical covector c is new to arr, and putting it in place of
-    c_h leaves the flats (bits sets) unchanged."""
+    """The canonical non-zero covector c is new to arr, and putting it in
+    place of c_h leaves the flats (bits sets) unchanged.
+
+    Read off the lattice of arr by the modular cut of h: the flats of A minus
+    h whose span holds c_h.  A flat X without h has c_h outside its span, so
+    c must stay outside; a flat X holding h with X minus h not a flat has
+    c_h in the span of X minus h, so c must lie in the span of X; when X
+    minus h is a flat, that flat is checked by itself.  Every flat of A minus
+    h is met once this way, so the two extensions of A minus h share their
+    modular cut, and hence their flats.
+    """
     if c in arr.covectors:
         return False  # unmoved, or onto another hyperplane
-    moved = Arrangement(arr.dim, arr.covectors[:h] + (c,) + arr.covectors[h + 1 :])
-    return set(universe(moved).bits) == set(universe(arr).bits)
+    uni = universe(arr)
+    bits, index_of_bits = uni.bits, uni.index_of_bits
+    hb = 1 << h
+    for f in range(1, len(bits)):  # flat 0 is the ambient space, and c is not zero
+        bf = bits[f]
+        if bf & hb and bf ^ hb in index_of_bits:
+            continue
+        inside = not any(sum(map(mul, c, k)) for k in uni.flat_kernel(f))
+        if inside != bool(bf & hb):
+            return False
+    return True
 
 
 def _motion_search(arr: Arrangement) -> MotionRefutation | None:
@@ -351,7 +379,8 @@ def _motion_search(arr: Arrangement) -> MotionRefutation | None:
     where c_h . k + t v . k = 0 for every k spanning X.  So the least t >= 1
     that no flat outside h rules out keeps the lattice, and one check of it
     suffices; the rest is checked once per h, so the result passes
-    verify_motion_refutation.  Everything is read off the full lattice of arr.
+    verify_motion_refutation.  Everything, that move check included, is read
+    off the full lattice of arr: the search builds no other lattice.
     """
     uni = universe(arr)
     d = arr.dim

@@ -247,8 +247,10 @@ def test_verify_motion_refutation_rejects(h2, h3, generic4):
     # not canonical, not integers
     for c in ((1, 0), (1, 1), (2, 2), (0, 0), (1, 2, 0), (-1, -2), (1.0, 2.0)):
         assert not verify_motion_refutation(h2, MotionRefutation(0, c))
-    for h in (-1, 4, "0", None):
+    for h in (-1, 4, "0", None, False):
         assert not verify_motion_refutation(h2, MotionRefutation(h, (1, 2)))
+    # bools are not integers here, as entries or as the index
+    assert not verify_motion_refutation(h2, MotionRefutation(0, (True, 2)))
     for junk in (None, (0, (1, 2)), MotionRefutation(0, None), MotionRefutation(0, 5)):
         assert not verify_motion_refutation(h2, junk)
 
@@ -267,6 +269,100 @@ def test_verify_motion_refutation_rejects(h2, h3, generic4):
     pencil = from_vectors(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
     assert same_flats(pencil, 3, (1, 2, 3))
     assert not verify_motion_refutation(pencil, MotionRefutation(3, (1, 2, 3)))
+
+
+def _moved_lattice_keeps_flats(arr, h, c):
+    """The move check as it was before the modular cut: build the lattice of
+    the moved arrangement and compare its flat sets with those of arr."""
+    from hyperarr import Arrangement
+    from hyperarr.lattice import Universe, universe
+
+    if c in arr.covectors:
+        return False
+    moved = Arrangement(arr.dim, arr.covectors[:h] + (c,) + arr.covectors[h + 1:])
+    return set(Universe(moved).bits) == set(universe(arr).bits)
+
+
+def _candidate_moves(arr, rng):
+    """(h, canonical c) moves of arr: the refutation the motion search finds
+    and other points on its line, random and perturbed covectors, and the
+    covector of another hyperplane."""
+    d, m = arr.dim, len(arr)
+    moves = []
+    ref = formality._motion_search(arr)
+    if ref is not None:
+        ch = arr.covectors[ref.hyperplane]
+        for t in (1, -2, -1, 2, 3):
+            moves.append((ref.hyperplane, [a + t * (b - a) for a, b in zip(ch, ref.covector)]))
+    for h, ch in enumerate(arr.covectors):
+        moves.append((h, arr.covectors[(h + 1) % m]))
+        for _ in range(2):
+            moves.append((h, [rng.randint(-3, 3) for _ in range(d)]))
+            moves.append((h, [x + rng.randint(-1, 1) for x in ch]))
+    return [(h, canonicalize(c)) for h, c in moves if any(c)]
+
+
+def _spans_with_free_h(arr, h, c):
+    """Some flat X holds h, X minus h is a flat, and c lies in the span of X:
+    the case in which the move check requires nothing of X."""
+    from hyperarr.lattice import bit_indices, universe
+
+    uni = universe(arr)
+    for bf in uni.bits:
+        if bf >> h & 1 and bf ^ (1 << h) in uni.index_of_bits:
+            covs = [arr.covectors[i] for i in bit_indices(bf)]
+            if oracles.frac_rank(covs + [c]) == oracles.frac_rank(covs):
+                return True
+    return False
+
+
+def test_move_check_matches_the_moved_lattice(h2, h3, h4):
+    import random
+
+    from hyperarr.lattice import bit_indices, universe
+
+    rng = random.Random(2020)
+    seen = {"kept": 0, "changed": 0, "free_h_in_span": 0, "brute": 0}
+    for n, arr in enumerate([h2, h3, h4] + _uniqueness_pool(40, seed=97)):
+        flats = {frozenset(bit_indices(b)) for b in universe(arr).bits}
+        # one move per input against the subset sweep, of either outcome in turn
+        brute_wanted = n % 2 == 0 if len(arr) <= 8 else None
+        for h, c in _candidate_moves(arr, rng):
+            kept = formality._moves_within_lattice(arr, h, c)
+            assert kept == _moved_lattice_keeps_flats(arr, h, c), (arr, h, c)
+            if kept is brute_wanted and c not in arr.covectors:
+                moved = arr.covectors[:h] + (c,) + arr.covectors[h + 1:]
+                assert (oracles.brute_flat_sets(moved) == flats) == kept, (arr, h, c)
+                brute_wanted = None
+                seen["brute"] += 1
+            seen["kept" if kept else "changed"] += 1
+            seen["free_h_in_span"] += kept and _spans_with_free_h(arr, h, c)
+    assert seen["kept"] >= 200 and seen["changed"] >= 500 and seen["brute"] >= 20
+    # a check that also asked c to leave the span of such an X would fail here
+    assert seen["free_h_in_span"] >= 20
+
+
+def test_motion_check_builds_no_second_lattice(monkeypatch, h2):
+    from hyperarr.lattice import Universe, universe
+
+    pool = [h2] + _uniqueness_pool(40, seed=83)
+    for arr in pool:
+        universe(arr)
+    built = []
+    real_init = Universe.__init__
+
+    def counting(self, arr, up_to_rank=None):
+        built.append(arr)
+        real_init(self, arr, up_to_rank)
+
+    monkeypatch.setattr(Universe, "__init__", counting)
+    refuted = 0
+    for arr in pool:
+        ref = formality._motion_search(arr)
+        if ref is not None:
+            assert verify_motion_refutation(arr, ref)
+            refuted += 1
+    assert built == [] and refuted >= 18
 
 
 def test_natural_seed_runs_first_and_once(monkeypatch, h2, h3, h4, h5):
@@ -750,7 +846,7 @@ def test_motion_search_checks_each_rest_once(monkeypatch):
         assert all(count == 1 for count in rigid_calls.values())
         assert all(rigid_calls[h] == 1 for h in tries)
         # the t that would give the moved hyperplane a new flat are skipped
-        # before any build, so every tried hyperplane gets one move check
+        # before the move check, so every tried hyperplane gets one
         assert all(count == 1 for count in tries.values())
         if ref is not None:
             refuted += 1

@@ -11,7 +11,10 @@ repository and the change checkout is HEAD, each exported with ``git
 archive`` into a temporary directory that is removed afterwards, so neither
 side runs from the working tree.  The tool refuses to run while tracked files
 have uncommitted changes, since those would not be measured.  Each run lasts
-the ``run_seconds`` that BENCHMARK.json fixes.
+the ``run_seconds`` that BENCHMARK.json fixes.  Every workload named in
+``--pairs`` must be one that BENCHMARK.json lists, and no seed may repeat
+within a workload; a plan that breaks either exits with a message before
+anything is exported.
 
 The output file holds, per workload: the seeds; for every pair the
 end-to-end metric values and the failed-operation counts of both sides; per
@@ -53,13 +56,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
-def parse_pairs(specs: list[str]) -> dict[str, list[int]]:
+def parse_pairs(specs: list[str], workloads: list[str]) -> dict[str, list[int]]:
+    """The seeds per workload; a name BENCHMARK.json does not list, a seed
+    that is not an integer or one given twice for a workload exits here."""
     out: dict[str, list[int]] = {}
     for spec in specs:
         name, _, seeds = spec.partition(":")
         if not seeds:
             raise SystemExit(f"--pairs {spec!r}: expected WORKLOAD:SEED[,SEED...]")
-        out.setdefault(name, []).extend(int(s) for s in seeds.split(","))
+        if name not in workloads:
+            raise SystemExit(f"--pairs {spec!r}: unknown workload {name!r}; BENCHMARK.json lists {', '.join(workloads)}")
+        try:
+            out.setdefault(name, []).extend(int(s) for s in seeds.split(","))
+        except ValueError:
+            raise SystemExit(f"--pairs {spec!r}: seeds must be integers") from None
+    for name, seeds in out.items():
+        if len(set(seeds)) < len(seeds):
+            raise SystemExit(f"--pairs: a seed is given twice for workload {name!r}: {seeds}")
     return out
 
 
@@ -124,11 +137,11 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD:SEED[,SEED...]")
     p.add_argument("--out", type=Path, default=None, help="output path (default: BENCH_<N>.json at the repository root)")
     args = p.parse_args(argv)
-    plan = parse_pairs(args.pairs)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    plan = parse_pairs(args.pairs, [w["name"] for w in bench["workloads"]])
     dirty = git("status", "--porcelain", "--untracked-files=no")
     if dirty:
         raise SystemExit(f"tracked files have uncommitted changes, which would not be measured:\n{dirty}")
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
         export(args.parent_rev, Path(parent))
         export("HEAD", Path(change))
