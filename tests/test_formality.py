@@ -272,8 +272,8 @@ def test_verify_motion_refutation_rejects(h2, h3, generic4):
 
 
 def _moved_lattice_keeps_flats(arr, h, c):
-    """The move check as it was before the modular cut: build the lattice of
-    the moved arrangement and compare its flat sets with those of arr."""
+    """Reference move check: build the lattice of the moved arrangement and
+    compare its flat sets with those of arr."""
     from hyperarr import Arrangement
     from hyperarr.lattice import Universe, universe
 
