@@ -60,8 +60,18 @@ class Arrangement:
         return iter(self.covectors)
 
     @cached_property
+    def _echelon(self) -> IntEchelon:
+        """The integer echelon of the covectors, in order.  Its pivot columns
+        are the coordinates of the span of the normals: rank, essentialize
+        and the lattice engine all read this one echelon."""
+        ech = IntEchelon(self.dim)
+        for c in self.covectors:
+            ech.add(c)
+        return ech
+
+    @cached_property
     def rank(self) -> int:
-        return rank_of(self.covectors, self.dim)
+        return self._echelon.rank
 
     @property
     def is_essential(self) -> bool:
@@ -172,11 +182,9 @@ def essentialize(arr: Arrangement) -> Arrangement:
     """
     if arr.is_essential:
         return arr
-    ech = IntEchelon(arr.dim)
-    for c in arr.covectors:
-        ech.add(c)
-    covs = [canonicalize([c[p] for p in ech.pivots]) for c in arr.covectors]
-    return Arrangement(ech.rank, tuple(covs))
+    pivots = arr._echelon.pivots
+    covs = [canonicalize([c[p] for p in pivots]) for c in arr.covectors]
+    return Arrangement(len(pivots), tuple(covs))
 
 
 def is_generic(arr: Arrangement) -> bool:

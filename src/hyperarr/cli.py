@@ -138,7 +138,7 @@ def cmd_free(args) -> int:
             cert = json.loads(Path(args.certificate).read_text())
         except OSError as exc:
             raise ParseError(f"cannot read {args.certificate}: {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
             raise ParseError(f"malformed certificate {args.certificate}: {exc}") from exc
         if not isinstance(cert, dict):
             raise ParseError(f"malformed certificate {args.certificate}: not a JSON object")

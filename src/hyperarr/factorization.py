@@ -105,8 +105,9 @@ def _is_nice_node(uni: Universe, x: int, mask: int, blocks: list[int]) -> bool:
 
     An element lies below a flat Y of the node exactly when bits[Y] holds its
     representative.  Independence is read on the traces of the
-    representatives' normals on the basis of x (at the ambient flat, the
-    covectors themselves).
+    representatives' normals on the basis of x, all in the lattice
+    coordinates (at the ambient flat, whose basis is the identity, the
+    normals themselves).
     """
     basis = uni.flat_kernel(x)
     traces = [

@@ -192,38 +192,51 @@ class GenClosure:
 
 def _spans_hyperplane_exact(uni: Universe, ch: Sequence[int]) -> bool:
     """Exact membership test: do the flats of the sub-lattice uni (of the
-    current hyperplanes) that lie inside the hyperplane with normal ch span
-    it?"""
-    d = uni.dim
-    ech = IntEchelon(d)
+    current hyperplanes) that lie inside the hyperplane with the ambient
+    normal ch span it?
+
+    Every flat holds the centre Z of uni, so the flats inside the hyperplane
+    span it exactly when their images in the lattice coordinates span a
+    space of dimension arr_rank - 1.  When ch does not vanish on Z, no flat
+    lies inside, and the empty span is the hyperplane only in dimension 1.
+    """
+    local = uni.coordinates(ch)
+    if local is None:
+        return uni.dim == 1
+    r = uni.arr_rank
+    ech = IntEchelon(r)
     for f in range(uni.flat_count()):
         kernel = uni.flat_kernel(f)
-        if any(sum(map(mul, ch, k)) for k in kernel):
+        if any(sum(map(mul, local, k)) for k in kernel):
             continue  # f is not inside the hyperplane
         for v in kernel:
             ech.add(v)
-            if ech.rank == d - 1:
+            if ech.rank == r - 1:
                 return True
-    return ech.rank == d - 1
+    return ech.rank == r - 1
 
 
 def _spans_hyperplane_pairwise(
     arr: Arrangement, current: Sequence[int], h: int
 ) -> bool:
     """Sound shortcut: rank-2 flats through h that hold two current
-    hyperplanes and together span h.  A miss proves nothing."""
+    hyperplanes and together span h.  A miss proves nothing.  Read in the
+    lattice coordinates of arr, where h has dimension rank(A) - 1; below
+    rank 2 there is no line, and the empty span is h only in dimension 1."""
     uni = universe(arr, up_to_rank=2)
-    d = arr.dim
-    ech = IntEchelon(d)
+    r = uni.arr_rank
+    if r < 2:
+        return arr.dim == 1
+    ech = IntEchelon(r)
     # the lines through h are the covers of its atom
     for f, held in uni.node_elements(uni.index_of_bits[1 << h], mask_of(current)):
         if not held & (held - 1):
             continue
         for v in uni.flat_kernel(f):
             ech.add(v)
-        if ech.rank == d - 1:
+        if ech.rank == r - 1:
             return True
-    return ech.rank == d - 1
+    return ech.rank == r - 1
 
 
 def gen_closure(arr: Arrangement, seed: Iterable[int]) -> GenClosure:
@@ -349,7 +362,8 @@ def _moves_within_lattice(arr: Arrangement, h: int, c: tuple[int, ...]) -> bool:
     c_h in the span of X minus h, so c must lie in the span of X; when X
     minus h is a flat, that flat is checked by itself.  Every flat of A minus
     h is met once this way, so the two extensions of A minus h share their
-    modular cut, and hence their flats.
+    modular cut, and hence their flats.  arr must be essential, as after
+    _rest_is_rigid, so that the lattice coordinates are the ambient ones.
     """
     if c in arr.covectors:
         return False  # unmoved, or onto another hyperplane
@@ -380,7 +394,9 @@ def _motion_search(arr: Arrangement) -> MotionRefutation | None:
     that no flat outside h rules out keeps the lattice, and one check of it
     suffices; the rest is checked once per h, so the result passes
     verify_motion_refutation.  Everything, that move check included, is read
-    off the full lattice of arr: the search builds no other lattice.
+    off the full lattice of arr: the search builds no other lattice.  arr
+    must be essential, as projective_uniqueness_witness ensures, so that the
+    lattice coordinates are the ambient ones.
     """
     uni = universe(arr)
     d = arr.dim

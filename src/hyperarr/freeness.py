@@ -226,7 +226,8 @@ def verify_free_certificate(arr: Arrangement, cert: dict) -> CertificateReplay:
       that must be its chi roots.
     Optional 'exponents' claims on certificate nodes must match what the
     replay derives.  Any defect, malformed fields included, raises
-    CertificateError.
+    CertificateError; so does a certificate nested so deeply that the
+    replay runs out of stack.
     """
     if not isinstance(cert, dict):
         raise CertificateError(f"certificate is a {type(cert).__name__}, not a JSON object")
@@ -242,7 +243,10 @@ def verify_free_certificate(arr: Arrangement, cert: dict) -> CertificateReplay:
         raise CertificateError("certificate root arrangement does not match input")
     cited: list[str] = []
     steps = [0]
-    exps = _verify_node(arr, cert.get("claim"), cited, steps, path="claim")
+    try:
+        exps = _verify_node(arr, cert.get("claim"), cited, steps, path="claim")
+    except RecursionError:
+        raise CertificateError("the replay ran out of stack: the certificate is nested too deeply") from None
     return CertificateReplay(exps, cited, steps[0])
 
 
@@ -262,8 +266,8 @@ def _claim_matches(node: dict, exps: tuple[int, ...], path: str) -> None:
 
 
 def _verify_node(arr: Arrangement, node: dict, cited: list[str], steps: list[int], path: str) -> tuple[int, ...]:
-    """Replay one node on the lattice of its arrangement."""
-    uni = universe(arr)
+    """Replay one node on the lattice of its arrangement; an addition node
+    builds that lattice only once its subclaims have replayed."""
     if not isinstance(node, dict) or "type" not in node:
         raise CertificateError(f"{path}: malformed node")
     steps[0] += 1
@@ -271,12 +275,12 @@ def _verify_node(arr: Arrangement, node: dict, cited: list[str], steps: list[int
     if kind == "inductively-free":
         if "witness" not in node:
             raise CertificateError(f"{path}: inductively-free leaf carries no witness")
-        derived, what = _witness_exponents(uni, node["witness"], path + ".witness"), "witness"
+        derived, what = _witness_exponents(universe(arr), node["witness"], path + ".witness"), "witness"
     elif kind == "cited-free":
         citation = node.get("citation", "unspecified")
         if not isinstance(citation, str):
             raise CertificateError(f"{path}: citation is not a string")
-        derived, what = _chi_roots(uni), "cited"
+        derived, what = _chi_roots(universe(arr)), "cited"
         if derived is None:
             raise CertificateError(f"{path}: cited-free leaf has non-splitting chi")
         cited.append(citation)
@@ -299,7 +303,7 @@ def _verify_node(arr: Arrangement, node: dict, cited: list[str], steps: list[int
         derived, what = tuple(sorted(exps_res + (b - 1,))), "deduced"
     else:
         raise CertificateError(f"{path}: unknown node type {kind!r}")
-    roots = _chi_roots(uni)
+    roots = _chi_roots(universe(arr))
     if roots != derived:
         raise CertificateError(f"{path}: {what} exponents {list(derived)} contradict chi roots {roots}")
     _claim_matches(node, derived, path)

@@ -18,8 +18,13 @@ top of one master lattice:
   * the lattice of the restriction A^X is the interval above X.
 
 The build reads the second fact backwards: the covers of a flat X are the
-hyperplanes of A^X.  Each flat stores an integer basis K_X of X as a subspace
-(dim - rank X primitive vectors; the identity at the ambient flat).  The trace
+hyperplanes of A^X.  The lattice of A is that of its essentialization, so
+the engine works in the coordinates of the span of the normals: one echelon
+of the covectors fixes them, and a normal's coordinates are its entries in
+the pivot columns (essentialize reads the same echelon).  Vectors there have
+rank A entries, however large the ambient dimension.  Each flat stores an
+integer basis K_X of X in these coordinates (rank A - rank X primitive
+vectors; the identity at the ambient flat).  The trace
 of a hyperplane h not in X is its linear form read in these coordinates,
 (c_h . k for k in K_X), made primitive with its first nonzero entry positive;
 equal traces are the same hyperplane of A^X.  So one pass per flat groups the
@@ -65,8 +70,8 @@ from math import comb, gcd
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .arrangement import Arrangement, restrict_to_subspace
-from .exactlinalg import SubspaceBasis
+from .arrangement import Arrangement, essentialize, restrict_to_subspace
+from .exactlinalg import SubspaceBasis, primitive_kernel_basis
 from .polynomials import IntPoly, add, monic_linear_roots, trim
 
 
@@ -108,16 +113,24 @@ class Rows:
 
 class Universe:
     """Master lattice data for one arrangement (possibly built partially);
-    it holds no reference to the arrangement, so universe() can drop it."""
+    it holds no reference to the arrangement, so universe() can drop it.
+
+    The normals and the flat bases live in the coordinates of the span of
+    the normals, which are those of essentialize(arr): vectors of length
+    arr_rank.  dim stays the ambient dimension, so chi and the flat
+    dimensions are those of the arrangement itself; coordinates() carries an
+    ambient covector over.
+    """
 
     def __init__(self, arr: Arrangement, up_to_rank: int | None = None):
-        self.arr_rank = arr.rank
+        r = self.arr_rank = arr.rank
         self.m = len(arr)
         self.dim = arr.dim
-        self.normals = list(arr.covectors)
+        self._echelon = arr._echelon
+        self.normals = list(essentialize(arr).covectors)
         self.bits: list[int] = [0]
         self.rank: list[int] = [0]
-        self._basis: list[tuple[tuple[int, ...], ...]] = []
+        self._basis = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
         self.parents = Rows()
         self.children = Rows()
         self.by_rank: list[list[int]] = [[0]]
@@ -139,14 +152,13 @@ class Universe:
 
     def _build(self, limit: int) -> None:
         bits, index_of_bits = self.bits, self.index_of_bits
-        self.flat_kernel(0)  # makes the ambient basis on first use
         bases = self._basis
         kids, kid_start = self.children.values, self.children.start
         ups, up_start = self.parents.values, self.parents.start
         # the top built rank has empty children rows until this pass fills them
         del kid_start[len(bits) - len(self.by_rank[self.built_to]) + 1 :]
         full = self._full_mask
-        column = _trace_columns(self.normals, self.dim)
+        column = _trace_columns(self.normals, self.arr_rank)
         canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         while self.built_to < limit:
             rank = self.built_to + 1
@@ -205,21 +217,24 @@ class Universe:
         return len(self.bits)
 
     def flat_kernel(self, f: int) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer vectors spanning the flat as a subspace.
+        """Primitive integer vectors spanning the flat in the lattice
+        coordinates: arr_rank - rank[f] vectors of length arr_rank.
 
         This is the Q-basis the build fixed for the flat, cut down from its
-        first parent's basis; it is not canonical (flat_subspace is).  The
-        identity at the ambient flat is made on first use, so an empty
-        arrangement in high dimension never makes it.
+        first parent's basis; it is not canonical.  Pair it with the normals,
+        or with an ambient covector through coordinates().
         """
-        if not self._basis:
-            d = self.dim
-            self._basis.append(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
         return self._basis[f]
 
-    def flat_subspace(self, f: int) -> SubspaceBasis:
-        """The flat as a subspace (intersection of its hyperplanes)."""
-        return SubspaceBasis.from_vectors(self.flat_kernel(f), self.dim)
+    def coordinates(self, covector: Sequence[int]) -> tuple[int, ...] | None:
+        """An ambient covector in the lattice coordinates: its entries in the
+        pivot columns of the normals' echelon, which is linear on the span of
+        the normals.  None when the covector is outside that span, that is,
+        when it does not vanish on the centre."""
+        ech = self._echelon
+        if ech.rank < self.dim and not ech.contains(covector):
+            return None
+        return tuple([covector[p] for p in ech.pivots])
 
     # -- interval / submask engine ------------------------------------------
 
@@ -503,10 +518,18 @@ def localization(arr: Arrangement, flat: Flat) -> Arrangement:
 
 
 def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
-    """The restriction of arr to the flat, in canonical RREF coordinates."""
-    uni = universe(arr, up_to_rank=flat.rank)
-    f = uni.index_of_bits[mask_of(flat.contains)]
-    return restrict_to_subspace(arr, uni.flat_subspace(f))
+    """The restriction of arr to the flat, in canonical RREF coordinates.
+
+    The flat as an ambient subspace is the kernel of its member covectors.
+    A Flat that is not a flat of arr raises KeyError.
+    """
+    bits = mask_of(flat.contains)
+    if bits not in universe(arr, up_to_rank=flat.rank).index_of_bits:
+        raise KeyError(bits)
+    members = [arr.covectors[i] for i in flat.contains]
+    return restrict_to_subspace(
+        arr, SubspaceBasis.from_vectors(primitive_kernel_basis(members, arr.dim), arr.dim)
+    )
 
 
 # -- supersolvability ---------------------------------------------------

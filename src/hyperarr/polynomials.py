@@ -44,11 +44,10 @@ def monic_linear_roots(p: Sequence[int]) -> tuple[int, ...] | None:
     p = list(trim(p))
     if not p or p[-1] != 1:
         return None
-    roots: list[int] = []
-    # strip t^k factor
-    while len(p) > 1 and p[0] == 0:
-        roots.append(0)
-        p = p[1:]
+    # strip the t^k factor in one slice
+    k = next(i for i, c in enumerate(p) if c)
+    roots = [0] * k
+    p = p[k:]
     # a positive integer root divides the constant term (nonzero from here on)
     for b in _positive_divisors(abs(p[0])):
         if len(p) == 1:

@@ -11,8 +11,9 @@ closure: the smallest face of the closure containing the candidate is the
 intersection with the flat it spans, which is one-dimensional.
 
 The candidates come straight from the lattice build, which stores a
-primitive integer basis of every flat: a one-dimensional flat's basis is one
-vector, turned so that its first nonzero entry is positive.
+primitive integer basis of every flat in the coordinates of the
+essentialization: a one-dimensional flat's basis is one vector, turned so
+that its first nonzero entry is positive.
 
 That gives an exact enumeration with no numeric feasibility solver and no
 linear algebra.  The depth-first search fixes the signs of h_0, h_1, ... in
@@ -71,17 +72,19 @@ class RegionSet:
         return tuple(r.mask for r in self.regions)
 
 
-def _candidate_rays(ess: Arrangement) -> list[tuple[int, ...]]:
-    """Both signed primitive spanning vectors of every one-dimensional flat.
+def _candidate_rays(arr: Arrangement) -> list[tuple[int, ...]]:
+    """Both signed primitive spanning vectors of every one-dimensional flat of
+    the essentialization, in the lattice coordinates of arr.
 
-    The lattice build stores one primitive basis vector per line; it is turned
-    so that its first nonzero entry is positive, then listed with its negative.
+    The lattice build stores one primitive basis vector per such flat (a flat
+    of rank rank(A) - 1); it is turned so that its first nonzero entry is
+    positive, then listed with its negative.
     """
-    ell = ess.dim
+    uni = universe(arr)
+    ell = uni.arr_rank
     out: list[tuple[int, ...]] = []
     if ell == 0:
         return out
-    uni = universe(ess)
     for f in uni.by_rank[ell - 1]:
         (v,) = uni.flat_kernel(f)
         if next(x for x in v if x) < 0:
@@ -94,22 +97,24 @@ def _candidate_rays(ess: Arrangement) -> list[tuple[int, ...]]:
 def enumerate_regions(arr: Arrangement) -> RegionSet:
     """Enumerate all regions with their extreme rays.
 
-    Works on the essentialization (same hyperplane indices, same region
-    bitmasks); the ray vectors live in the essential coordinates.  The search
-    over sign prefixes branches by bit tests only: closure(C) = cone(alive(C))
-    for a prefix cone C, so a side of the next hyperplane meets C exactly when
-    an alive candidate lies strictly on it (see the module docstring).
+    The rays come from the lattice of arr, whose coordinates are those of
+    the essentialization; the result carries that as its arrangement (same
+    hyperplane indices, same region bitmasks), with the ray vectors in its
+    coordinates.  The search over sign prefixes
+    branches by bit tests only: closure(C) = cone(alive(C)) for a prefix cone
+    C, so a side of the next hyperplane meets C exactly when an alive
+    candidate lies strictly on it (see the module docstring).
     """
     ess = essentialize(arr)
     m = len(ess)
     if m == 0:
         return RegionSet(ess, (Region(0, ()),))
-    cands = _candidate_rays(ess)
+    cands = _candidate_rays(arr)
     # candidates strictly on the positive / negative side of each hyperplane;
     # v is candidate 2t and -v is 2t+1, so one packed product serves both
     pos = [0] * m
     neg = [0] * m
-    column = _trace_columns(list(ess.covectors), ess.dim)
+    column = _trace_columns(list(ess.covectors), ess.dim)  # the normals of universe(arr)
     for t in range(0, len(cands), 2):
         plus, minus = 1 << t, 2 << t
         for i, d in enumerate(column(cands[t])):

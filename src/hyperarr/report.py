@@ -281,8 +281,8 @@ def analyze(arr: Arrangement, label: str = "arrangement") -> PropertyReport:
     are capped by freeness.NODE_CAP, factorization.PARTITION_CAP and
     formality.WITNESS_CAP and report "undecided" when exhausted, and
     projective uniqueness is "undecided" when it finds neither a witness nor
-    a motion refutation; every other flag is decided exactly.  The characteristic polynomial and the region count are
-    always reported.
+    a motion refutation; every other flag is decided exactly.  The
+    characteristic polynomial and the region count are always reported.
     """
     rep = _ladder(arr, label)
     if rep.chi is None:

@@ -41,17 +41,29 @@ def test_analyze_json(tmp_path, capsys):
     assert data["exponents"] == [1, 3, 3, 5]
 
 
-def test_analyze_empty_arrangement_in_high_dimension(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, chi",
+    [
+        # 20 s when the ambient identity basis was built
+        ("dim 10000\n", [0] * 10000 + [1]),
+        # t^2999 (t - 1); 2.3 s while the lattice worked in the ambient coordinates
+        ("dim 3000\n1" + " 0" * 2999 + "\n", [0] * 2999 + [-1, 1]),
+        # 2 s while the t^k factor of chi was stripped one copy per zero root
+        ("dim 30000\n", [0] * 30000 + [1]),
+    ],
+    ids=["empty-10000", "one-hyperplane-3000", "empty-30000"],
+)
+def test_analyze_empty_arrangement_in_high_dimension(tmp_path, capsys, text, chi):
     import time
 
-    path = tmp_path / "empty.arr"
-    path.write_text("dim 10000\n")
+    path = tmp_path / "high.arr"
+    path.write_text(text)
     start = time.perf_counter()
     assert cli.main(["analyze", str(path), "--json"]) == 0
-    assert time.perf_counter() - start < 5  # 20 s when the ambient identity basis was built
+    assert time.perf_counter() - start < 1
     data = json.loads(capsys.readouterr().out)
-    assert data["chi"] == [0] * 10000 + [1]  # t^10000
-    assert data["hyperplanes"] == 0 and data["undecided"] == []
+    assert data["chi"] == chi
+    assert data["hyperplanes"] == len(text.splitlines()) - 1 and data["undecided"] == []
 
 
 def test_analyze_exit_codes_ignore_property_values(tmp_path, capsys):
@@ -256,6 +268,46 @@ def test_free_malformed_certificate_exit_code(tmp_path, capsys):
     _assert_parse_exit(capsys, ["free", path, "--certificate", str(cert)])
 
 
+def _addition_chain(depth):
+    """Certificate text on the coordinate axes of dim 2 whose claim nests
+    depth addition nodes through extended above a cited leaf.  Written out
+    by hand: json.dumps recurses as deeply as the decoder."""
+    head = "".join(
+        f'{{"type": "addition", "added_covector": [1, {k}], "extended": ' for k in range(1, depth + 1)
+    )
+    claim = head + '{"type": "cited-free"}' + "}" * depth
+    return '{"schema": "hyperarr/free-cert-v3", "dim": 2, "covectors": [[1, 0], [0, 1]], "claim": ' + claim + "}"
+
+
+def test_free_certificate_too_deep_to_decode_exit_code(tmp_path, capsys):
+    path = write_family(tmp_path, 4)
+    cert = tmp_path / "cert.json"
+    cert.write_text("[" * 100_000)  # json.loads raises RecursionError on it
+    _assert_parse_exit(capsys, ["free", path, "--certificate", str(cert)])
+
+
+def test_free_certificate_too_deep_to_replay_is_rejected(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # a fresh process decodes 985 levels, and the replay, a few frames deeper
+    # per level, runs out of stack: a rejected certificate, not a traceback
+    path = tmp_path / "axes.arr"
+    path.write_text("dim 2\n1 0\n0 1\n")
+    chain = tmp_path / "chain.json"
+    chain.write_text(_addition_chain(985))
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperarr.cli", "free", str(path), "--certificate", str(chain)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("certificate rejected: the replay ran out of stack")
+    assert "Traceback" not in proc.stderr
+
+
 def test_free_missing_certificate_exit_code(tmp_path, capsys):
     path = write_family(tmp_path, 4)
     _assert_parse_exit(capsys, ["free", path, "--certificate", str(tmp_path / "missing.json")])
@@ -390,3 +442,132 @@ def test_runtime_imports_only_the_standard_library(tmp_path, generic4):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- fuzzing: every case ends with a documented exit code ------------------------
+
+
+def _fuzz_text(rng):
+    """Random arrangement text: dims 1-5, 0-8 nonzero rows with entries in
+    [-2, 2], and in about one file of eight a malformed line or header."""
+    dim = rng.randint(1, 5)
+    size, rows = rng.randint(0, 8), []
+    while len(rows) < size:
+        row = [rng.randint(-2, 2) for _ in range(dim)]
+        if any(row):
+            rows.append(" ".join(map(str, row)))
+    header = f"dim {dim}"
+    if rng.random() < 0.125:
+        bad = rng.choice([
+            " ".join(["1"] * (dim + 1)),  # one entry too many
+            " ".join(["0"] * dim),  # zero covector
+            "1.5" + " 0" * (dim - 1),
+            "x" + " 1" * (dim - 1),
+            "dim 2",
+        ])
+        rows.insert(rng.randint(0, len(rows)), bad)
+    if rng.random() < 0.03:
+        header = rng.choice(["", "dim", "dim 0", "dim -1", "dimension 2", "dim 2 3"])
+    return "\n".join([header] + rows) + "\n"
+
+
+def _fuzz_argv(rng, k, path, cert):
+    """The k-th subcommand and flag combination, in turn, with random indices
+    (some out of range) where it takes them."""
+    picks = [str(rng.randint(0, 9)) for _ in range(rng.randint(0, 4))]
+    if picks and rng.random() < 0.2:
+        picks.append("-1")  # after a first index, so argparse reads it as a value
+    idx = ",".join(picks)
+    combos = [
+        ["analyze", path],
+        ["analyze", path, "--json"],
+        ["chi", path],
+        ["lattice", path],
+        ["regions", path],
+        ["regions", path, "--simplicial"],
+        ["regions", path, "--zeta", "--base", str(rng.randint(0, 9))],
+        ["regions", path, "--simplicial", "--zeta", "--all-bases"],
+        ["regions", path, "--zeta"],
+        ["regions", path, "--base", "0"],
+        ["free", path],
+        ["free", path, "--inductive"],
+        ["free", path, "--certificate", cert],
+        ["factor", path],
+        ["factor", path, "--inductive"],
+        ["formal", path],
+        ["formal", path, "--lc-basis", idx],
+        ["genclose", path, "--seed", idx],
+        ["build", str(rng.randint(-1, 4))],
+        ["report", str(rng.randint(-1, 4))],
+    ]
+    return combos[k % len(combos)]
+
+
+def test_fuzzed_arrangement_files_end_with_a_documented_exit_code(tmp_path, capsys):
+    import random
+    import warnings
+
+    rng = random.Random(2121)
+    cert = tmp_path / "h5.json"
+    cert.write_text(json.dumps(packaged_certificate()))
+    path = tmp_path / "fuzz.arr"
+    codes = {0: 0, 2: 0, 3: 0}
+    for k in range(400):
+        path.write_text(_fuzz_text(rng))
+        argv = _fuzz_argv(rng, k, str(path), str(cert))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # duplicate hyperplanes are dropped with a warning
+            code = cli.main(argv)
+        assert code in codes, (argv, path.read_text())
+        codes[code] += 1
+        assert "Traceback" not in capsys.readouterr().err
+    assert codes[0] >= 200 and codes[2] >= 20 and codes[3] >= 1
+
+
+def _mutations(rng, cert, count):
+    """Certificates made from cert by one random change each: a value
+    replaced by junk, a key or list entry dropped, or the JSON text cut or
+    given a stray character."""
+    junk = [None, True, -1, 0, 2**70, 1.5, "x", [], {}, [1, 2], {"type": "cited-free"}]
+    text = json.dumps(cert)
+    for _ in range(count):
+        if rng.random() < 0.25:
+            at = rng.randrange(len(text))
+            yield text[:at] + rng.choice(["", "}", "[", ",", "x"])
+            continue
+        mutated = json.loads(text)
+        slots, stack = [], [mutated]
+        while stack:
+            value = stack.pop()
+            keys = value.keys() if isinstance(value, dict) else range(len(value))
+            for key in keys:
+                slots.append((value, key))
+                if isinstance(value[key], (dict, list)):
+                    stack.append(value[key])
+        parent, key = rng.choice(slots)
+        if rng.random() < 0.3:
+            del parent[key]
+        else:
+            parent[key] = rng.choice(junk)
+        yield json.dumps(mutated)
+
+
+def test_fuzzed_certificates_end_with_a_documented_exit_code(tmp_path, capsys):
+    import random
+
+    rng = random.Random(2122)
+    h5 = write_family(tmp_path, 5)
+    cert = tmp_path / "cert.json"
+    texts = list(_mutations(rng, packaged_certificate(), 60))
+    texts += ["[" * 100_000, _addition_chain(985)]
+    codes = {0: 0, 2: 0}
+    for text in texts:
+        cert.write_text(text)
+        code = cli.main(["free", h5, "--certificate", str(cert)])
+        assert code in codes, text[:200]
+        codes[code] += 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code == 0:
+            assert out.startswith(("certificate rejected", "free: True"))
+    assert codes[0] >= 30 and codes[2] >= 10

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from hyperarr import from_vectors, hyperpolygonal
-from hyperarr.arrangement import restrict_to_subspace
 from hyperarr.exactlinalg import (
     IntEchelon,
     SubspaceBasis,
@@ -13,7 +12,7 @@ from hyperarr.exactlinalg import (
     primitive_kernel_basis,
     rank_of,
 )
-from hyperarr.lattice import universe
+from hyperarr.lattice import build_lattice, restriction
 
 import oracles
 
@@ -235,12 +234,12 @@ def test_restrictions_on_every_flat_match_the_fraction_route():
              oracles.random_arrangements(40, seed=43, max_dim=5, max_size=9)]
     checked = 0
     for arr in arrs:
-        uni = universe(arr)
-        for f in range(uni.flat_count()):
-            kernel = uni.flat_kernel(f)
-            if not kernel:
+        for flat in build_lattice(arr).flats():
+            if not flat.dim:
                 continue  # the centre of an essential arrangement
-            got = restrict_to_subspace(arr, uni.flat_subspace(f))
+            got = restriction(arr, flat)
+            members = [arr.covectors[i] for i in flat.contains]
+            kernel = _old_primitive_kernel_basis(members, arr.dim)
             assert (got.dim, got.covectors) == _old_restrict(arr.covectors, kernel, arr.dim)
             checked += 1
     assert checked >= 900

@@ -815,6 +815,28 @@ def test_rank2_queries_match_pairwise_scans(monkeypatch, generic4):
     assert seen["certified"] >= 20 and seen["missed"] >= 20
 
 
+def test_gen_closure_admits_hyperplanes_to_a_current_set_that_does_not_span():
+    from hyperarr.formality import _spans_hyperplane_exact
+    from hyperarr.lattice import universe
+
+    # x1, x2, x3, x1+x2+x3, x1+x2, x4, x1+x3 in dim 4; the seed has rank 3.
+    # x1+x2 holds the points {x1, x2} and {x3, x1+x2+x3} of the seed's plane,
+    # x1+x3 the points {x1, x3} and {x2, x1+x2+x3}
+    arr = from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
+                           (1, 1, 0, 0), (0, 0, 0, 1), (1, 0, 1, 0)])
+    seed = (0, 1, 2, 3)
+    sub = universe(arr.subset(seed))
+    assert sub.arr_rank == 3 and len(sub.flat_kernel(0)[0]) == 3
+    gc = gen_closure(arr, seed)
+    assert gc.rounds == ((4, 6),) and gc.generated == (0, 1, 2, 3, 4, 6) and gc.complete
+    # x4 does not vanish on the seed's centre, so no flat of the seed lies in it
+    assert sub.coordinates(arr.covectors[5]) is None
+    assert not _spans_hyperplane_exact(sub, arr.covectors[5])
+    assert sub.coordinates(arr.covectors[4]) == (1, 1, 0)
+    # in dimension 1 the hyperplane is the point 0, which the empty set spans
+    assert gen_closure(from_vectors(1, [(1,)]), ()).generated == (0,)
+
+
 def test_motion_search_checks_each_rest_once(monkeypatch):
     from collections import Counter
 

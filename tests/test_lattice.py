@@ -8,6 +8,7 @@ from hyperarr import (
     boolean,
     build_lattice,
     chi,
+    essentialize,
     find_generic_rank3_localization,
     from_vectors,
     hyperpolygonal,
@@ -521,11 +522,14 @@ def test_flat_bases_span_each_flat_and_children_mirror_the_cover_table(h6):
         flats = range(uni.flat_count())
         if arr is h6:  # the Fraction rank of all 12,426 bases takes seconds
             flats = rng.sample(flats, 1500)
+        # the lattice coordinates are those of the essentialization
+        assert uni.normals == list(essentialize(arr).covectors)
         for f in flats:
             basis = uni.flat_kernel(f)
-            assert len(basis) == arr.dim - uni.rank[f]
+            assert len(basis) == arr.rank - uni.rank[f]
+            assert all(len(k) == arr.rank for k in basis)
             assert oracles.frac_rank(basis) == len(basis)
-            for h, c in enumerate(arr.covectors):
+            for h, c in enumerate(uni.normals):
                 trace = [sum(x * y for x, y in zip(c, k)) for k in basis]
                 if (uni.bits[f] >> h) & 1:
                     assert not any(trace)  # a member normal annihilates the flat
@@ -831,3 +835,63 @@ def test_wide_entry_build_matches_membership_build(h3):
                 wide = any(entry * sum(map(abs, k)) >= 1 << 63 for k in basis)
                 routes["wide" if wide else "packed"] += 1
     assert routes["packed"] >= 10 and routes["wide"] >= 10
+
+
+def _non_essential_copy(arr, k, rng):
+    """arr with k zero columns appended, then sheared by an upper unitriangular
+    integer matrix: the same matroid in dim + k, of rank arr.rank."""
+    d = arr.dim + k
+    shear = [[int(i == j) + rng.randint(-3, 3) * (i < j) for j in range(d)] for i in range(d)]
+    wide = [tuple(c) + (0,) * k for c in arr.covectors]
+    return from_vectors(d, [[sum(c[i] * shear[i][j] for i in range(d)) for j in range(d)] for c in wide])
+
+
+def test_non_essential_copies_match_their_source_and_the_oracles():
+    import random
+
+    from hyperarr import analyze, enumerate_regions, gen_closure
+
+    rng = random.Random(2100)
+    randoms = oracles.random_arrangements(24, seed=2101, max_dim=4, max_size=7)
+    pool = [from_vectors(d, covs) for d, covs in randoms] + [hyperpolygonal(n) for n in (2, 3, 4)]
+    # the family's seeds whose closures cover it in one or two rounds
+    natural = {hyperpolygonal(n): tuple(range(n - 1)) + (n, 2 ** (n - 1) + n - 1) for n in (3, 4)}
+    seen = {"copies": 0, "restrictions": 0, "grew": 0}
+    for src in pool:
+        k = rng.randint(1, 2)
+        copy = _non_essential_copy(src, k, rng)
+        assert copy.rank == src.rank < copy.dim and len(copy) == len(src)
+        lat, lat_src = build_lattice(copy), build_lattice(src)
+        flats = [(fl.contains, fl.rank, fl.mobius, fl.dim - k) for fl in lat.flats()]
+        assert flats == [(fl.contains, fl.rank, fl.mobius, fl.dim) for fl in lat_src.flats()]
+        assert universe(copy).normals == list(essentialize(copy).covectors)
+        assert len(universe(copy).flat_kernel(0)) == copy.rank
+        chi_copy = lat.chi()
+        assert chi_copy == (0,) * k + lat_src.chi()
+        regs = enumerate_regions(copy)
+        assert regs.masks == enumerate_regions(src).masks
+        seeds = [rng.sample(range(len(src)), min(len(src), rng.randint(0, src.rank + 1))) for _ in range(3)]
+        for seed in seeds + ([natural[src]] if src in natural else []):
+            gc = gen_closure(copy, seed)
+            assert gc == gen_closure(src, seed)
+            seen["grew"] += bool(gc.rounds)
+        rep, rep_src = analyze(copy), analyze(src)
+        values = {name: d.value for name, d in rep.properties.items() if name != "projectively_unique"}
+        assert values == {name: d.value for name, d in rep_src.properties.items() if name != "projectively_unique"}
+        assert rep.chi == chi_copy and rep.regions == rep_src.regions
+        if rep_src.exponents is not None:
+            assert rep.exponents == (0,) * k + rep_src.exponents
+        for fl, fl_src in zip(lat.flats(), lat_src.flats()):
+            if not fl_src.dim:
+                continue  # the centre of an essential source has no restriction
+            res, res_src = restriction(copy, fl), restriction(src, fl_src)
+            assert res.dim == res_src.dim + k and len(res) == len(res_src)
+            assert universe(res).bits == universe(res_src).bits
+            seen["restrictions"] += 1
+        # the oracles, on the copy itself; the subset sweeps take seconds on H_4
+        assert len(regs) == zaslavsky_region_count(copy)
+        if len(copy) <= 8:
+            assert {frozenset(fl.contains) for fl in lat.flats()} == oracles.brute_flat_sets(copy.covectors)
+            assert chi_copy == oracles.whitney_chi(copy.dim, copy.covectors)
+        seen["copies"] += 1
+    assert seen["copies"] == len(pool) and seen["restrictions"] >= 100 and seen["grew"] >= 2

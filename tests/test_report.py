@@ -244,7 +244,7 @@ def test_no_search_takes_a_cap_parameter():
 
 
 def test_non_essential_analyze_builds_one_lattice(monkeypatch):
-    from hyperarr import from_vectors, lattice
+    from hyperarr import enumerate_regions, from_vectors, lattice
 
     # rank 3 in dimension 4: the searches read the input's own lattice
     arr = from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (1, 0, 1, 0)])
@@ -261,6 +261,9 @@ def test_non_essential_analyze_builds_one_lattice(monkeypatch):
     rep = analyze(arr)
     assert rep.properties["supersolvable"] == PropertyDecision(True, "modular chain search")
     assert rep.properties["simplicial"].provenance.startswith("facet-count defect")
+    # the chambers are read off the same lattice, in its coordinates
+    regs = enumerate_regions(arr)
+    assert len(regs) == rep.regions and regs.arrangement.dim == 3
     assert built == [arr]
 
 
