@@ -60,18 +60,20 @@ class Arrangement:
         return iter(self.covectors)
 
     @cached_property
-    def _echelon(self) -> IntEchelon:
-        """The integer echelon of the covectors, in order.  Its pivot columns
-        are the coordinates of the span of the normals: rank, essentialize
-        and the lattice engine all read this one echelon."""
+    def _span(self) -> IntEchelon | None:
+        """The integer echelon of the covectors, in order, when it has fewer
+        rows than dim, else None.  Its pivot columns are the coordinates of
+        the span of the normals: rank, essentialize and the lattice engine
+        all read this one echelon.  An essential arrangement keeps none, as
+        its coordinates are the ambient ones."""
         ech = IntEchelon(self.dim)
         for c in self.covectors:
             ech.add(c)
-        return ech
+        return ech if ech.rank < self.dim else None
 
     @cached_property
     def rank(self) -> int:
-        return self._echelon.rank
+        return self.dim if self._span is None else self._span.rank
 
     @property
     def is_essential(self) -> bool:
@@ -182,7 +184,7 @@ def essentialize(arr: Arrangement) -> Arrangement:
     """
     if arr.is_essential:
         return arr
-    pivots = arr._echelon.pivots
+    pivots = arr._span.pivots
     covs = [canonicalize([c[p] for p in pivots]) for c in arr.covectors]
     return Arrangement(len(pivots), tuple(covs))
 

@@ -126,7 +126,7 @@ class Universe:
         r = self.arr_rank = arr.rank
         self.m = len(arr)
         self.dim = arr.dim
-        self._echelon = arr._echelon
+        self._span = arr._span
         self.normals = list(essentialize(arr).covectors)
         self.bits: list[int] = [0]
         self.rank: list[int] = [0]
@@ -227,12 +227,15 @@ class Universe:
         return self._basis[f]
 
     def coordinates(self, covector: Sequence[int]) -> tuple[int, ...] | None:
-        """An ambient covector in the lattice coordinates: its entries in the
-        pivot columns of the normals' echelon, which is linear on the span of
-        the normals.  None when the covector is outside that span, that is,
-        when it does not vanish on the centre."""
-        ech = self._echelon
-        if ech.rank < self.dim and not ech.contains(covector):
+        """An ambient covector in the lattice coordinates, or None when it is
+        outside the span of the normals, that is, when it does not vanish on
+        the centre.  The coordinates are its entries in the pivot columns of
+        the normals' echelon, which is linear on that span; an essential
+        arrangement's are the ambient ones."""
+        ech = self._span
+        if ech is None:
+            return tuple(covector)
+        if not ech.contains(covector):
             return None
         return tuple([covector[p] for p in ech.pivots])
 
@@ -523,13 +526,10 @@ def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
     The flat as an ambient subspace is the kernel of its member covectors.
     A Flat that is not a flat of arr raises KeyError.
     """
-    bits = mask_of(flat.contains)
-    if bits not in universe(arr, up_to_rank=flat.rank).index_of_bits:
-        raise KeyError(bits)
-    members = [arr.covectors[i] for i in flat.contains]
-    return restrict_to_subspace(
-        arr, SubspaceBasis.from_vectors(primitive_kernel_basis(members, arr.dim), arr.dim)
-    )
+    if mask_of(flat.contains) not in universe(arr, up_to_rank=flat.rank).index_of_bits:
+        raise KeyError(flat.contains)
+    kernel = primitive_kernel_basis([arr.covectors[i] for i in flat.contains], arr.dim)
+    return restrict_to_subspace(arr, SubspaceBasis.from_vectors(kernel, arr.dim))
 
 
 # -- supersolvability ---------------------------------------------------

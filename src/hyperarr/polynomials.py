@@ -44,10 +44,13 @@ def monic_linear_roots(p: Sequence[int]) -> tuple[int, ...] | None:
     p = list(trim(p))
     if not p or p[-1] != 1:
         return None
-    # strip the t^k factor in one slice
-    k = next(i for i, c in enumerate(p) if c)
+    # strip the t^k factor in one slice; p[-1] == 1 ends the scan
+    k = 0
+    while not p[k]:
+        k += 1
     roots = [0] * k
-    p = p[k:]
+    if k:
+        p = p[k:]
     # a positive integer root divides the constant term (nonzero from here on)
     for b in _positive_divisors(abs(p[0])):
         if len(p) == 1:

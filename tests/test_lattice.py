@@ -161,6 +161,14 @@ def test_restriction_lattice_invariant_under_coordinate_change(h3):
     assert build_lattice(restriction(mapped, f2)).counts_by_rank() == base_profile
 
 
+def test_restriction_rejects_a_set_that_is_not_a_flat(h3):
+    from hyperarr.lattice import Flat
+
+    # x1, x2, x3 meet only at the centre, which holds all seven hyperplanes
+    with pytest.raises(KeyError):
+        restriction(h3, Flat(index=0, rank=3, contains=(0, 1, 2), dim=0, mobius=0))
+
+
 # -- modularity and supersolvability -----------------------------------------------
 
 
@@ -854,8 +862,8 @@ def test_non_essential_copies_match_their_source_and_the_oracles():
     rng = random.Random(2100)
     randoms = oracles.random_arrangements(24, seed=2101, max_dim=4, max_size=7)
     pool = [from_vectors(d, covs) for d, covs in randoms] + [hyperpolygonal(n) for n in (2, 3, 4)]
-    # the family's seeds whose closures cover it in one or two rounds
-    natural = {hyperpolygonal(n): tuple(range(n - 1)) + (n, 2 ** (n - 1) + n - 1) for n in (3, 4)}
+    # the natural seeds of H_3 and H_4, whose closures cover them
+    natural = {hyperpolygonal(n): tuple(range(n - 1)) + (n, n + 2 ** (n - 1) - 1) for n in (3, 4)}
     seen = {"copies": 0, "restrictions": 0, "grew": 0}
     for src in pool:
         k = rng.randint(1, 2)
