@@ -100,10 +100,10 @@ def enumerate_regions(arr: Arrangement) -> RegionSet:
     The rays come from the lattice of arr, whose coordinates are those of
     the essentialization; the result carries that as its arrangement (same
     hyperplane indices, same region bitmasks), with the ray vectors in its
-    coordinates.  The search over sign prefixes
-    branches by bit tests only: closure(C) = cone(alive(C)) for a prefix cone
-    C, so a side of the next hyperplane meets C exactly when an alive
-    candidate lies strictly on it (see the module docstring).
+    coordinates.  The search over sign prefixes branches by bit tests only:
+    closure(C) = cone(alive(C)) for a prefix cone C, so a side of the next
+    hyperplane meets C exactly when an alive candidate lies strictly on it
+    (see the module docstring).
     """
     ess = essentialize(arr)
     m = len(ess)
