@@ -292,8 +292,9 @@ def test_free_certificate_too_deep_to_replay_is_rejected(tmp_path):
     import sys
     from pathlib import Path
 
-    # a fresh process decodes 985 levels, and the replay, a few frames deeper
-    # per level, runs out of stack: a rejected certificate, not a traceback
+    # a fresh process decodes 985 levels, and the replay, which needs a few
+    # more frames at its deepest node, runs out of stack: a rejected
+    # certificate, not a traceback
     path = tmp_path / "axes.arr"
     path.write_text("dim 2\n1 0\n0 1\n")
     chain = tmp_path / "chain.json"
