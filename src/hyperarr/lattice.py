@@ -27,13 +27,21 @@ integer basis K_X of X in these coordinates (rank A - rank X primitive
 vectors; the identity at the ambient flat).  The trace
 of a hyperplane h not in X is its linear form read in these coordinates,
 (c_h . k for k in K_X), made primitive with its first nonzero entry positive;
-equal traces are the same hyperplane of A^X.  So one pass per flat groups the
-normals into its covers (cover bits = bits of X | group), and a new cover's
-basis is cut from X's by the kernel of the group's trace.  A flat of
-dimension one has the centre as its only cover and needs no traces.  The dot
-products c_h . k of all normals come out of one packed integer product per
-basis vector k, read back lane by lane (see _trace_columns), and each distinct
-raw trace is made canonical once per build.
+equal traces are the same hyperplane of A^X.  Not every normal needs a trace
+(matroid closure, J. Oxley, Matroid Theory, section 1.4).  Let P be the
+first parent of X, the flat whose pass created it.  For a cover g != X of P
+and h in g - P, cl(X + h) = cl(X + cl(P + h)) = cl(X + g), and g meets X in
+P, so the blocks g - P partition the hyperplanes outside X and the covers
+of X coarsen those of P.  So the pass of X reads one trace per block, that
+of its lowest hyperplane, and groups the blocks of equal canonical trace
+into its covers (cover bits = bits of X | group); the ambient flat has one
+block per hyperplane.  Blocks come in the order of their lowest hyperplane,
+as rows do, so the covers come out in that order too.  A new cover's basis
+is cut from X's by the kernel of the group's trace.  A flat of dimension one
+has the centre as its only cover and needs no traces.  The dot products
+c_h . k of all normals come out of one packed integer product per basis
+vector k, read back lane by lane (see _trace_columns), and each distinct raw
+trace is made canonical once per build.
 
 Consequently the characteristic polynomial of any (restriction of a)
 subarrangement is an interval Moebius computation over one shared structure,
@@ -67,7 +75,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import islice
 from math import comb, gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, essentialize, restrict_to_subspace
@@ -139,6 +147,7 @@ class Universe:
         self._node_chi: dict[tuple[int, int], IntPoly] = {}
         self._node_roots: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self.built_to = 0
+        self.traces = 0  # traces the build grouped, one per block read
         self.extend(up_to_rank)
 
     def extend(self, up_to_rank: int | None = None) -> None:
@@ -160,6 +169,7 @@ class Universe:
         full = self._full_mask
         column = _trace_columns(self.normals, self.arr_rank)
         canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+        parent = -1  # the flat P whose cover blocks and pick are at hand
         while self.built_to < limit:
             rank = self.built_to + 1
             first = len(bits)
@@ -174,18 +184,29 @@ class Universe:
                     if full & ~bf:
                         groups[(1,)] = full & ~bf
                 else:
-                    # hyperplanes with equal raw traces first, then their canonical form
-                    raw: dict[tuple[int, ...], int] = {}
-                    bit = 1
-                    for trace in zip(*map(column, basis)):
-                        raw[trace] = raw.get(trace, 0) | bit
-                        bit <<= 1
-                    for trace, group in raw.items():
+                    if f:
+                        # one trace per block g - P of the covers g of f's first
+                        # parent P, at its lowest hyperplane: cl(f + h) = cl(f + g)
+                        # for h in g - P.  The flats P created come one after
+                        # another, so the blocks are made once per P.
+                        p = ups[up_start[f]]
+                        if p != parent:
+                            parent, bp = p, bits[p]
+                            blocks = [bits[g] & ~bp for g in kids[kid_start[p] : kid_start[p + 1]]]
+                            pick = itemgetter(*[(b & -b).bit_length() - 1 for b in blocks])
+                        traces = zip(*[pick(column(k)) for k in basis])
+                        self.traces += len(blocks) - 1
+                    else:  # the ambient flat: one block per hyperplane
+                        blocks = [1 << h for h in range(self.m)]
+                        traces = zip(*map(column, basis))
+                        self.traces += self.m
+                    for trace, block in zip(traces, blocks):
+                        if block & bf:
+                            continue  # f's own block, whose trace is zero
                         key = canonical.get(trace)
                         if key is None:
                             key = canonical[trace] = _canonical_trace(trace)
-                        if key:  # () is the zero trace of the members of f
-                            groups[key] = groups.get(key, 0) | group
+                        groups[key] = groups.get(key, 0) | block
                 covers: list[int] = []  # the children row of f
                 for trace, group in groups.items():
                     nb = bf | group
@@ -386,11 +407,8 @@ def _trace_columns(
 
 
 def _canonical_trace(trace: tuple[int, ...]) -> tuple[int, ...]:
-    """The trace made primitive with its first nonzero entry positive; () for
-    the zero trace."""
+    """The nonzero trace made primitive with its first nonzero entry positive."""
     g = gcd(*trace)
-    if not g:
-        return ()
     for x in trace:
         if x:
             break

@@ -289,12 +289,13 @@ def test_zaslavsky_count(h2, h3, bool3):
 
 # -- differential checks of the rewritten layers ------------------------------------
 #
-# The build groups canonical traces, joins walk the stored covers, and Moebius
-# values come from Weisner's theorem.  Each is checked against tests/oracles.py
-# and, for the build, against local copies of the closure-by-membership build
-# and of the trace-grouped build with its cover table T[f][h] = closure(f + h),
-# which the lattice no longer stores: children and bits must hold the same
-# table, with the same flat ids and parents.
+# The build groups canonical traces, one per block of the covers of a flat's
+# first parent, joins walk the stored covers, and Moebius values come from
+# Weisner's theorem.  Each is checked against tests/oracles.py and, for the
+# build, against local copies of the closure-by-membership build and of the
+# per-hyperplane trace-grouped build with its cover table T[f][h] =
+# closure(f + h), which the lattice no longer stores: children and bits must
+# hold the same table, with the same flat ids, parents and flat bases.
 
 
 def _differential_pool():
@@ -350,14 +351,17 @@ def _membership_build(arr):
 @functools.cache
 def _trace_grouped_cover_table(arr):
     """The cover table T[f][h] = closure(f + h) of the trace-grouped build
-    before the table was deleted, with its flat bits: dot products one by
-    one, canonical traces grouped in order of their lowest hyperplane."""
+    before the table was deleted, with its flat bits and the flat bases it
+    cuts: a trace for every hyperplane outside each flat, dot products one by
+    one in the coordinates of the span of the normals, canonical traces
+    grouped in order of their lowest hyperplane."""
     from hyperarr.lattice import _cut_basis
 
+    normals, r = essentialize(arr).covectors, arr.rank
     m, full = len(arr), (1 << len(arr)) - 1
     bits, T, by_rank, index = [0], [[-1] * m], [[0]], {0: 0}
-    basis = [tuple(tuple(int(i == j) for j in range(arr.dim)) for i in range(arr.dim))]
-    for _ in range(arr.rank):
+    basis = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
+    for _ in range(r):
         nxt = []
         for f in by_rank[-1]:
             groups = {}
@@ -365,7 +369,7 @@ def _trace_grouped_cover_table(arr):
                 if full & ~bits[f]:
                     groups[(1,)] = full & ~bits[f]
             else:
-                for h, c in enumerate(arr.covectors):
+                for h, c in enumerate(normals):
                     if (bits[f] >> h) & 1:
                         continue
                     trace = [sum(x * y for x, y in zip(c, k)) for k in basis[f]]
@@ -384,7 +388,7 @@ def _trace_grouped_cover_table(arr):
                 for h in bit_indices(group):
                     T[f][h] = g
         by_rank.append(nxt)
-    return bits, T
+    return bits, T, basis
 
 
 def _rows(table, uni):
@@ -423,7 +427,7 @@ def test_trace_grouped_build_matches_membership_build_and_oracle():
         uni = universe(arr)
         bits, rank, T, parents, by_rank = _membership_build(arr)
         assert uni.bits == bits and uni.rank == rank
-        assert _trace_grouped_cover_table(arr) == (bits, T)
+        assert _trace_grouped_cover_table(arr)[:2] == (bits, T)
         assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
         assert uni.by_rank == [lv for lv in by_rank if lv]
         if len(arr) <= 8:  # the subset sweep takes 18 s on H_4's 12 hyperplanes
@@ -545,7 +549,7 @@ def test_flat_bases_span_each_flat_and_children_mirror_the_cover_table(h6):
                     assert any(trace)  # a non-member misses it
                     ran["gcd_split"] += len(basis) >= 2 and math.gcd(*trace) > 1
             ran["dimension_one"] += len(basis) == 1 and bool(uni.children[f])
-        bits, T = _trace_grouped_cover_table(arr)
+        bits, T, _ = _trace_grouped_cover_table(arr)
         assert bits == uni.bits
         assert _rows(uni.children, uni) == [list(dict.fromkeys(g for g in row if g >= 0)) for row in T]
     assert ran["gcd_split"] >= 20 and ran["dimension_one"] >= 20
@@ -903,3 +907,64 @@ def test_non_essential_copies_match_their_source_and_the_oracles():
             assert chi_copy == oracles.whitney_chi(copy.dim, copy.covectors)
         seen["copies"] += 1
     assert seen["copies"] == len(pool) and seen["restrictions"] >= 100 and seen["grew"] >= 2
+
+
+# The build reads one trace per block g - P of the covers g of a flat's first
+# parent P, not one per hyperplane.  Checked against the per-hyperplane build
+# above on flat ids, covers and bases, for one-shot and grown builds, and by
+# the count of traces read.
+
+
+def _build_tables(uni):
+    return (
+        uni.bits,
+        list(uni.parents.values), list(uni.parents.start),
+        list(uni.children.values), list(uni.children.start),
+        [uni.flat_kernel(f) for f in range(uni.flat_count())],
+    )
+
+
+def _check_block_build(arr):
+    from hyperarr.lattice import Universe
+
+    whole = Universe(arr)
+    bits, T, bases = _trace_grouped_cover_table(arr)
+    assert whole.bits == bits and _cover_rows(whole) == T
+    assert [whole.flat_kernel(f) for f in range(whole.flat_count())] == bases
+    grown = Universe(arr, up_to_rank=2)
+    grown.extend(3)
+    grown.extend()
+    assert _build_tables(grown) == _build_tables(whole)
+    assert grown.by_rank == whole.by_rank and grown.traces == whole.traces
+
+
+def test_block_build_matches_the_per_hyperplane_build_one_shot_and_grown():
+    import random
+
+    rng = random.Random(2200)
+    copies = [_non_essential_copy(hyperpolygonal(n), 2, rng) for n in (4, 5)]
+    assert all(copy.rank < copy.dim for copy in copies)
+    for arr in _differential_pool() + copies:
+        _check_block_build(arr)
+
+
+def test_block_build_matches_the_per_hyperplane_build_on_h6(h6):
+    _check_block_build(h6)
+
+
+def test_trace_count_is_one_per_block_of_each_first_parent(h5, h6):
+    """H_5 and H_6 read 8,862 and 348,270 traces with one per hyperplane
+    outside each flat."""
+    from hyperarr.lattice import Universe
+
+    for arr, count in ((h5, 4_211), (h6, 143_234)):
+        uni = Universe(arr)
+        assert uni.traces == count
+        # one block per hyperplane at the ambient flat, then the covers of
+        # each flat's first parent but its own
+        blocks = len(arr) + sum(
+            len(uni.children[uni.parents[f][0]]) - 1
+            for f in range(1, uni.flat_count())
+            if len(uni.flat_kernel(f)) >= 2
+        )
+        assert uni.traces == blocks
