@@ -953,8 +953,8 @@ def test_block_build_matches_the_per_hyperplane_build_on_h6(h6):
 
 
 def test_trace_count_is_one_per_block_of_each_first_parent(h5, h6):
-    """H_5 and H_6 read 8,862 and 348,270 traces with one per hyperplane
-    outside each flat."""
+    """H_5 and H_6 read 8,862 and 348,270 traces with one per hyperplane,
+    members included, on each flat of dimension >= 2."""
     from hyperarr.lattice import Universe
 
     for arr, count in ((h5, 4_211), (h6, 143_234)):
