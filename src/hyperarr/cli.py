@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = analysis completed; 2 = input could not be parsed;
-3 = the output contains "undecided": a capped search was exhausted, or
-projective uniqueness found no witness and no motion refutation;
+3 = the output contains "undecided": a capped search was exhausted or ran
+out of stack, or projective uniqueness found no witness and no motion
+refutation;
 141 = standard output was closed before all of it was written (for example
 by `| head`), 128 + SIGPIPE as a shell reports a pipe writer it ended.
 Property values (true/false) never drive exit codes.  So `free --certificate`
@@ -206,16 +207,14 @@ def cmd_genclose(args) -> int:
         if not 0 <= i < len(arr):
             raise ParseError(f"seed index {i} out of range for {len(arr)} hyperplanes")
     gc = gen_closure(arr, seed)
-    covers = len(gc.generated) == len(arr)
     print(json.dumps({
-        "schema": "hyperarr/genclose-v1",
+        "schema": "hyperarr/genclose-v2",
         "seed": list(gc.seed),
         "rounds": [list(rnd) for rnd in gc.rounds],
         "generated": sorted(gc.generated),
-        "covers": covers,
-        "complete": gc.complete,
+        "covers": len(gc.generated) == len(arr),
     }, indent=2))
-    return EXIT_OK if gc.complete else EXIT_UNDECIDED
+    return EXIT_OK
 
 
 @functools.cache

@@ -17,11 +17,11 @@ of the arrangement enters the next round when the flats of the intersection
 lattice of the current set that lie inside H together span H.  A seed of
 rank + 1 hyperplanes in general position is projectively rigid, and rigidity
 propagates along generation rounds, so a connected such seed whose closure
-reaches every hyperplane is a witness of projective uniqueness.  Rounds over
-small current sets are decided exactly by walking the full sub-lattice; over
-large current sets a sound certificate is used (the lines through H that hold
-two current hyperplanes, read from the covers of H's atom, together span H),
-and any hyperplane it cannot certify is marked undecided rather than excluded.
+reaches every hyperplane is a witness of projective uniqueness.  Every round
+is decided exactly: H enters at once when it holds two lines of the master
+lattice with two current hyperplanes each (read from the covers of H's
+atom), and otherwise when the flats of the current sub-lattice inside H,
+read rank by rank, span it.
 
 Motion refutation: a hyperplane h moved to a new covector without changing
 the labelled lattice, while the other hyperplanes span and have a connected
@@ -46,9 +46,7 @@ from .arrangement import Arrangement
 from .exactlinalg import IntEchelon, canonicalize, primitive_kernel_basis
 from .lattice import Universe, bit_indices, mask_of, universe
 
-# largest current set a generation-closure round decides on its full
-# sub-lattice, and candidate seeds the projective-uniqueness witness scan tries
-EXACT_CURRENT_CAP = 18
+# candidate seeds the projective-uniqueness witness scan tries
 WITNESS_CAP = 10**6
 
 
@@ -187,66 +185,60 @@ class GenClosure:
     seed: tuple[int, ...]
     generated: tuple[int, ...]  # seed plus everything that entered
     rounds: tuple[tuple[int, ...], ...]  # indices entering per round
-    complete: bool  # every round decided exactly (no sound-only shortcuts)
 
 
-def _spans_hyperplane_exact(uni: Universe, ch: Sequence[int]) -> bool:
-    """Exact membership test: do the flats of the sub-lattice uni (of the
-    current hyperplanes) that lie inside the hyperplane with the ambient
-    normal ch span it?
+def _holds_two_current_lines(master: Universe, cur: int, h: int) -> bool:
+    """Does h hold two lines of the master lattice that each hold two
+    hyperplanes of the mask cur?  Each such line cuts out a rank-2 flat of
+    the current sub-lattice inside h, and two distinct codimension-2 flats
+    inside h span it.  The lines through h are the covers of its atom."""
+    elements = master.node_elements(master.index_of_bits[1 << h], cur)
+    return sum(1 for _, held in elements if held & (held - 1)) >= 2
 
-    Every flat holds the centre Z of uni, so the flats inside the hyperplane
-    span it exactly when their images in the lattice coordinates span a
-    space of dimension arr_rank - 1.  When ch does not vanish on Z, no flat
-    lies inside, and the empty span is the hyperplane only in dimension 1.
+
+def _spans_hyperplane(sub: Universe, ch: Sequence[int]) -> bool:
+    """Do the flats of the sub-lattice sub (of the current hyperplanes) that
+    lie inside the hyperplane with the ambient normal ch span it?
+
+    Every flat holds the centre Z of sub, so the flats inside the hyperplane
+    span it exactly when their bases in the lattice coordinates span a space
+    of dimension r - 1, r = sub.arr_rank.  When ch does not vanish on Z, no
+    flat lies inside, and the empty span is the hyperplane only in dimension
+    1.  Only ranks 2 to r - 1 can contribute: the ambient space is not inside
+    the hyperplane, a current hyperplane is not the hyperplane, and the
+    centre's basis is empty.  So sub grows one rank at a time, only as far
+    as the echelon needs, and never to its top rank.
     """
-    local = uni.coordinates(ch)
+    local = sub.coordinates(ch)
     if local is None:
-        return uni.dim == 1
-    r = uni.arr_rank
+        return sub.dim == 1
+    r = sub.arr_rank
     ech = IntEchelon(r)
-    for f in range(uni.flat_count()):
-        kernel = uni.flat_kernel(f)
-        if any(sum(map(mul, local, k)) for k in kernel):
-            continue  # f is not inside the hyperplane
-        for v in kernel:
-            ech.add(v)
+    for k in range(2, r):
+        sub.extend(k)
+        for f in sub.by_rank[k]:
+            basis = sub.flat_kernel(f)
+            if any(sum(map(mul, local, v)) for v in basis):
+                continue  # f is not inside the hyperplane
+            for v in basis:
+                ech.add(v)
             if ech.rank == r - 1:
                 return True
-    return ech.rank == r - 1
-
-
-def _spans_hyperplane_pairwise(
-    arr: Arrangement, current: Sequence[int], h: int
-) -> bool:
-    """Sound shortcut: rank-2 flats through h that hold two current
-    hyperplanes and together span h.  A miss proves nothing.  Read in the
-    lattice coordinates of arr, where h has dimension rank(A) - 1; below
-    rank 2 there is no line, and the empty span is h only in dimension 1."""
-    uni = universe(arr, up_to_rank=2)
-    r = uni.arr_rank
-    if r < 2:
-        return arr.dim == 1
-    ech = IntEchelon(r)
-    # the lines through h are the covers of its atom
-    for f, held in uni.node_elements(uni.index_of_bits[1 << h], mask_of(current)):
-        if not held & (held - 1):
-            continue
-        for v in uni.flat_kernel(f):
-            ech.add(v)
-        if ech.rank == r - 1:
-            return True
     return ech.rank == r - 1
 
 
 def gen_closure(arr: Arrangement, seed: Iterable[int]) -> GenClosure:
     """Generation closure of a seed within the hyperplane pool of arr.
 
-    Each round adds every pool hyperplane spanned by the current sub-lattice
-    flats it contains.  Rounds whose current set has at most EXACT_CURRENT_CAP
-    hyperplanes are decided exactly via the full sub-lattice; larger rounds
-    use the sound pairwise certificate and mark the run incomplete if any
-    remaining hyperplane goes uncertified (never excluded unsoundly).  In
+    Each round adds every pool hyperplane spanned by the flats of the
+    current sub-lattice that it contains, decided exactly.  A hyperplane
+    holding two lines of the master lattice with two current hyperplanes
+    each enters at once.  This reads the master, built to rank 2 once per
+    arrangement, and builds nothing, which keeps rounds over large current
+    sets cheap: without it, the second round of H_6, which adds one
+    hyperplane, would build its 37-hyperplane sub-lattice to rank 2.
+    Otherwise the sub-lattice of the current set is built on first need in
+    the round and grown rank by rank while the hyperplane is undecided.  In
     rank <= 2 no hyperplane can ever enter (the only sub-lattice flat inside
     a new hyperplane is the centre, of codimension 2), so every seed is
     closed and no essential rank-2 arrangement of four or more lines has a
@@ -258,34 +250,28 @@ def gen_closure(arr: Arrangement, seed: Iterable[int]) -> GenClosure:
     for i in seed:
         if not 0 <= i < m:
             raise IndexError(f"hyperplane index {i} out of range")
+    master = universe(arr, up_to_rank=2)
     current = set(seed)
     rounds: list[tuple[int, ...]] = []
-    complete = True
-    while True:
-        pool = [h for h in range(m) if h not in current]
-        if not pool:
-            break
-        exact = len(current) <= EXACT_CURRENT_CAP
-        entered: list[int] = []
-        uncertified: list[int] = []
+    while len(current) < m:
         cur_sorted = sorted(current)
-        sub = universe(arr.subset(cur_sorted)) if exact else None
-        for h in pool:
-            if exact:
-                ok = _spans_hyperplane_exact(sub, arr.covectors[h])
-            else:
-                ok = _spans_hyperplane_pairwise(arr, cur_sorted, h)
-            if ok:
-                entered.append(h)
-            elif not exact:
-                uncertified.append(h)
+        cur = mask_of(cur_sorted)
+        sub = None
+        entered: list[int] = []
+        for h in range(m):
+            if h in current:
+                continue
+            if not _holds_two_current_lines(master, cur, h):
+                if sub is None:
+                    sub = universe(arr.subset(cur_sorted), up_to_rank=2)
+                if not _spans_hyperplane(sub, arr.covectors[h]):
+                    continue
+            entered.append(h)
         if not entered:
-            if uncertified:
-                complete = False
             break
         rounds.append(tuple(entered))
-        current |= set(entered)
-    return GenClosure(seed, tuple(sorted(current)), tuple(rounds), complete)
+        current.update(entered)
+    return GenClosure(seed, tuple(sorted(current)), tuple(rounds))
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,10 @@ def is_inductively_free(arr: Arrangement) -> InductiveFreenessResult:
     chi roots, so non-splitting chi prunes, and the addition-deletion exponent
     pattern between the arrangement and a candidate deletion is necessary for
     that branch.  Exhaustive over all hyperplanes, with memoization on
-    (flat, mask) nodes; NODE_CAP bounds visited nodes ("undecided" beyond).
+    (flat, mask) nodes; NODE_CAP bounds visited nodes, and the search and the
+    replay of its witness recurse once per node on a path, so the stack
+    bounds its depth ("undecided" beyond either; nodes_visited > NODE_CAP
+    tells the two apart).
 
     The witness is the list of the search's hyperplane choices, one root
     index per distinct non-empty node (the lowest index of the chosen
@@ -75,19 +78,20 @@ def is_inductively_free(arr: Arrangement) -> InductiveFreenessResult:
     uni = universe(arr)
     counter = [0]
     memo: dict[tuple[int, int], tuple[bool, tuple[int, ...] | None, int | None]] = {}
-    try:
-        ok, roots, _ = _ind_free(uni, 0, uni._full_mask, memo, counter)
-    except CapExhausted:
-        return InductiveFreenessResult("undecided", None, None, counter[0])
-    if not ok:
-        return InductiveFreenessResult(False, None, None, counter[0])
     witness: list[int] = []
 
     def choose(x: int, mask: int) -> int:
         witness.append(memo[x, mask][2])
         return witness[-1]
 
-    assert _replay(uni, 0, uni._full_mask, choose, {}) == roots
+    try:
+        ok, roots, _ = _ind_free(uni, 0, uni._full_mask, memo, counter)
+        if not ok:
+            return InductiveFreenessResult(False, None, None, counter[0])
+        replayed = _replay(uni, 0, uni._full_mask, choose, {})
+    except (CapExhausted, RecursionError):
+        return InductiveFreenessResult("undecided", None, None, counter[0])
+    assert replayed == roots
     return InductiveFreenessResult(True, roots, witness, counter[0])
 
 

@@ -27,7 +27,7 @@ from importlib import resources
 from math import comb
 from typing import Literal
 
-from . import formality
+from . import formality, freeness
 from .arrangement import Arrangement, hyperpolygonal
 from .factorization import is_inductively_factored
 from .formality import (
@@ -238,9 +238,12 @@ def _ladder(arr: Arrangement, label: str, free_only: bool = False) -> PropertyRe
     if is_open("supersolvable"):
         decide("supersolvable", is_supersolvable(arr)[0], "modular chain search")
     if is_open("inductively_free"):
-        status = is_inductively_free(arr).status
-        cap = " (node cap exhausted)" if status == "undecided" else ""
-        decide("inductively_free", status, "addition-deletion search" + cap)
+        res = is_inductively_free(arr)
+        cap = ""
+        if res.status == "undecided":
+            bound = "node cap" if res.nodes_visited > freeness.NODE_CAP else "recursion depth"
+            cap = f" ({bound} exhausted)"
+        decide("inductively_free", res.status, "addition-deletion search" + cap)
     if is_open("inductively_factored"):
         status = is_inductively_factored(arr)[0]
         cap = " (size cap exhausted)" if status == "undecided" else ""

@@ -152,6 +152,15 @@ def test_free_inductive(tmp_path, capsys):
     assert "exponents: [1, 3, 3, 5]" in out
 
 
+def test_free_inductive_out_of_stack_is_undecided(tmp_path, capsys):
+    # 1,100 lines through the origin of the plane: the search recurses once
+    # per deleted line and runs out of stack long before its node cap
+    path = tmp_path / "pencil.arr"
+    path.write_text("dim 2\n" + "".join(f"1 {k}\n" for k in range(1100)))
+    assert cli.main(["free", str(path), "--inductive"]) == 3
+    assert "inductively free: undecided" in capsys.readouterr().out
+
+
 def test_free_certificate_replay(tmp_path, capsys):
     path = write_family(tmp_path, 5)
     cert = tmp_path / "cert.json"
@@ -218,18 +227,18 @@ def test_genclose_covering_seed(tmp_path, capsys):
     path = write_family(tmp_path, 3)
     assert cli.main(["genclose", path, "--seed", "0,1,3,6"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["schema"] == "hyperarr/genclose-v1"
+    assert data["schema"] == "hyperarr/genclose-v2" and "complete" not in data
     assert data["seed"] == [0, 1, 3, 6]
     assert data["rounds"] == [[4, 5], [2]]
     assert data["generated"] == list(range(7))
-    assert data["covers"] is True and data["complete"] is True
+    assert data["covers"] is True
 
 
 def test_genclose_non_covering_seed(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     assert cli.main(["genclose", path, "--seed", "0,2,3"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["covers"] is False and data["complete"] is True
+    assert data["covers"] is False and "complete" not in data
     assert data["generated"] == [0, 2, 3]
 
 

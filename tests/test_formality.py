@@ -74,9 +74,9 @@ def test_lc_basis(h2, h3, h4, h5):
 
 def test_gen_closure_trivial_and_errors(h3):
     g = gen_closure(h3, range(7))
-    assert g.generated == tuple(range(7)) and g.rounds == () and g.complete
+    assert g.generated == tuple(range(7)) and g.rounds == ()
     single = gen_closure(boolean(2), (0,))
-    assert single.generated == (0,) and single.complete
+    assert single.generated == (0,)
     with pytest.raises(IndexError):
         gen_closure(h3, (0, 99))
 
@@ -84,13 +84,11 @@ def test_gen_closure_trivial_and_errors(h3):
 def test_gen_closure_natural_seed_coverage(h3, h4, h5):
     for n, arr in ((3, h3), (4, h4), (5, h5)):
         g = gen_closure(arr, natural_seed(n, len(arr)))
-        assert g.complete
         assert g.generated == tuple(range(len(arr)))
 
 
 def test_gen_closure_natural_seed_fails_in_rank_two(h2):
     g = gen_closure(h2, natural_seed(2, len(h2)))
-    assert g.complete
     assert g.generated == (0, 2, 3)
     assert len(g.generated) < len(h2)
 
@@ -107,14 +105,6 @@ def test_gen_closure_idempotent_and_monotone(h4):
     again = gen_closure(h4, g.generated)
     assert again.generated == g.generated and again.rounds == ()
     assert set(g.seed) <= set(g.generated)
-
-
-def test_gen_closure_cap_is_sound(monkeypatch, h4):
-    exact = gen_closure(h4, natural_seed(4, len(h4)))
-    monkeypatch.setattr(formality, "EXACT_CURRENT_CAP", 3)
-    g = gen_closure(h4, natural_seed(4, len(h4)))
-    assert not g.complete
-    assert set(g.generated) <= set(exact.generated)
 
 
 def test_sign_sum_members_from_construction_forms():
@@ -617,7 +607,6 @@ def test_gen_closure_matches_fraction_reference():
     grew = 0
     for arr, seed in cases:
         g = gen_closure(arr, seed)
-        assert g.complete
         assert (g.generated, g.rounds) == _reference_gen_closure(arr, seed)
         grew += bool(g.rounds)
     assert grew >= 5  # the comparison must include closures that add hyperplanes
@@ -719,34 +708,53 @@ def _scan_spans_pairwise(arr, current, h):
     return ech.rank == arr.dim - 1
 
 
-def _scan_gen_closure(arr, seed, cap):
-    from hyperarr.formality import _spans_hyperplane_exact
+def _full_sublattice_spans(uni, ch):
+    """The previous exact step: walk every flat of the full sub-lattice uni
+    of the current hyperplanes, and keep those inside the hyperplane with the
+    ambient normal ch; they span it when their bases reach rank r - 1."""
+    from operator import mul
+
+    from hyperarr.exactlinalg import IntEchelon
+
+    local = uni.coordinates(ch)
+    if local is None:
+        return uni.dim == 1
+    r = uni.arr_rank
+    ech = IntEchelon(r)
+    for f in range(uni.flat_count()):
+        kernel = uni.flat_kernel(f)
+        if any(sum(map(mul, local, k)) for k in kernel):
+            continue
+        for v in kernel:
+            ech.add(v)
+    return ech.rank == r - 1
+
+
+def _scan_gen_closure(arr, seed):
+    """Generation closure with every round decided on a full Universe of the
+    current set by _full_sublattice_spans."""
     from hyperarr.lattice import Universe
 
-    current, rounds, complete = set(seed), [], True
+    current, rounds = set(seed), []
     while len(current) < len(arr):
-        exact = len(current) <= cap
-        cur = sorted(current)
-        sub = Universe(arr.subset(cur)) if exact else None
+        sub = Universe(arr.subset(sorted(current)))
         entered = [
-            h for h in range(len(arr)) if h not in current and (
-                _spans_hyperplane_exact(sub, arr.covectors[h]) if exact
-                else _scan_spans_pairwise(arr, cur, h)
-            )
+            h for h in range(len(arr))
+            if h not in current and _full_sublattice_spans(sub, arr.covectors[h])
         ]
         if not entered:
-            complete = exact
             break
         rounds.append(tuple(entered))
         current |= set(entered)
-    return tuple(sorted(current)), tuple(rounds), complete
+    return tuple(sorted(current)), tuple(rounds)
 
 
-def test_rank2_queries_match_pairwise_scans(monkeypatch, generic4):
+def test_rank2_queries_match_pairwise_scans(generic4):
     import random
 
     from hyperarr import find_generic_rank3_localization, is_generic, rank2_flats
-    from hyperarr.formality import _spans_hyperplane_pairwise
+    from hyperarr.formality import _holds_two_current_lines
+    from hyperarr.lattice import mask_of, universe
 
     rng = random.Random(5)
     arrs = [from_vectors(d, covs) for d, covs in oracles.random_arrangements(16, seed=61)]
@@ -778,23 +786,22 @@ def test_rank2_queries_match_pairwise_scans(monkeypatch, generic4):
         assert got == _scan_generic_rank3_localization(arr)
         seen["localization"] += flat is not None
         if m > 30:
-            continue  # H_6: the pairwise step itself is checked below
+            continue  # H_6: the two-line step itself is checked below
         for _ in range(2):
             seed = tuple(sorted(rng.sample(range(m), min(m, arr.rank + 1))))
-            cap = rng.randint(0, len(seed))
-            monkeypatch.setattr(formality, "EXACT_CURRENT_CAP", cap)
             g = gen_closure(arr, seed)
-            assert (g.generated, g.rounds, g.complete) == _scan_gen_closure(arr, seed, cap)
+            assert (g.generated, g.rounds) == _scan_gen_closure(arr, seed)
     for arr in arrs:
         m = len(arr)
         if m < 3:
             continue
+        master = universe(arr, up_to_rank=2)
         for _ in range(4 if m <= 30 else 12):
             current = sorted(rng.sample(range(m), rng.randint(2, m - 1)))
             for h in range(m):
                 if h in current:
                     continue
-                ok = _spans_hyperplane_pairwise(arr, current, h)
+                ok = _holds_two_current_lines(master, mask_of(current), h)
                 assert ok == _scan_spans_pairwise(arr, current, h)
                 seen["certified" if ok else "missed"] += 1
     # generic inputs of rank 4 and 5 (points of the moment curve), and
@@ -815,8 +822,95 @@ def test_rank2_queries_match_pairwise_scans(monkeypatch, generic4):
     assert seen["certified"] >= 20 and seen["missed"] >= 20
 
 
+def _dense_inputs(count, seed):
+    """count inputs of 19-26 distinct covectors with entries in [-2, 2], in
+    dimension 3 or 4, each with three random seeds of rank + 1 to m - 1
+    hyperplanes."""
+    import random
+
+    rng = random.Random(seed)
+    pools = {
+        d: sorted({canonicalize(v) for v in itertools.product(range(-2, 3), repeat=d) if any(v)})
+        for d in (3, 4)
+    }
+    out = []
+    for _ in range(count):
+        d = rng.choice((3, 4))
+        arr = from_vectors(d, rng.sample(pools[d], rng.randint(19, 26)))
+        m = len(arr)
+        seeds = [tuple(sorted(rng.sample(range(m), rng.randint(arr.rank + 1, m - 1)))) for _ in range(3)]
+        out.append((arr, seeds))
+    return out
+
+
+def test_gen_closure_matches_the_full_sub_lattice_on_dense_inputs():
+    """Current sets grow past 18 hyperplanes here, where rounds were once
+    decided by a sound-only shortcut; every round must match the walk of the
+    full sub-lattice."""
+    seen = {"grew": 0, "large": 0, "covered": 0}
+    for arr, seeds in _dense_inputs(20, 2323) + _dense_inputs(20, 4747):
+        for seed in seeds:
+            g = gen_closure(arr, seed)
+            assert (g.generated, g.rounds) == _scan_gen_closure(arr, seed)
+            seen["grew"] += bool(g.rounds)
+            sizes = itertools.accumulate(map(len, g.rounds), initial=len(seed))
+            seen["large"] += any(18 < n < len(arr) for n in sizes)  # a round over > 18 current
+            seen["covered"] += len(g.generated) == len(arr)
+    assert seen["grew"] >= 80 and seen["large"] >= 30 and seen["covered"] >= 60
+
+
+DENSE25 = [
+    (0, 0, 1, 2), (0, 1, -1, -1), (0, 1, 2, 0), (0, 2, 1, -1), (1, -1, -1, -1),
+    (1, -1, 0, 1), (1, -1, 1, -1), (1, -1, 1, 2), (1, 0, -2, 1), (1, 0, -1, 0),
+    (1, 0, -1, 1), (1, 0, 0, -1), (1, 0, 0, 1), (1, 1, -1, 2), (1, 1, 0, -2),
+    (1, 1, 1, 0), (1, 1, 1, 1), (1, 1, 2, 2), (1, 2, -1, 2), (2, -2, -1, -1),
+    (2, -1, -2, -1), (2, -1, 1, -2), (2, 0, 1, 1), (2, 1, -1, -2), (2, 1, 0, 0),
+]
+
+
+def test_gen_closure_decides_rounds_over_more_than_18_hyperplanes():
+    """Both seeds reach rounds over more than 18 current hyperplanes in which
+    the lines through a hyperplane do not decide it; both generate all 25."""
+    import time
+
+    arr = from_vectors(4, DENSE25)
+    assert arr.covectors == tuple(DENSE25)
+    g = gen_closure(arr, (0, 2, 3, 9, 20))
+    assert g.generated == tuple(range(25))
+    assert g.rounds == (
+        (1, 23, 24), (22,), (4, 5, 14, 15, 17), (11, 12), (7, 8, 10, 13, 16, 18, 19, 21), (6,),
+    )
+    g = gen_closure(arr, (0, 1, 2, 4, 15))
+    assert g.generated == tuple(range(25)) and len(g.rounds) == 6
+    start = time.perf_counter()
+    status, wit = projective_uniqueness_witness(arr)
+    assert time.perf_counter() - start < 1.0
+    assert status is True and wit.indices == (0, 1, 2, 4, 15)
+
+
+def test_gen_closure_grows_one_sub_lattice_only_as_far_as_needed(monkeypatch, h6):
+    """With the master built to rank 3, as the ladder leaves it, the natural
+    seed of H_6 builds only its own 7-hyperplane sub-lattice, up to rank 5
+    of 6; the second round is settled by two current lines, with no build."""
+    from hyperarr import lattice
+    from hyperarr.lattice import universe
+
+    universe(h6, up_to_rank=3)
+    made = []
+    real = lattice.Universe.__init__
+
+    def init(self, arr, up_to_rank=None):
+        real(self, arr, up_to_rank)
+        made.append((len(arr), self))
+
+    monkeypatch.setattr(lattice.Universe, "__init__", init)
+    g = gen_closure(h6, natural_seed(6, len(h6)))
+    assert g.generated == tuple(range(len(h6))) and len(g.rounds) == 2
+    assert [(size, uni.built_to) for size, uni in made] == [(7, 5)]
+
+
 def test_gen_closure_admits_hyperplanes_to_a_current_set_that_does_not_span():
-    from hyperarr.formality import _spans_hyperplane_exact
+    from hyperarr.formality import _spans_hyperplane
     from hyperarr.lattice import universe
 
     # x1, x2, x3, x1+x2+x3, x1+x2, x4, x1+x3 in dim 4; the seed has rank 3.
@@ -828,10 +922,10 @@ def test_gen_closure_admits_hyperplanes_to_a_current_set_that_does_not_span():
     sub = universe(arr.subset(seed))
     assert sub.arr_rank == 3 and len(sub.flat_kernel(0)[0]) == 3
     gc = gen_closure(arr, seed)
-    assert gc.rounds == ((4, 6),) and gc.generated == (0, 1, 2, 3, 4, 6) and gc.complete
+    assert gc.rounds == ((4, 6),) and gc.generated == (0, 1, 2, 3, 4, 6)
     # x4 does not vanish on the seed's centre, so no flat of the seed lies in it
     assert sub.coordinates(arr.covectors[5]) is None
-    assert not _spans_hyperplane_exact(sub, arr.covectors[5])
+    assert not _spans_hyperplane(sub, arr.covectors[5])
     assert sub.coordinates(arr.covectors[4]) == (1, 1, 0)
     # in dimension 1 the hyperplane is the point 0, which the empty set spans
     assert gen_closure(from_vectors(1, [(1,)]), ()).generated == (0,)

@@ -227,6 +227,22 @@ def test_a_cap_set_on_its_module_reaches_the_ladder(monkeypatch, h3, module, cap
     assert analyze(arr).properties[flag] == PropertyDecision("undecided", provenance)
 
 
+def test_an_inductive_search_out_of_stack_names_the_depth(monkeypatch, h3):
+    """nodes_visited within NODE_CAP tells a search stopped by the stack from
+    one stopped by the node cap."""
+    import importlib
+
+    from hyperarr.freeness import InductiveFreenessResult
+
+    def out_of_stack(arr):
+        return InductiveFreenessResult("undecided", None, None, 7)
+
+    monkeypatch.setattr(importlib.import_module("hyperarr.report"), "is_inductively_free", out_of_stack)
+    assert analyze(h3).properties["inductively_free"] == PropertyDecision(
+        "undecided", "addition-deletion search (recursion depth exhausted)"
+    )
+
+
 def test_no_search_takes_a_cap_parameter():
     import inspect
 
