@@ -844,9 +844,8 @@ def _dense_inputs(count, seed):
 
 
 def test_gen_closure_matches_the_full_sub_lattice_on_dense_inputs():
-    """Current sets grow past 18 hyperplanes here, where rounds were once
-    decided by a sound-only shortcut; every round must match the walk of the
-    full sub-lattice."""
+    """Current sets grow past 18 hyperplanes here, and every round must
+    match the walk of the full sub-lattice."""
     seen = {"grew": 0, "large": 0, "covered": 0}
     for arr, seeds in _dense_inputs(20, 2323) + _dense_inputs(20, 4747):
         for seed in seeds:
@@ -868,9 +867,10 @@ DENSE25 = [
 ]
 
 
-def test_gen_closure_decides_rounds_over_more_than_18_hyperplanes():
+def test_gen_closure_pins_two_closures_of_a_dense_input():
     """Both seeds reach rounds over more than 18 current hyperplanes in which
-    the lines through a hyperplane do not decide it; both generate all 25."""
+    the lines through some hyperplane do not span it; both generate all 25,
+    and the witness scan takes the second seed."""
     import time
 
     arr = from_vectors(4, DENSE25)
