@@ -90,11 +90,20 @@ class Arrangement:
         return Arrangement(self.dim, tuple(self.covectors[i] for i in idx))
 
     def with_hyperplane(self, covector: Sequence[int]) -> "Arrangement":
-        """Arrangement extended by one new hyperplane (appended last)."""
+        """Arrangement extended by one new hyperplane (appended last).
+
+        Only the new covector is checked, as self's were when it was made, so
+        a chain of k additions canonicalizes k covectors, not O(k^2).
+        """
         c = canonicalize(covector)
+        if len(c) != self.dim:
+            raise ValueError(f"covector {c} has length {len(c)}, expected {self.dim}")
         if c in self.covectors:
             raise ValueError(f"hyperplane {c} already present")
-        return Arrangement(self.dim, self.covectors + (c,))
+        extended = object.__new__(Arrangement)
+        object.__setattr__(extended, "dim", self.dim)
+        object.__setattr__(extended, "covectors", self.covectors + (c,))
+        return extended
 
     def delete(self, index: int) -> "Arrangement":
         if not 0 <= index < len(self.covectors):

@@ -22,26 +22,30 @@ hyperplanes of A^X.  The lattice of A is that of its essentialization, so
 the engine works in the coordinates of the span of the normals: one echelon
 of the covectors fixes them, and a normal's coordinates are its entries in
 the pivot columns (essentialize reads the same echelon).  Vectors there have
-rank A entries, however large the ambient dimension.  Each flat stores an
-integer basis K_X of X in these coordinates (rank A - rank X primitive
-vectors; the identity at the ambient flat).  The trace
-of a hyperplane h not in X is its linear form read in these coordinates,
-(c_h . k for k in K_X), made primitive with its first nonzero entry positive;
-equal traces are the same hyperplane of A^X.  Not every normal needs a trace
-(matroid closure, J. Oxley, Matroid Theory, section 1.4).  Let P be the
-first parent of X, the flat whose pass created it.  For a cover g != X of P
-and h in g - P, cl(X + h) = cl(X + cl(P + h)) = cl(X + g), and g meets X in
-P, so the blocks g - P partition the hyperplanes outside X and the covers
-of X coarsen those of P.  So the pass of X reads one trace per block, that
-of its lowest hyperplane, and groups the blocks of equal canonical trace
-into its covers (cover bits = bits of X | group); the ambient flat has one
-block per hyperplane.  Blocks come in the order of their lowest hyperplane,
-as rows do, so the covers come out in that order too.  A new cover's basis
-is cut from X's by the kernel of the group's trace.  A flat of dimension one
-has the centre as its only cover and needs no traces.  The dot products
-c_h . k of all normals come out of one packed integer product per basis
-vector k, read back lane by lane (see _trace_columns), and each distinct raw
-trace is made canonical once per build.
+rank A entries, however large the ambient dimension.  The trace of a
+hyperplane h not in a flat X is its linear form read on a basis of X, made
+primitive with its first nonzero entry positive; equal traces are the same
+hyperplane of A^X.  Not every normal needs a trace (matroid closure,
+J. Oxley, Matroid Theory, section 1.4).  Let P be the first parent of X, the
+flat whose pass created it.  For a cover g != X of P and h in g - P,
+cl(X + h) = cl(X + cl(P + h)) = cl(X + g), and g meets X in P, so the blocks
+g - P partition the hyperplanes outside X and the covers of X coarsen those
+of P.  So the pass of X reads one trace per block and groups the blocks of
+equal canonical trace into its covers (cover bits = bits of X | group); the
+ambient flat has one block per hyperplane, whose trace on the identity is
+its normal.  Blocks come in the order of their lowest hyperplane, as rows
+do, so the covers come out in that order too.  A flat of dimension one has
+the centre as its only cover and needs no traces.
+
+No normal is read below the ambient flat, and no basis at all.  With t the
+trace of X on P (its key) and q the first nonzero index of t, X has the
+basis t_q*k_j - t_j*k_q (j != q, k_j where t_j = 0) for the basis k of P, so
+the trace of a cover on X is the list of 2x2 minors t_q*s_j - t_j*s_q of its
+canonical trace s on P (s_j where t_j = 0), in Python integers (_minors).
+Between passes the build keeps the key id of every flat, the short list of
+distinct canonical traces of each pass, and the key ids of the last pass's
+children rows; flat_kernel derives the primitive bases from the key chain
+when one is first read, and a lattice nobody asks keeps none.
 
 Consequently the characteristic polynomial of any (restriction of a)
 subarrangement is an interval Moebius computation over one shared structure,
@@ -75,7 +79,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import islice
 from math import comb, gcd
-from operator import itemgetter, mul
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, essentialize, restrict_to_subspace
@@ -127,18 +131,19 @@ class Universe:
     the normals, which are those of essentialize(arr): vectors of length
     arr_rank.  dim stays the ambient dimension, so chi and the flat
     dimensions are those of the arrangement itself; coordinates() carries an
-    ambient covector over.
+    ambient covector over.  The build keeps the key chain (each flat's trace
+    on its first parent) in place of flat bases; flat_kernel derives the
+    bases from it when one is first read, and a full lattice then drops it.
     """
 
     def __init__(self, arr: Arrangement, up_to_rank: int | None = None):
-        r = self.arr_rank = arr.rank
+        self.arr_rank = arr.rank
         self.m = len(arr)
         self.dim = arr.dim
         self._span = arr._span
         self.normals = list(essentialize(arr).covectors)
         self.bits: list[int] = [0]
         self.rank: list[int] = [0]
-        self._basis = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
         self.parents = Rows()
         self.children = Rows()
         self.by_rank: list[list[int]] = [[0]]
@@ -148,6 +153,14 @@ class Universe:
         self._node_roots: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self.built_to = 0
         self.traces = 0  # traces the build grouped, one per block read
+        # the key chain: the trace of each flat on its first parent, as an id
+        # into the distinct canonical traces of that parent's pass
+        self._key: array | None = array("i", [0])
+        self._keys: list[list[tuple[int, ...]]] | None = []
+        # what the next pass reads of the last one: the key ids of its children rows
+        self._frontier: array | None = array("i")
+        self._basis: list[tuple[tuple[int, ...], ...]] | None = None  # derived when first read
+        self._content: dict[int, tuple[int, ...]] | None = None
         self.extend(up_to_rank)
 
     def extend(self, up_to_rank: int | None = None) -> None:
@@ -156,66 +169,75 @@ class Universe:
         if limit > self.built_to:
             self._build(limit)
         self.is_full = self.built_to >= self.arr_rank
+        if self.is_full:
+            self._frontier = None  # no pass is left to read it
 
     # -- construction ------------------------------------------------------
 
     def _build(self, limit: int) -> None:
-        bits, index_of_bits = self.bits, self.index_of_bits
-        bases = self._basis
+        bits, index_of_bits, key_of = self.bits, self.index_of_bits, self._key
         kids, kid_start = self.children.values, self.children.start
         ups, up_start = self.parents.values, self.parents.start
         # the top built rank has empty children rows until this pass fills them
         del kid_start[len(bits) - len(self.by_rank[self.built_to]) + 1 :]
-        full = self._full_mask
-        column = _trace_columns(self.normals, self.arr_rank)
-        canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
-        parent = -1  # the flat P whose cover blocks and pick are at hand
+        full, line = self._full_mask, self.arr_rank - 1
         while self.built_to < limit:
             rank = self.built_to + 1
             first = len(bits)
             nxt: list[int] = []
             new_ups: list[list[int]] = []  # parent rows of the new flats
+            keys: list[tuple[int, ...]] = []  # the distinct canonical traces of this pass
+            key_id: dict[tuple[int, ...], int] = {}  # raw and canonical traces to ids
+            cover_keys = array("i")
+            if self.built_to:
+                prev_keys, prev_covers = self._keys[-1], self._frontier
+                prev_base = kid_start[self.by_rank[self.built_to - 1][0]]
+            parent = -1  # the flat P whose cover blocks and traces are at hand
             for f in self.by_rank[self.built_to]:
                 bf = bits[f]
-                basis = bases[f]
-                groups: dict[tuple[int, ...], int] = {}
-                if len(basis) == 1:
+                if self.built_to == line:
                     # a line meets every hyperplane not holding it in the centre
-                    if full & ~bf:
-                        groups[(1,)] = full & ~bf
-                else:
-                    if f:
-                        # one trace per block g - P of the covers g of f's first
-                        # parent P, at its lowest hyperplane: cl(f + h) = cl(f + g)
-                        # for h in g - P.  The flats P created come one after
-                        # another, so the blocks are made once per P.
-                        p = ups[up_start[f]]
-                        if p != parent:
-                            parent, bp = p, bits[p]
-                            blocks = [bits[g] & ~bp for g in kids[kid_start[p] : kid_start[p + 1]]]
-                            pick = itemgetter(*[(b & -b).bit_length() - 1 for b in blocks])
-                        traces = zip(*[pick(column(k)) for k in basis])
-                        self.traces += len(blocks) - 1
-                    else:  # the ambient flat: one block per hyperplane
-                        blocks = [1 << h for h in range(self.m)]
-                        traces = zip(*map(column, basis))
-                        self.traces += self.m
-                    for trace, block in zip(traces, blocks):
-                        if block & bf:
-                            continue  # f's own block, whose trace is zero
-                        key = canonical.get(trace)
-                        if key is None:
-                            key = canonical[trace] = _canonical_trace(trace)
-                        groups[key] = groups.get(key, 0) | block
+                    traces, blocks = [(1,)], [full & ~bf]
+                elif f:
+                    # one trace per block g - P of the covers g of f's first
+                    # parent P: cl(f + h) = cl(f + g) for h in g - P.  The
+                    # flats P created come one after another, so the blocks
+                    # and the cover traces are read once per P.
+                    p = ups[up_start[f]]
+                    if p != parent:
+                        parent, bp = p, bits[p]
+                        lo, hi = kid_start[p], kid_start[p + 1]
+                        row = prev_covers[lo - prev_base : hi - prev_base]
+                        blocks = [bits[g] & ~bp for g in kids[lo:hi]]
+                        columns = list(zip(*[prev_keys[k] for k in row]))
+                    traces = zip(*_minors(columns, prev_keys[key_of[f]]))
+                    self.traces += len(blocks) - 1
+                else:  # the ambient flat: one block per hyperplane
+                    traces, blocks = self.normals, [1 << h for h in range(self.m)]
+                    self.traces += self.m
+                groups: dict[int, int] = {}  # key id -> the union of its blocks
+                for trace, block in zip(traces, blocks):
+                    if block & bf:
+                        continue  # f's own block, whose trace is zero
+                    k = key_id.get(trace)
+                    if k is None:
+                        canon = _canonical_trace(trace)
+                        # a trace that is its own canonical form has just missed
+                        k = key_id.get(canon) if canon is not trace else None
+                        if k is None:
+                            k = key_id[canon] = len(keys)
+                            keys.append(canon)
+                        key_id[trace] = k
+                    groups[k] = groups.get(k, 0) | block
                 covers: list[int] = []  # the children row of f
-                for trace, group in groups.items():
+                for k, group in groups.items():
                     nb = bf | group
                     g = index_of_bits.get(nb)
                     if g is None:
                         g = len(bits)
                         bits.append(nb)
                         self.rank.append(rank)
-                        bases.append(_cut_basis(basis, trace))
+                        key_of.append(k)
                         new_ups.append([])
                         index_of_bits[nb] = g
                         nxt.append(g)
@@ -223,9 +245,12 @@ class Universe:
                     covers.append(g)
                 kids.fromlist(covers)  # fromlist, as extend goes item by item
                 kid_start.append(len(kids))
+                cover_keys.fromlist(list(groups))
             for up_row in new_ups:
                 ups.fromlist(up_row)
                 up_start.append(len(ups))
+            self._keys.append(keys)
+            self._frontier = cover_keys
             self.by_rank.append(nxt)
             self.built_to = rank
         kid_start.extend([len(kids)] * (len(bits) + 1 - len(kid_start)))  # the new top rank
@@ -241,11 +266,49 @@ class Universe:
         """Primitive integer vectors spanning the flat in the lattice
         coordinates: arr_rank - rank[f] vectors of length arr_rank.
 
-        This is the Q-basis the build fixed for the flat, cut down from its
-        first parent's basis; it is not canonical.  Pair it with the normals,
-        or with an ambient covector through coordinates().
+        The identity at the ambient flat; below it, the basis of the first
+        parent P cut by the kernel of the flat's trace on P: with q the
+        first nonzero index of that trace, the vector j != q is
+        t_q*k_j - t_j*k_q made primitive, or k_j where t_j = 0.  It is not
+        canonical.  Pair it with the normals, or with an ambient covector
+        through coordinates().  The first read derives the bases of every
+        flat built so far (see _derive_bases); a lattice nobody asks keeps
+        none.
         """
+        if self._basis is None or f >= len(self._basis):
+            self._derive_bases()
         return self._basis[f]
+
+    def _derive_bases(self) -> None:
+        """The bases of the flats built since the last call, in id order,
+        from the key chain alone.
+
+        The build reads the trace of each flat X on its first parent P in a
+        basis V_X of its own, not the primitive one: V_X,j = V_P,j where
+        t_j = 0 and t_q*V_P,j - t_j*V_P,q otherwise, t being the key of X.
+        So V_X,j = mu_j * U_X,j for the primitive basis U_X that flat_kernel
+        returns and a positive content mu_j, and t is proportional to
+        (mu_j * t'_j) for the trace t' of X on U_P.  The cut of U_P by t'
+        is therefore that of U_P by the vectors t_q*mu_j*U_P,j -
+        t_j*mu_q*U_P,q, whose contents are those of V_X.  Contents are kept
+        for the top derived rank only, the next one's parents; a full
+        lattice drops them with the key chain.
+        """
+        if self._basis is None:
+            r = self.arr_rank
+            self._basis = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
+            self._content = {0: (1,) * r}
+        bases, key_of = self._basis, self._key
+        ups, up_start = self.parents.values, self.parents.start
+        for rank in range(self.rank[len(bases) - 1] + 1, len(self.by_rank)):
+            keys, parent_content, content = self._keys[rank - 1], self._content, {}
+            for x in self.by_rank[rank]:
+                p = ups[up_start[x]]
+                basis, content[x] = _cut(bases[p], parent_content[p], keys[key_of[x]])
+                bases.append(basis)
+            self._content = content
+        if self.is_full:
+            self._key = self._keys = self._content = None
 
     def coordinates(self, covector: Sequence[int]) -> tuple[int, ...] | None:
         """An ambient covector in the lattice coordinates, or None when it is
@@ -417,24 +480,37 @@ def _canonical_trace(trace: tuple[int, ...]) -> tuple[int, ...]:
     return trace if g == 1 else tuple([y // g for y in trace])
 
 
-def _cut_basis(basis: tuple[tuple[int, ...], ...], trace: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Basis of X meet H from a basis of X and the trace t of H on it.
+def _minors(columns: list[Sequence[int]], t: tuple[int, ...]) -> list[Sequence[int]]:
+    """The traces of the covers of a flat P on its cover X, by coordinate,
+    from their canonical traces s on P (columns[j] holds s_j of each cover)
+    and the trace t of X on P: with q the first nonzero index of t,
+    coordinate j != q is t_q*s_j - t_j*s_q, or s_j where t_j = 0 (see
+    Universe._derive_bases for the basis of X this reads them in)."""
+    q = next(i for i, x in enumerate(t) if x)
+    tq, sq = t[q], columns[q]
+    return [
+        [tq * a - tj * b for a, b in zip(s, sq)] if tj else s
+        for j, (s, tj) in enumerate(zip(columns, t))
+        if j != q
+    ]
 
-    With p the first nonzero index of t, the vectors t_p*k_j - t_j*k_p (j != p)
-    span the kernel of t; each is made primitive.
-    """
-    p = next(i for i, x in enumerate(trace) if x)
-    tp, kp = trace[p], basis[p]
-    out = []
-    for j, (k, tj) in enumerate(zip(basis, trace)):
-        if j == p:
-            continue
-        if tj:
-            v = [tp * a - tj * b for a, b in zip(k, kp)]
-            g = gcd(*v)
-            k = tuple(x // g for x in v) if g > 1 else tuple(v)
-        out.append(k)
-    return tuple(out)
+
+def _cut(
+    basis: tuple[tuple[int, ...], ...], content: tuple[int, ...], t: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The primitive basis of X and its contents from those of its first
+    parent and the key t of X (see Universe._derive_bases)."""
+    q = next(i for i, x in enumerate(t) if x)
+    tq, kq, mq = t[q], basis[q], content[q]
+    cut, mu = list(basis), list(content)
+    for j, tj in enumerate(t):
+        if tj and j != q:
+            a, b = tq * mu[j], tj * mq
+            v = [a * x - b * y for x, y in zip(basis[j], kq)]
+            g = mu[j] = gcd(*v)
+            cut[j] = tuple(v) if g == 1 else tuple([x // g for x in v])
+    del cut[q], mu[q]
+    return tuple(cut), tuple(mu)
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:

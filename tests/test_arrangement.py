@@ -88,6 +88,33 @@ def test_arrangement_invariants_and_surgery():
         from_vectors(2, [(1, 0), (1, 0)])
 
 
+def test_a_chain_of_additions_canonicalizes_each_covector_once(monkeypatch):
+    """with_hyperplane checks the new covector only, so a chain of k additions
+    makes k canonicalize calls; re-checking every covector made one more per
+    hyperplane already there at each step, k(k + 5)/2 in all from one."""
+    from hyperarr import arrangement
+
+    start = from_vectors(2, [(1, 0)])
+    calls = []
+    real = arrangement.canonicalize
+    monkeypatch.setattr(arrangement, "canonicalize", lambda v: calls.append(v) or real(v))
+    arr, counts = start, []
+    for k in range(1, 301):
+        arr = arr.with_hyperplane((-2 * k, -2))
+        counts.append(len(calls))
+    assert counts == list(range(1, 301))
+    monkeypatch.undo()
+    assert arr == from_vectors(2, [(1, 0)] + [(k, 1) for k in range(1, 301)])
+    assert arr.rank == 2 and len(arr) == 301 and start.covectors == ((1, 0),)
+    for bad in [(7, 1), (14, 2), (1, 0)]:  # already present
+        with pytest.raises(ValueError, match="already present"):
+            arr.with_hyperplane(bad)
+    with pytest.raises(ValueError, match="length"):
+        arr.with_hyperplane((1, 2, 3))
+    with pytest.raises(ValueError, match="zero"):
+        arr.with_hyperplane((0, 0))
+
+
 def test_boolean():
     b = boolean(3)
     assert b.covectors == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

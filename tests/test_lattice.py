@@ -348,6 +348,25 @@ def _membership_build(arr):
     return bits, rank, T, parents, by_rank
 
 
+def _cut_basis(basis, trace):
+    """Basis of X meet H from a basis of X and the trace t of H on it: with p
+    the first nonzero index of t, the vectors t_p*k_j - t_j*k_p (j != p) span
+    the kernel of t; each is made primitive.  The build cut every new flat's
+    basis this way before the bases were derived from the key chain."""
+    p = next(i for i, x in enumerate(trace) if x)
+    tp, kp = trace[p], basis[p]
+    out = []
+    for j, (k, tj) in enumerate(zip(basis, trace)):
+        if j == p:
+            continue
+        if tj:
+            v = [tp * a - tj * b for a, b in zip(k, kp)]
+            g = math.gcd(*v)
+            k = tuple(x // g for x in v) if g > 1 else tuple(v)
+        out.append(k)
+    return tuple(out)
+
+
 @functools.cache
 def _trace_grouped_cover_table(arr):
     """The cover table T[f][h] = closure(f + h) of the trace-grouped build
@@ -355,8 +374,6 @@ def _trace_grouped_cover_table(arr):
     cuts: a trace for every hyperplane outside each flat, dot products one by
     one in the coordinates of the span of the normals, canonical traces
     grouped in order of their lowest hyperplane."""
-    from hyperarr.lattice import _cut_basis
-
     normals, r = essentialize(arr).covectors, arr.rank
     m, full = len(arr), (1 << len(arr)) - 1
     bits, T, by_rank, index = [0], [[-1] * m], [[0]], {0: 0}
@@ -705,8 +722,8 @@ def test_build_and_chi_of_h5_stay_under_a_traced_memory_bound():
     assert peak < 0.30 * 2**20
 
 
-# The lattice keeps no cover table: traces are read from packed lanes (one
-# dot product at a time where an entry bound says a lane could overflow), and
+# The lattice keeps no cover table: traces are read from packed lanes (lane
+# by lane where a width bound says a lane could overflow), and
 # supersolvability is a top-down search for modular coatoms, tested by lines.
 
 
@@ -968,3 +985,117 @@ def test_trace_count_is_one_per_block_of_each_first_parent(h5, h6):
             if len(uni.flat_kernel(f)) >= 2
         )
         assert uni.traces == blocks
+
+
+# The build reads the traces of a flat X's covers as 2x2 minors of the cover
+# traces of its first parent P and keeps no flat basis: flat_kernel derives
+# them from the key chain (the trace of each flat on its first parent) when
+# one is first read.
+
+
+def test_minors_past_64_bits_give_the_reference_tables_and_bases(h4, h5):
+    """Sheared copies with normals near 2^32, whose traces below the ambient
+    flat are minors of minors: up to 2^62 on the flats of rank 1 and past
+    2^90 on those of rank 2 of three of the six inputs.  Tables and bases
+    equal the membership build and the per-hyperplane build."""
+    import random
+
+    from hyperarr.lattice import Universe
+
+    rng = random.Random(2400)
+    big = 1 << 30
+    randoms = oracles.random_arrangements(40, seed=2401, max_dim=5, max_size=9)
+    pool = [h4, h5] + [arr for arr in (from_vectors(d, covs) for d, covs in randoms) if arr.rank >= 4][:4]
+    assert len(pool) == 6
+    wide = 0
+    for small in pool:
+        d = small.dim
+        shear = [[int(i == j) + (big + rng.randrange(99)) * (i < j) for j in range(d)] for i in range(d)]
+        arr = from_vectors(
+            d, [[sum(c[i] * shear[i][j] for i in range(d)) for j in range(d)] for c in small.covectors]
+        )
+        assert big <= max(abs(x) for c in arr.covectors for x in c) < 1 << 40
+        uni = Universe(arr)
+        # the widest canonical trace of each pass, by the rank of the flats it was read on
+        widths = [max(abs(x) for key in keys for x in key) for keys in uni._keys]
+        assert widths[0] < 1 << 63
+        wide += max(widths) >= 1 << 90
+        bits, rank, T, parents, by_rank = _membership_build(arr)
+        assert uni.bits == bits == universe(small).bits and uni.rank == rank
+        assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
+        assert [uni.flat_kernel(f) for f in range(uni.flat_count())] == _trace_grouped_cover_table(arr)[2]
+    assert wide >= 3
+
+
+def _deep_size(obj, seen=None):
+    import sys
+
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    inner = obj if isinstance(obj, (list, tuple)) else ()
+    return sys.getsizeof(obj) + sum(_deep_size(x, seen) for x in inner)
+
+
+def test_bases_are_derived_when_first_read_and_the_key_chain_is_dropped(h5):
+    """Universe(H_5) and its chi keep 95 KB traced (164 KB when the build cut
+    every basis); reading the bases adds no more than their own size, as the
+    contents and key ids that derived them are dropped (Python 3.11)."""
+    import gc
+    import tracemalloc
+
+    from hyperarr.lattice import Universe
+
+    tracemalloc.start()
+    try:
+        uni = Universe(h5)
+        uni.chi()
+        gc.collect()
+        unread = tracemalloc.get_traced_memory()[0]
+        assert uni._basis is None  # nothing asked for one
+        for f in range(uni.flat_count()):
+            uni.flat_kernel(f)
+        gc.collect()
+        read = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert unread < 120_000
+    assert uni._key is None and uni._keys is None and uni._content is None
+    assert read - unread <= _deep_size(uni._basis)
+
+
+def test_a_partial_build_keeps_the_frontier_and_a_full_one_drops_it(h5):
+    from hyperarr.lattice import Universe
+
+    part = Universe(h5, up_to_rank=3)
+    # the key ids of the children rows of rank 2, which the pass of rank 3 reads
+    covers, start = part._frontier, part.children.start
+    assert len(covers) == start[part.by_rank[3][0]] - start[part.by_rank[2][0]]
+    assert max(covers) + 1 == len(part._keys[2])
+    # bases read from a partial build, then more ranks, then the rest
+    first = [part.flat_kernel(f) for f in range(part.flat_count())]
+    assert part._key is not None and set(part._content) == set(part.by_rank[3])
+    part.extend(4)
+    assert part._frontier is not None
+    part.extend()
+    assert part._frontier is None and part._key is not None
+    whole = Universe(h5)
+    assert whole._frontier is None
+    bases = [whole.flat_kernel(f) for f in range(whole.flat_count())]
+    assert [part.flat_kernel(f) for f in range(part.flat_count())] == bases
+    assert bases[: len(first)] == first and part._key is None
+
+
+def test_analyze_h6_derives_no_basis_of_its_master_lattice():
+    from hyperarr import analyze, lattice
+
+    saved = dict(lattice._universe_cache)
+    lattice._universe_cache.clear()
+    try:
+        arr = hyperpolygonal(6)
+        analyze(arr)
+        uni = lattice._universe_cache[arr]
+        assert uni.is_full and uni._basis is None and uni._frontier is None
+    finally:
+        lattice._universe_cache.update(saved)

@@ -1,6 +1,7 @@
 """Tests for the benchmark pair recorder in tools/."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,57 @@ def test_bench_pairs_rejects_a_bad_plan_before_any_export(monkeypatch):
         assert isinstance(exc.value.code, str), specs
     plan = tool.parse_pairs(["chambers:1,2", "user-files:3", "chambers:4"], ["chambers", "user-files"])
     assert plan == {"chambers": [1, 2, 4], "user-files": [3]}
+
+
+def test_bench_pairs_records_traced_peaks_of_cold_processes(monkeypatch, tmp_path):
+    import subprocess
+    import sys
+
+    tool = _bench_pairs()
+    ran = []  # the checkout of each perfbench run, parent first
+    probes = []
+
+    def run_once(checkout, workload, seed, seconds):
+        ran.append(checkout)
+        return {"metrics": {k: 1.0 for k in tool.END_TO_END}, "attempted": 1, "failed": 0}
+
+    def run(cmd, cwd, env, capture_output, text):
+        probes.append((cmd, cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{1000 * len(probes)}\n", stderr="")
+
+    monkeypatch.setattr(tool, "git", lambda *args: "" if args[0] == "status" else "rev")
+    monkeypatch.setattr(tool, "export", lambda rev, dest: None)
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    out = tmp_path / "BENCH_0.json"
+    assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1,2", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    parent, change = ran[0], ran[1]
+    assert ran == [parent, change, change, parent]  # sides alternate pair by pair
+    record = json.loads(out.read_text())
+    assert record["traced_peak_bytes"] == {
+        "parent": {"analyze-h6": 1000, "report-1-6": 2000},
+        "change": {"analyze-h6": 3000, "report-1-6": 4000},
+    }
+    # one fresh interpreter per probe, importing the checkout's own package,
+    # with tracing started after the set-up and before the traced statement
+    assert [(cwd, path) for _, cwd, path in probes] == [(c, str(c / "src")) for c in (parent, parent, change, change)]
+    for (cmd, _, _), (setup, statement) in zip(probes, 2 * list(tool.PEAK_PROBES.values())):
+        assert cmd[:2] == [sys.executable, "-c"]
+        code = cmd[2]
+        assert code.index(setup) < code.index("tracemalloc.start()") < code.index(statement)
+
+    def failing(cmd, cwd, env, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="Traceback: boom")
+
+    monkeypatch.setattr(tool.subprocess, "run", failing)
+    with pytest.raises(RuntimeError, match="boom"):
+        tool.traced_peak(tmp_path, "x = 1", "x + 1")
+
+
+def test_bench_pairs_peak_probe_runs_in_a_fresh_interpreter():
+    tool = _bench_pairs()
+    root = TOOL.parent.parent
+    small = tool.traced_peak(root, "from hyperarr import hyperpolygonal", "hyperpolygonal(2)")
+    large = tool.traced_peak(root, "from hyperarr import hyperpolygonal", "[hyperpolygonal(6) for _ in range(50)]")
+    assert 0 < small < large

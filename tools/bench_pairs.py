@@ -20,13 +20,18 @@ The output file holds, per workload: the seeds; for every pair the
 end-to-end metric values and the failed-operation counts of both sides; per
 metric the medians and quartiles of each side over the pairs and the number
 of pairs the change wins and loses (in the direction BENCHMARK.json gives the
-metric, ties counting for neither); and the total failed counts.
+metric, ties counting for neither); and the total failed counts.  It also
+holds, per side, the tracemalloc peak in bytes of ``analyze(H_6)`` and of
+``report(n)`` for n = 1..6, each in one cold process of its own with tracing
+started after the imports: a count of live Python allocations, which does not
+move with process layout as ``peak_rss_mb`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +40,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("solve_s", "setup_s", "peak_rss_mb", "decided_frac")
+# name -> (set-up run before tracing starts, the statement traced)
+PEAK_PROBES = {
+    "analyze-h6": ("from hyperarr import analyze, hyperpolygonal; arr = hyperpolygonal(6)", "analyze(arr)"),
+    "report-1-6": ("from hyperarr import report", "for n in range(1, 7): report(n)"),
+}
+PEAK_SCRIPT = "import tracemalloc\n{setup}\ntracemalloc.start()\n{run}\nprint(tracemalloc.get_traced_memory()[1])"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -53,6 +64,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "metrics": {k: metrics[k]["value"] for k in END_TO_END if k in metrics},
         "attempted": result["attempted"],
         "failed": result["failed"],
+    }
+
+
+def traced_peak(checkout: Path, setup: str, run: str) -> int:
+    """The tracemalloc peak of run, in bytes, in a fresh interpreter that
+    imports the package from checkout's src/."""
+    code = PEAK_SCRIPT.format(setup=setup, run=run)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"peak probe {run!r} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    return int(proc.stdout.split()[-1])
+
+
+def traced_peaks(checkouts: dict[str, Path]) -> dict[str, dict[str, int]]:
+    return {
+        side: {name: traced_peak(checkout, *probe) for name, probe in PEAK_PROBES.items()}
+        for side, checkout in checkouts.items()
     }
 
 
@@ -146,6 +175,7 @@ def main(argv=None) -> int:
         export(args.parent_rev, Path(parent))
         export("HEAD", Path(change))
         workloads = record(Path(parent), Path(change), plan, bench)
+        peaks = traced_peaks({"parent": Path(parent), "change": Path(change)})
     out = {
         "number": args.number,
         "command": "perfbench/run.py --trace 0",
@@ -153,6 +183,7 @@ def main(argv=None) -> int:
         "parent": git("rev-parse", args.parent_rev),
         "change": git("rev-parse", "HEAD"),
         "workloads": workloads,
+        "traced_peak_bytes": peaks,
     }
     path = args.out or ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
