@@ -722,9 +722,8 @@ def test_build_and_chi_of_h5_stay_under_a_traced_memory_bound():
     assert peak < 0.30 * 2**20
 
 
-# The lattice keeps no cover table: traces are read from packed lanes (lane
-# by lane where a width bound says a lane could overflow), and
-# supersolvability is a top-down search for modular coatoms, tested by lines.
+# The lattice keeps no cover table, and supersolvability is a top-down search
+# for modular coatoms, tested by lines.
 
 
 def _braid(n):
