@@ -42,10 +42,20 @@ trace of X on P (its key) and q the first nonzero index of t, X has the
 basis t_q*k_j - t_j*k_q (j != q, k_j where t_j = 0) for the basis k of P, so
 the trace of a cover on X is the list of 2x2 minors t_q*s_j - t_j*s_q of its
 canonical trace s on P (s_j where t_j = 0), in Python integers (_minors).
+Both s and t are canonical traces of the last pass, so the key of a cover
+on X depends only on the pair of their ids among its K distinct ones, and
+symmetric inputs repeat the pairs: the pass of H_6 to rank 4 reads 56,320
+blocks in 1,397 pairs of K = 40 ids.  A pass that reads B > K^2 blocks keeps
+the new key id of each pair in a K x K table, a flat list at t*K + s, filled
+with one minor the first time a pair is met and read for every later block;
+it lives for that one pass, and B bounds its size (_reads_table).  Other
+passes, those of inputs with few symmetries among them, read the minors of
+every block, with the cover traces of P transposed into columns once per P.
 Between passes the build keeps the key id of every flat, the short list of
-distinct canonical traces of each pass, and the key ids of the last pass's
-children rows; flat_kernel derives the primitive bases from the key chain
-when one is first read, and a lattice nobody asks keeps none.
+distinct canonical traces of each pass, the key ids of the last pass's
+children rows and the count of blocks the next pass reads; flat_kernel
+derives the primitive bases from the key chain when one is first read, and a
+lattice nobody asks keeps none.
 
 Consequently the characteristic polynomial of any (restriction of a)
 subarrangement is an interval Moebius computation over one shared structure,
@@ -159,6 +169,7 @@ class Universe:
         self._keys: list[list[tuple[int, ...]]] | None = []
         # what the next pass reads of the last one: the key ids of its children rows
         self._frontier: array | None = array("i")
+        self._reads = 0  # and the number of blocks it reads
         self._basis: list[tuple[tuple[int, ...], ...]] | None = None  # derived when first read
         self._content: dict[int, tuple[int, ...]] | None = None
         self.extend(up_to_rank)
@@ -189,15 +200,25 @@ class Universe:
             keys: list[tuple[int, ...]] = []  # the distinct canonical traces of this pass
             key_id: dict[tuple[int, ...], int] = {}  # raw and canonical traces to ids
             cover_keys = array("i")
-            if self.built_to:
+            reads = 0  # the blocks the next pass reads
+            table: list[int | None] | None = None
+            if 0 < self.built_to < line:
                 prev_keys, prev_covers = self._keys[-1], self._frontier
                 prev_base = kid_start[self.by_rank[self.built_to - 1][0]]
+                width = len(prev_keys)
+                if _reads_table(width, self._reads):
+                    # the key id of the trace on f of the cover of key s on P,
+                    # at t*width + s for the key t of f; f's own block on the diagonal
+                    table = [None] * (width * width)
+                    table[:: width + 1] = [-1] * width
+            # a block's key id from x: its trace looked up, or the id off the table
+            lookup = key_id.get if table is None else int
             parent = -1  # the flat P whose cover blocks and traces are at hand
             for f in self.by_rank[self.built_to]:
                 bf = bits[f]
                 if self.built_to == line:
                     # a line meets every hyperplane not holding it in the centre
-                    traces, blocks = [(1,)], [full & ~bf]
+                    xs, blocks = [(1,)], [full & ~bf]
                 elif f:
                     # one trace per block g - P of the covers g of f's first
                     # parent P: cl(f + h) = cl(f + g) for h in g - P.  The
@@ -209,25 +230,38 @@ class Universe:
                         lo, hi = kid_start[p], kid_start[p + 1]
                         row = prev_covers[lo - prev_base : hi - prev_base]
                         blocks = [bits[g] & ~bp for g in kids[lo:hi]]
-                        columns = list(zip(*[prev_keys[k] for k in row]))
-                    traces = zip(*_minors(columns, prev_keys[key_of[f]]))
+                        if table is None:
+                            columns = list(zip(*[prev_keys[k] for k in row]))
+                    t = key_of[f]
+                    if table is None:
+                        xs = zip(*_minors(columns, prev_keys[t]))
+                    else:
+                        at = t * width
+                        xs = [table[at + s] for s in row]
+                        if None in xs:  # pairs met first: their minors, column by column
+                            miss = [s for s, k in zip(row, xs) if k is None]
+                            traces = zip(*_minors(list(zip(*[prev_keys[s] for s in miss])), prev_keys[t]))
+                            for s, trace in zip(miss, traces):
+                                table[at + s] = _key_id(trace, key_id, keys)
+                            xs = [table[at + s] for s in row]
                     self.traces += len(blocks) - 1
                 else:  # the ambient flat: one block per hyperplane
-                    traces, blocks = self.normals, [1 << h for h in range(self.m)]
+                    xs, blocks = self.normals, [1 << h for h in range(self.m)]
                     self.traces += self.m
+                # xs holds the traces of the blocks on f, or their key ids off the table
                 groups: dict[int, int] = {}  # key id -> the union of its blocks
-                for trace, block in zip(traces, blocks):
+                for x, block in zip(xs, blocks):
                     if block & bf:
                         continue  # f's own block, whose trace is zero
-                    k = key_id.get(trace)
-                    if k is None:
-                        canon = _canonical_trace(trace)
+                    k = lookup(x)
+                    if k is None:  # a trace not met yet
+                        canon = _canonical_trace(x)
                         # a trace that is its own canonical form has just missed
-                        k = key_id.get(canon) if canon is not trace else None
+                        k = key_id.get(canon) if canon is not x else None
                         if k is None:
                             k = key_id[canon] = len(keys)
                             keys.append(canon)
-                        key_id[trace] = k
+                        key_id[x] = k
                     groups[k] = groups.get(k, 0) | block
                 covers: list[int] = []  # the children row of f
                 for k, group in groups.items():
@@ -241,6 +275,7 @@ class Universe:
                         new_ups.append([])
                         index_of_bits[nb] = g
                         nxt.append(g)
+                        reads += len(groups) - 1  # g reads the blocks of f's row but its own
                     new_ups[g - first].append(f)
                     covers.append(g)
                 kids.fromlist(covers)  # fromlist, as extend goes item by item
@@ -250,7 +285,7 @@ class Universe:
                 ups.fromlist(up_row)
                 up_start.append(len(ups))
             self._keys.append(keys)
-            self._frontier = cover_keys
+            self._frontier, self._reads = cover_keys, reads
             self.by_rank.append(nxt)
             self.built_to = rank
         kid_start.extend([len(kids)] * (len(bits) + 1 - len(kid_start)))  # the new top rank
@@ -467,6 +502,26 @@ def _trace_columns(
         return lanes
 
     return column
+
+
+def _reads_table(keys: int, reads: int) -> bool:
+    """Whether a pass reads the key id of each block off a table of key-id
+    pairs: keys is the count of distinct canonical traces the last pass left
+    and reads the count of blocks this pass reads, so the keys x keys table
+    is kept only when it is smaller than the pass's own work."""
+    return keys * keys < reads
+
+
+def _key_id(trace: tuple[int, ...], key_id: dict, keys: list) -> int:
+    """The key id of the trace of a pair met first in a pass that reads the
+    table: that of its canonical form, or the next id for a canonical form
+    met first."""
+    canon = _canonical_trace(trace)
+    k = key_id.get(canon)
+    if k is None:
+        k = key_id[canon] = len(keys)
+        keys.append(canon)
+    return k
 
 
 def _canonical_trace(trace: tuple[int, ...]) -> tuple[int, ...]:

@@ -10,10 +10,11 @@ weakly satisfies every sign constraint of a region is an extreme ray of its
 closure: the smallest face of the closure containing the candidate is the
 intersection with the flat it spans, which is one-dimensional.
 
-The candidates come straight from the lattice build, which stores a
+The candidates come straight from the lattice: Universe.flat_kernel gives a
 primitive integer basis of every flat in the coordinates of the
-essentialization: a one-dimensional flat's basis is one vector, turned so
-that its first nonzero entry is positive.
+essentialization, derived from the build's key chain when first read; a
+one-dimensional flat's basis is one vector, turned so that its first nonzero
+entry is positive.
 
 That gives an exact enumeration with no numeric feasibility solver and no
 linear algebra.  The depth-first search fixes the signs of h_0, h_1, ... in
@@ -76,9 +77,10 @@ def _candidate_rays(arr: Arrangement) -> list[tuple[int, ...]]:
     """Both signed primitive spanning vectors of every one-dimensional flat of
     the essentialization, in the lattice coordinates of arr.
 
-    The lattice build stores one primitive basis vector per such flat (a flat
-    of rank rank(A) - 1); it is turned so that its first nonzero entry is
-    positive, then listed with its negative.
+    flat_kernel gives one primitive basis vector per such flat (a flat of
+    rank rank(A) - 1), derived from the build's key chain on the first read;
+    it is turned so that its first nonzero entry is positive, then listed
+    with its negative.
     """
     uni = universe(arr)
     ell = uni.arr_rank

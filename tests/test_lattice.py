@@ -992,21 +992,17 @@ def test_trace_count_is_one_per_block_of_each_first_parent(h5, h6):
 # one is first read.
 
 
-def test_minors_past_64_bits_give_the_reference_tables_and_bases(h4, h5):
-    """Sheared copies with normals near 2^32, whose traces below the ambient
-    flat are minors of minors: up to 2^62 on the flats of rank 1 and past
-    2^90 on those of rank 2 of three of the six inputs.  Tables and bases
-    equal the membership build and the per-hyperplane build."""
+def _sheared_copies(h4, h5):
+    """Copies of H_4, H_5 and four random inputs of rank >= 4 with normals
+    near 2^32, sheared by an upper unitriangular matrix: the same matroid."""
     import random
-
-    from hyperarr.lattice import Universe
 
     rng = random.Random(2400)
     big = 1 << 30
     randoms = oracles.random_arrangements(40, seed=2401, max_dim=5, max_size=9)
     pool = [h4, h5] + [arr for arr in (from_vectors(d, covs) for d, covs in randoms) if arr.rank >= 4][:4]
     assert len(pool) == 6
-    wide = 0
+    out = []
     for small in pool:
         d = small.dim
         shear = [[int(i == j) + (big + rng.randrange(99)) * (i < j) for j in range(d)] for i in range(d)]
@@ -1014,6 +1010,19 @@ def test_minors_past_64_bits_give_the_reference_tables_and_bases(h4, h5):
             d, [[sum(c[i] * shear[i][j] for i in range(d)) for j in range(d)] for c in small.covectors]
         )
         assert big <= max(abs(x) for c in arr.covectors for x in c) < 1 << 40
+        out.append((small, arr))
+    return out
+
+
+def test_minors_past_64_bits_give_the_reference_tables_and_bases(h4, h5):
+    """Sheared copies with normals near 2^32, whose traces below the ambient
+    flat are minors of minors: up to 2^62 on the flats of rank 1 and past
+    2^90 on those of rank 2 of three of the six inputs.  Tables and bases
+    equal the membership build and the per-hyperplane build."""
+    from hyperarr.lattice import Universe
+
+    wide = 0
+    for small, arr in _sheared_copies(h4, h5):
         uni = Universe(arr)
         # the widest canonical trace of each pass, by the rank of the flats it was read on
         widths = [max(abs(x) for key in keys for x in key) for keys in uni._keys]
@@ -1024,6 +1033,82 @@ def test_minors_past_64_bits_give_the_reference_tables_and_bases(h4, h5):
         assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
         assert [uni.flat_kernel(f) for f in range(uni.flat_count())] == _trace_grouped_cover_table(arr)[2]
     assert wide >= 3
+
+
+# A pass whose last pass left K distinct canonical traces, and which reads B
+# blocks, looks the key id of each block up in a K x K table of key-id pairs
+# when K^2 < B (_reads_table), and otherwise reads the minors of every block.
+
+
+def _check_both_lookups(arr, monkeypatch):
+    """One-shot and grown builds with the pair table on every pass, then on
+    none, against the per-hyperplane build: flat bits, both cover tables, the
+    ranks, the trace count and the bases; and the key chain of the real rule."""
+    from hyperarr import lattice
+
+    bits, T, bases = _trace_grouped_cover_table(arr)
+    rank, parents = [0] * len(bits), [[] for _ in bits]
+    for f, row in enumerate(T):
+        for g in sorted(set(row) - {-1}):
+            rank[g] = rank[f] + 1
+            parents[g].append(f)
+    by_rank = [[f for f in range(len(bits)) if rank[f] == r] for r in range(max(rank) + 1)]
+    # on the flats of dimension >= 2: one block per hyperplane at the ambient
+    # flat, then the covers of each first parent but the flat's own
+    reads = [len(arr)] + [len(set(T[parents[f][0]]) - {-1}) - 1 for f in range(1, len(bits))]
+    traces = sum(n for n, basis in zip(reads, bases) if len(basis) >= 2)
+    real = lattice.Universe(arr)
+    chain = (list(real._key), real._keys)
+    for table in (True, False):
+        monkeypatch.setattr(lattice, "_reads_table", lambda keys, reads: table)
+        whole = lattice.Universe(arr)
+        grown = lattice.Universe(arr, up_to_rank=2)
+        grown.extend(3)
+        grown.extend()
+        for uni in (whole, grown):
+            assert (list(uni._key), uni._keys) == chain, table
+            assert uni.bits == bits and uni.by_rank == by_rank and uni.traces == traces
+            assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
+            assert [uni.flat_kernel(f) for f in range(uni.flat_count())] == bases
+    monkeypatch.undo()
+
+
+def test_pair_table_and_minors_give_the_reference_build_on_every_input(h4, h5, h6, monkeypatch):
+    """The differential pool, H_6 and the sheared copies of
+    test_minors_past_64_bits_give_the_reference_tables_and_bases: none of
+    the copies reads the table under the real rule, so only the forced mode
+    sends their traces past 2^90 through it."""
+    for arr in _differential_pool() + [h6] + [arr for _, arr in _sheared_copies(h4, h5)]:
+        _check_both_lookups(arr, monkeypatch)
+
+
+def test_the_rule_sends_the_passes_of_many_blocks_over_few_keys_to_the_table(h5, h6, monkeypatch):
+    """H_6: the passes to ranks 4 and 5 read the table, the one to rank 3
+    (K = 121, B = 14,220) does not; H_5: those to ranks 3 and 4.  B is the
+    count of traces the pass reads; the ambient and line passes ask nothing.
+    A grown build asks the same of each pass."""
+    from hyperarr import lattice
+
+    rule = lattice._reads_table
+    asked = []
+
+    def spy(keys, reads):
+        asked.append((keys, reads, rule(keys, reads)))
+        return asked[-1][2]
+
+    monkeypatch.setattr(lattice, "_reads_table", spy)
+    for arr, passes in (
+        (h5, [(21, 420, False), (40, 1_670, True), (13, 2_100, True)]),
+        (h6, [(38, 1_406, False), (121, 14_220, False), (40, 56_320, True), (49, 71_250, True)]),
+    ):
+        asked.clear()
+        uni = lattice.Universe(arr)
+        assert asked == passes
+        assert uni.traces == len(arr) + sum(reads for _, reads, _ in passes)
+        asked.clear()
+        grown = lattice.Universe(arr, up_to_rank=3)
+        grown.extend()
+        assert asked == passes
 
 
 def _deep_size(obj, seen=None):

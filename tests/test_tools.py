@@ -62,6 +62,7 @@ def test_bench_pairs_records_traced_peaks_of_cold_processes(monkeypatch, tmp_pat
     monkeypatch.setattr(tool, "git", lambda *args: "" if args[0] == "status" else "rev")
     monkeypatch.setattr(tool, "export", lambda rev, dest: None)
     monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "build_times", lambda checkouts: {})  # covered below
     monkeypatch.setattr(tool.subprocess, "run", run)
     out = tmp_path / "BENCH_0.json"
     assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1,2", "--out", str(out)]) == 0
@@ -95,3 +96,67 @@ def test_bench_pairs_peak_probe_runs_in_a_fresh_interpreter():
     small = tool.traced_peak(root, "from hyperarr import hyperpolygonal", "hyperpolygonal(2)")
     large = tool.traced_peak(root, "from hyperarr import hyperpolygonal", "[hyperpolygonal(6) for _ in range(50)]")
     assert 0 < small < large
+
+
+def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch, tmp_path):
+    import subprocess
+    import sys
+
+    tool = _bench_pairs()
+    probes = []
+
+    def run(cmd, cwd, env, capture_output, text):
+        probes.append((cmd, cwd, env["PYTHONPATH"]))
+        seconds = [0.3, 0.2, 0.1][len(probes) % 3]
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"noise\n{seconds} 143234\n", stderr="")
+
+    monkeypatch.setattr(tool, "git", lambda *args: "" if args[0] == "status" else "rev")
+    monkeypatch.setattr(tool, "export", lambda rev, dest: None)
+    monkeypatch.setattr(tool, "run_once", lambda *args: {"metrics": {}, "attempted": 1, "failed": 0})
+    monkeypatch.setattr(tool, "summarize", lambda pairs, better: {})
+    monkeypatch.setattr(tool, "traced_peaks", lambda checkouts: {})
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    out = tmp_path / "BENCH_0.json"
+    assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    setup, statement, runs = tool.BUILD_PROBE
+    assert "Universe(arr)" in statement and "hyperpolygonal(6)" in setup and runs >= 3
+    build = json.loads(out.read_text())["lattice_build"]
+    assert build["statement"] == statement and build["set_up"] == setup
+    # one fresh interpreter per run, the sides taking turns, each importing its own package
+    parent, change = probes[0][1], probes[1][1]
+    assert parent != change and len(probes) == 2 * runs
+    assert [(cwd, path) for _, cwd, path in probes] == runs * [(parent, str(parent / "src")), (change, str(change / "src"))]
+    times = [[0.3, 0.2, 0.1][(i + 1) % 3] for i in range(2 * runs)]
+    for side, first in (("parent", 0), ("change", 1)):
+        assert build[side]["runs_s"] == times[first::2] and build[side]["traces"] == 143234
+        assert build[side]["median_s"] == sorted(times[first::2])[runs // 2]
+    for cmd, _, _ in probes:
+        assert cmd[:2] == [sys.executable, "-c"]
+        code = cmd[2]
+        assert code.index(setup) < code.index("perf_counter()") < code.index(statement) < code.rindex("perf_counter()")
+
+    # a side whose runs disagree on the trace count, or a failing run, raises
+    counts = iter([100, 100, 101])
+
+    def disagreeing(cmd, cwd, env, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"0.1 {next(counts)}\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", disagreeing)
+    with pytest.raises(RuntimeError, match="101 traces"):
+        tool.build_times({"parent": tmp_path})
+
+    def failing(cmd, cwd, env, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="Traceback: boom")
+
+    monkeypatch.setattr(tool.subprocess, "run", failing)
+    with pytest.raises(RuntimeError, match="boom"):
+        tool.build_times({"parent": tmp_path})
+
+
+def test_bench_pairs_build_probe_runs_in_a_fresh_interpreter():
+    tool = _bench_pairs()
+    root = TOOL.parent.parent
+    setup, statement, _ = tool.BUILD_PROBE
+    seconds, traces = tool.probe(root, tool.BUILD_SCRIPT.format(setup=setup, run=statement), statement)
+    assert 0 < float(seconds) and int(traces) == 143234

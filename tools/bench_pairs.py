@@ -24,7 +24,12 @@ metric, ties counting for neither); and the total failed counts.  It also
 holds, per side, the tracemalloc peak in bytes of ``analyze(H_6)`` and of
 ``report(n)`` for n = 1..6, each in one cold process of its own with tracing
 started after the imports: a count of live Python allocations, which does not
-move with process layout as ``peak_rss_mb`` does.
+move with process layout as ``peak_rss_mb`` does.  And it holds, per side,
+the wall time of one lattice build, ``Universe(hyperpolygonal(6))``, in each
+of a few fresh interpreters that alternate between the sides, with their
+median and the build's ``Universe.traces``: the build grows through
+``Universe.extend``, which the benchmark's traced ``lattice.build_s`` does not
+time.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ PEAK_PROBES = {
     "report-1-6": ("from hyperarr import report", "for n in range(1, 7): report(n)"),
 }
 PEAK_SCRIPT = "import tracemalloc\n{setup}\ntracemalloc.start()\n{run}\nprint(tracemalloc.get_traced_memory()[1])"
+# the lattice build timed in fresh interpreters: (set-up, the statement timed, runs per side)
+BUILD_PROBE = ("from hyperarr import hyperpolygonal\nfrom hyperarr.lattice import Universe\narr = hyperpolygonal(6)",
+               "uni = Universe(arr)", 5)
+BUILD_SCRIPT = "import time\n{setup}\nstart = time.perf_counter()\n{run}\nprint(time.perf_counter() - start, uni.traces)"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -67,15 +76,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
-def traced_peak(checkout: Path, setup: str, run: str) -> int:
-    """The tracemalloc peak of run, in bytes, in a fresh interpreter that
+def probe(checkout: Path, code: str, run: str) -> list[str]:
+    """The last line of output of code, split, from a fresh interpreter that
     imports the package from checkout's src/."""
-    code = PEAK_SCRIPT.format(setup=setup, run=run)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"peak probe {run!r} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
-    return int(proc.stdout.split()[-1])
+        raise RuntimeError(f"probe {run!r} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    return proc.stdout.splitlines()[-1].split()
+
+
+def traced_peak(checkout: Path, setup: str, run: str) -> int:
+    """The tracemalloc peak of run, in bytes, in a fresh interpreter."""
+    return int(probe(checkout, PEAK_SCRIPT.format(setup=setup, run=run), run)[-1])
 
 
 def traced_peaks(checkouts: dict[str, Path]) -> dict[str, dict[str, int]]:
@@ -83,6 +96,25 @@ def traced_peaks(checkouts: dict[str, Path]) -> dict[str, dict[str, int]]:
         side: {name: traced_peak(checkout, *probe) for name, probe in PEAK_PROBES.items()}
         for side, checkout in checkouts.items()
     }
+
+
+def build_times(checkouts: dict[str, Path]) -> dict[str, dict]:
+    """Per side, the wall times of BUILD_PROBE's statement, one fresh
+    interpreter each, the sides taking turns; their median; and the trace
+    count, which every run of a side must agree on."""
+    setup, run, runs = BUILD_PROBE
+    code = BUILD_SCRIPT.format(setup=setup, run=run)
+    out = {side: {"runs_s": [], "traces": None} for side in checkouts}
+    for _ in range(runs):
+        for side, checkout in checkouts.items():
+            seconds, traces = probe(checkout, code, run)
+            if out[side]["traces"] not in (None, int(traces)):
+                raise RuntimeError(f"probe {run!r} read {traces} traces on the {side} side, {out[side]['traces']} before")
+            out[side]["runs_s"].append(float(seconds))
+            out[side]["traces"] = int(traces)
+    for side in out.values():
+        side["median_s"] = statistics.median(side["runs_s"])
+    return out
 
 
 def parse_pairs(specs: list[str], workloads: list[str]) -> dict[str, list[int]]:
@@ -176,6 +208,7 @@ def main(argv=None) -> int:
         export("HEAD", Path(change))
         workloads = record(Path(parent), Path(change), plan, bench)
         peaks = traced_peaks({"parent": Path(parent), "change": Path(change)})
+        builds = build_times({"parent": Path(parent), "change": Path(change)})
     out = {
         "number": args.number,
         "command": "perfbench/run.py --trace 0",
@@ -184,6 +217,7 @@ def main(argv=None) -> int:
         "change": git("rev-parse", "HEAD"),
         "workloads": workloads,
         "traced_peak_bytes": peaks,
+        "lattice_build": {"statement": BUILD_PROBE[1], "set_up": BUILD_PROBE[0], **builds},
     }
     path = args.out or ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
