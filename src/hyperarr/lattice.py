@@ -211,7 +211,7 @@ class Universe:
                     # at t*width + s for the key t of f; f's own block on the diagonal
                     table = [None] * (width * width)
                     table[:: width + 1] = [-1] * width
-            # a block's key id from x: its trace looked up, or the id off the table
+            # x below is a block's trace on f, looked up in key_id, or its key id off the table
             lookup = key_id.get if table is None else int
             parent = -1  # the flat P whose cover blocks and traces are at hand
             for f in self.by_rank[self.built_to]:
@@ -248,7 +248,6 @@ class Universe:
                 else:  # the ambient flat: one block per hyperplane
                     xs, blocks = self.normals, [1 << h for h in range(self.m)]
                     self.traces += self.m
-                # xs holds the traces of the blocks on f, or their key ids off the table
                 groups: dict[int, int] = {}  # key id -> the union of its blocks
                 for x, block in zip(xs, blocks):
                     if block & bf:
