@@ -2,11 +2,12 @@
 witnesses and refutations.
 
 Relation space: the linear dependencies among the defining covectors.  An
-arrangement is (combinatorially) formal when the dependencies supported on
-rank-2 flats already span the whole relation space; this is decided exactly
-by stacking the relations of each line.  Rank, relations and matroid
-connectivity of any set of covectors are read from one augmented echelon
-(_relations).  A line-closure basis certifies formality
+arrangement is formal when the dependencies supported on rank-2 flats
+already span the whole relation space; this is decided exactly by stacking
+the relations of each line.  That test is of formality only: combinatorial
+formality asks it of every arrangement with the same lattice.  Rank,
+relations and matroid connectivity of any set of covectors are read from one
+augmented echelon (_relations).  A line-closure basis certifies formality
 combinatorially: a set of rank-many independent hyperplanes whose iterated
 rank-2-flat closure recovers the whole arrangement.  The rank-2 flats (lines)
 behind every query here are read off one shared lattice build,
@@ -191,8 +192,9 @@ def _holds_two_current_lines(master: Universe, cur: int, h: int) -> bool:
     """Does h hold two lines of the master lattice that each hold two
     hyperplanes of the mask cur?  Each such line cuts out a rank-2 flat of
     the current sub-lattice inside h, and two distinct codimension-2 flats
-    inside h span it.  The lines through h are the covers of its atom."""
-    elements = master.node_elements(master.index_of_bits[1 << h], cur)
+    inside h span it.  The lines through h are the covers of its atom, and
+    the ambient pass makes the atoms in hyperplane order."""
+    elements = master.node_elements(master.by_rank[1][h], cur)
     return sum(1 for _, held in elements if held & (held - 1)) >= 2
 
 
@@ -354,12 +356,12 @@ def _moves_within_lattice(arr: Arrangement, h: int, c: tuple[int, ...]) -> bool:
     if c in arr.covectors:
         return False  # unmoved, or onto another hyperplane
     uni = universe(arr)
-    bits, index_of_bits = uni.bits, uni.index_of_bits
+    bits, parents = uni.bits, uni.parents
     hb = 1 << h
     for f in range(1, len(bits)):  # flat 0 is the ambient space, and c is not zero
         bf = bits[f]
-        if bf & hb and bf ^ hb in index_of_bits:
-            continue
+        if bf & hb and any(bits[p] == bf ^ hb for p in parents[f]):
+            continue  # X minus h is a flat exactly when X covers it
         inside = not any(sum(map(mul, c, k)) for k in uni.flat_kernel(f))
         if inside != bool(bf & hb):
             return False
@@ -389,9 +391,10 @@ def _motion_search(arr: Arrangement) -> MotionRefutation | None:
     spans = [IntEchelon(d) for _ in range(len(arr))]
     for f in range(1, uni.flat_count()):
         bf = uni.bits[f]
+        drops = {bf ^ uni.bits[p] for p in uni.parents[f]}  # X minus h is a flat when X covers it
         for h in bit_indices(bf):
             ech = spans[h]
-            if ech.rank < d - 1 and bf ^ (1 << h) not in uni.index_of_bits:
+            if ech.rank < d - 1 and 1 << h not in drops:
                 for k in uni.flat_kernel(f):
                     ech.add(k)
     for h, ech in enumerate(spans):

@@ -5,13 +5,18 @@ of hyperplane indices containing it (the closed sets of the matroid of
 normals), and each flat records the flats covering it in children[f] and the
 flats it covers in parents[f].  No cover table is kept: the cover of f that
 holds a hyperplane h outside f is the child whose bits hold h.  Flat ids are
-given in rank order, and both cover tables are Rows: one int array of all
-rows end to end and one of row offsets, so a cover edge costs 4 bytes and no
-list object.  A flat's children row is written when the build reaches it,
-and the parent rows of a new rank are collected per flat and appended at the
-end of that rank's pass, so rows stay in id order and a partial build grows
-in place.  Two matroid facts make subarrangements and restrictions cheap on
-top of one master lattice:
+given in rank order, so each level of by_rank is a range of ids, and both
+cover tables are Rows: one int array of all rows end to end and one of row
+offsets, so a cover edge costs 4 bytes and no list object.  A flat's
+children row is written when the build reaches it, and the parent rows of a
+new rank are collected per flat and appended at the end of that rank's pass,
+so rows stay in id order and a partial build grows in place.  No index from
+bits to ids is kept: a pass meets only covers of the rank it makes, so it
+finds them by their bits in a dict of its own, dropped with the pass.  The
+readers need none either: the ambient pass makes the atoms in hyperplane
+order, so the atom of h is by_rank[1][h], and X minus h is a flat exactly
+when X covers it, so it is read off parents[X].  Two matroid facts make
+subarrangements and restrictions cheap on top of one master lattice:
 
   * for B a subset of A and S closed in B, cl_B(S + h) = cl_A(S + h), so the
     lattice of any subarrangement is walked over the master's covers;
@@ -144,6 +149,8 @@ class Universe:
     ambient covector over.  The build keeps the key chain (each flat's trace
     on its first parent) in place of flat bases; flat_kernel derives the
     bases from it when one is first read, and a full lattice then drops it.
+    by_rank[k] is the range of ids of the rank-k flats; no global index from
+    bits to ids is kept, only one per pass, for the flats it makes.
     """
 
     def __init__(self, arr: Arrangement, up_to_rank: int | None = None):
@@ -156,8 +163,7 @@ class Universe:
         self.rank: list[int] = [0]
         self.parents = Rows()
         self.children = Rows()
-        self.by_rank: list[list[int]] = [[0]]
-        self.index_of_bits: dict[int, int] = {0: 0}
+        self.by_rank: list[range] = [range(1)]
         self._full_mask = (1 << self.m) - 1
         self._node_chi: dict[tuple[int, int], IntPoly] = {}
         self._node_roots: dict[tuple[int, int], tuple[int, ...] | None] = {}
@@ -186,16 +192,16 @@ class Universe:
     # -- construction ------------------------------------------------------
 
     def _build(self, limit: int) -> None:
-        bits, index_of_bits, key_of = self.bits, self.index_of_bits, self._key
+        bits, key_of = self.bits, self._key
         kids, kid_start = self.children.values, self.children.start
         ups, up_start = self.parents.values, self.parents.start
         # the top built rank has empty children rows until this pass fills them
-        del kid_start[len(bits) - len(self.by_rank[self.built_to]) + 1 :]
+        del kid_start[self.by_rank[self.built_to].start + 1 :]
         full, line = self._full_mask, self.arr_rank - 1
         while self.built_to < limit:
             rank = self.built_to + 1
             first = len(bits)
-            nxt: list[int] = []
+            made: dict[int, int] = {}  # bits -> id of the flats this pass makes
             new_ups: list[list[int]] = []  # parent rows of the new flats
             keys: list[tuple[int, ...]] = []  # the distinct canonical traces of this pass
             key_id: dict[tuple[int, ...], int] = {}  # raw and canonical traces to ids
@@ -260,20 +266,18 @@ class Universe:
                         if k is None:
                             k = key_id[canon] = len(keys)
                             keys.append(canon)
-                        key_id[x] = k
+                        key_id[x] = k  # kept: of H_6's 15,626 blocks to ranks 2-3 only ~2,900 miss
                     groups[k] = groups.get(k, 0) | block
                 covers: list[int] = []  # the children row of f
                 for k, group in groups.items():
                     nb = bf | group
-                    g = index_of_bits.get(nb)
+                    g = made.get(nb)
                     if g is None:
-                        g = len(bits)
+                        g = made[nb] = len(bits)
                         bits.append(nb)
                         self.rank.append(rank)
                         key_of.append(k)
                         new_ups.append([])
-                        index_of_bits[nb] = g
-                        nxt.append(g)
                         reads += len(groups) - 1  # g reads the blocks of f's row but its own
                     new_ups[g - first].append(f)
                     covers.append(g)
@@ -285,7 +289,7 @@ class Universe:
                 up_start.append(len(ups))
             self._keys.append(keys)
             self._frontier, self._reads = cover_keys, reads
-            self.by_rank.append(nxt)
+            self.by_rank.append(range(first, len(bits)))
             self.built_to = rank
         kid_start.extend([len(kids)] * (len(bits) + 1 - len(kid_start)))  # the new top rank
         if not self.by_rank[-1]:
@@ -672,9 +676,11 @@ def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
     """The restriction of arr to the flat, in canonical RREF coordinates.
 
     The flat as an ambient subspace is the kernel of its member covectors.
-    A Flat that is not a flat of arr raises KeyError.
+    A Flat that is not a flat of arr of its rank raises KeyError.
     """
-    if mask_of(flat.contains) not in universe(arr, up_to_rank=flat.rank).index_of_bits:
+    uni = universe(arr, up_to_rank=flat.rank)
+    level = uni.by_rank[flat.rank] if 0 <= flat.rank < len(uni.by_rank) else ()
+    if mask_of(flat.contains) not in map(uni.bits.__getitem__, level):
         raise KeyError(flat.contains)
     kernel = primitive_kernel_basis([arr.covectors[i] for i in flat.contains], arr.dim)
     return restrict_to_subspace(arr, SubspaceBasis.from_vectors(kernel, arr.dim))

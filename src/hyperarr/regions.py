@@ -174,8 +174,8 @@ def simplicial_defect(arr: Arrangement) -> int:
     full = (1 << m) - 1
     total_regions = abs(evaluate(uni.chi(), -1))
     walls = 0
-    for h in range(m):
-        walls += abs(evaluate(uni.node_chi(uni.index_of_bits[1 << h], full), -1))
+    for atom in uni.by_rank[1]:
+        walls += abs(evaluate(uni.node_chi(atom, full), -1))
     defect = 2 * walls - ell * total_regions
     if defect < 0:
         raise AssertionError("facet count below the simplicial minimum")

@@ -298,8 +298,9 @@ def _spans_with_free_h(arr, h, c):
     from hyperarr.lattice import bit_indices, universe
 
     uni = universe(arr)
+    flats = set(uni.bits)
     for bf in uni.bits:
-        if bf >> h & 1 and bf ^ (1 << h) in uni.index_of_bits:
+        if bf >> h & 1 and bf ^ (1 << h) in flats:
             covs = [arr.covectors[i] for i in bit_indices(bf)]
             if oracles.frac_rank(covs + [c]) == oracles.frac_rank(covs):
                 return True

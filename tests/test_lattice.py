@@ -25,7 +25,7 @@ import oracles
 
 def _flat(lat, indices):
     """The flat of lat whose members are exactly the given hyperplanes."""
-    return lat.flats()[lat._uni.index_of_bits[mask_of(indices)]]
+    return lat.flats()[lat._uni.bits.index(mask_of(indices))]
 
 
 # -- lattice construction ------------------------------------------------------
@@ -169,6 +169,28 @@ def test_restriction_rejects_a_set_that_is_not_a_flat(h3):
         restriction(h3, Flat(index=0, rank=3, contains=(0, 1, 2), dim=0, mobius=0))
 
 
+def test_restriction_checks_the_rank_however_far_the_lattice_is_built(monkeypatch):
+    """A Flat is accepted only when its members are a flat of its own rank,
+    on a fresh arrangement and after chi has built the shared lattice whole."""
+    import weakref
+
+    from hyperarr import lattice
+    from hyperarr.lattice import Flat
+
+    line = (0, 3, 4)  # x1 = 0 and x1 = +-(x2 + x3) meet in a rank-2 flat of H_3
+    wrong = [(1, line), (-1, ()), (4, tuple(range(7))), (0, (0,))]  # ranks -1 and 4 are outside 0..3
+    for whole_first in (False, True):
+        monkeypatch.setattr(lattice, "_universe_cache", weakref.WeakKeyDictionary())
+        arr = hyperpolygonal(3)
+        if whole_first:
+            chi(arr)
+        for rank, members in wrong:
+            with pytest.raises(KeyError):
+                restriction(arr, Flat(index=0, rank=rank, contains=members, dim=3 - rank, mobius=0))
+        assert restriction(arr, Flat(index=0, rank=2, contains=line, dim=1, mobius=0)).dim == 1
+        assert restriction(arr, Flat(index=0, rank=0, contains=(), dim=3, mobius=1)) == arr
+
+
 # -- modularity and supersolvability -----------------------------------------------
 
 
@@ -273,7 +295,7 @@ def test_explicit_four_sign_sum_localization_in_h6(h6):
 
     idxs = [h6.index_of(form(I)) for I in ({1}, {1, 2, 3}, {1, 4, 5}, {1, 2, 3, 4, 5})]
     uni = universe(h6, up_to_rank=3)
-    f = uni.index_of_bits[mask_of(idxs)]
+    f = uni.bits.index(mask_of(idxs))
     assert uni.rank[f] == 3  # exactly those four, at rank 3
     assert is_generic(h6.subset(idxs))
 
@@ -439,6 +461,25 @@ def _node_flat_sets(arr, x_bits, mask):
     return out
 
 
+def test_levels_are_id_ranges_with_atoms_in_hyperplane_order_and_parents_give_one_hyperplane_drops(h5, h6):
+    """The lattice facts that stand in for a bits -> id index: every level
+    is a range of ids in rank order, the atom of hyperplane h is
+    by_rank[1][h], and for h in a flat X, X minus h is a flat exactly when X
+    covers it, so the one-hyperplane drops are read off parents[X]."""
+    for arr in _differential_pool() + [h5, h6]:
+        uni = universe(arr)
+        bits = uni.bits
+        assert all(type(level) is range for level in uni.by_rank)
+        assert [f for level in uni.by_rank for f in level] == list(range(len(bits)))
+        assert all(uni.rank[f] == k for k, level in enumerate(uni.by_rank) for f in level)
+        assert [bits[uni.by_rank[1][h]] for h in range(len(arr))] == [1 << h for h in range(len(arr))]
+        flats = set(bits)
+        for f, bf in enumerate(bits):
+            drops = {bf ^ bits[p] for p in uni.parents[f]}
+            for h in bit_indices(bf):
+                assert (1 << h in drops) == (bf ^ (1 << h) in flats), (arr, f, h)
+
+
 def test_trace_grouped_build_matches_membership_build_and_oracle():
     for arr in _differential_pool():
         uni = universe(arr)
@@ -446,7 +487,7 @@ def test_trace_grouped_build_matches_membership_build_and_oracle():
         assert uni.bits == bits and uni.rank == rank
         assert _trace_grouped_cover_table(arr)[:2] == (bits, T)
         assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
-        assert uni.by_rank == [lv for lv in by_rank if lv]
+        assert list(map(list, uni.by_rank)) == [lv for lv in by_rank if lv]
         if len(arr) <= 8:  # the subset sweep takes 18 s on H_4's 12 hyperplanes
             engine = {frozenset(f.contains) for f in build_lattice(arr).flats()}
             assert engine == _brute_flats(arr.covectors)
@@ -722,6 +763,24 @@ def test_build_and_chi_of_h5_stay_under_a_traced_memory_bound():
     assert peak < 0.30 * 2**20
 
 
+def test_h6_lattice_stays_under_a_traced_live_memory_bound():
+    """The traced memory the lattice of H_6 (12,426 flats) holds once built:
+    2.49 MiB with a global bits -> id dict and levels as id lists, 1.51 MiB
+    with levels as id ranges and each pass's own lookup (Python 3.11)."""
+    import tracemalloc
+
+    from hyperarr.lattice import Universe
+
+    arr = hyperpolygonal(6)
+    tracemalloc.start()
+    try:
+        uni = Universe(arr)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert uni.flat_count() == 12426 and live < 2.0 * 2**20
+
+
 # The lattice keeps no cover table, and supersolvability is a top-down search
 # for modular coatoms, tested by lines.
 
@@ -759,9 +818,9 @@ def _is_modular(uni, x):
     bits, rank, children = uni.bits, uni.rank, uni.children
     bx = bits[x]
     # same-rank flats violate most often; scan them first
-    for y in uni.by_rank[rx] + [y for k, lv in enumerate(uni.by_rank) if k != rx for y in lv]:
+    for y in list(uni.by_rank[rx]) + [y for k, lv in enumerate(uni.by_rank) if k != rx for y in lv]:
         by = bits[y]
-        meet = uni.index_of_bits[bx & by]
+        meet = uni.bits.index(bx & by)
         join, hs = x, by & ~bx
         while hs:  # to the cover holding the lowest hyperplane still missing
             low = hs & -hs
@@ -855,7 +914,7 @@ def test_wide_entry_build_matches_membership_build(h3):
         bits, rank, T, parents, by_rank = _membership_build(arr)
         assert uni.bits == bits == universe(small).bits and uni.rank == rank
         assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
-        assert uni.by_rank == [lv for lv in by_rank if lv]
+        assert list(map(list, uni.by_rank)) == [lv for lv in by_rank if lv]
         entry = max(abs(x) for c in arr.covectors for x in c)
         for f in range(uni.flat_count()):
             basis = uni.flat_kernel(f)
@@ -1067,7 +1126,7 @@ def _check_both_lookups(arr, monkeypatch):
         grown.extend()
         for uni in (whole, grown):
             assert (list(uni._key), uni._keys) == chain, table
-            assert uni.bits == bits and uni.by_rank == by_rank and uni.traces == traces
+            assert uni.bits == bits and list(map(list, uni.by_rank)) == by_rank and uni.traces == traces
             assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
             assert [uni.flat_kernel(f) for f in range(uni.flat_count())] == bases
     monkeypatch.undo()

@@ -71,12 +71,12 @@ def test_bench_pairs_records_traced_peaks_of_cold_processes(monkeypatch, tmp_pat
     assert ran == [parent, change, change, parent]  # sides alternate pair by pair
     record = json.loads(out.read_text())
     assert record["traced_peak_bytes"] == {
-        "parent": {"analyze-h6": 1000, "report-1-6": 2000},
-        "change": {"analyze-h6": 3000, "report-1-6": 4000},
+        "parent": {"analyze-h6": 1000, "report-1-6": 2000, "universe-h6": 3000},
+        "change": {"analyze-h6": 4000, "report-1-6": 5000, "universe-h6": 6000},
     }
     # one fresh interpreter per probe, importing the checkout's own package,
     # with tracing started after the set-up and before the traced statement
-    assert [(cwd, path) for _, cwd, path in probes] == [(c, str(c / "src")) for c in (parent, parent, change, change)]
+    assert [(cwd, path) for _, cwd, path in probes] == [(c, str(c / "src")) for c in 3 * [parent] + 3 * [change]]
     for (cmd, _, _), (setup, statement) in zip(probes, 2 * list(tool.PEAK_PROBES.values())):
         assert cmd[:2] == [sys.executable, "-c"]
         code = cmd[2]

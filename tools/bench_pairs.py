@@ -21,10 +21,11 @@ end-to-end metric values and the failed-operation counts of both sides; per
 metric the medians and quartiles of each side over the pairs and the number
 of pairs the change wins and loses (in the direction BENCHMARK.json gives the
 metric, ties counting for neither); and the total failed counts.  It also
-holds, per side, the tracemalloc peak in bytes of ``analyze(H_6)`` and of
-``report(n)`` for n = 1..6, each in one cold process of its own with tracing
-started after the imports: a count of live Python allocations, which does not
-move with process layout as ``peak_rss_mb`` does.  And it holds, per side,
+holds, per side, the tracemalloc peak in bytes of ``analyze(H_6)``, of
+``report(n)`` for n = 1..6 and of the lattice build ``Universe(H_6)``, each
+in one cold process of its own with tracing started after the imports: a
+count of live Python allocations, which does not move with process layout as
+``peak_rss_mb`` does.  And it holds, per side,
 the wall time of one lattice build, ``Universe(hyperpolygonal(6))``, in each
 of a few fresh interpreters that alternate between the sides, with their
 median and the build's ``Universe.traces``: the build grows through
@@ -49,6 +50,8 @@ END_TO_END = ("solve_s", "setup_s", "peak_rss_mb", "decided_frac")
 PEAK_PROBES = {
     "analyze-h6": ("from hyperarr import analyze, hyperpolygonal; arr = hyperpolygonal(6)", "analyze(arr)"),
     "report-1-6": ("from hyperarr import report", "for n in range(1, 7): report(n)"),
+    "universe-h6": ("from hyperarr import hyperpolygonal; from hyperarr.lattice import Universe; arr = hyperpolygonal(6)",
+                    "Universe(arr)"),
 }
 PEAK_SCRIPT = "import tracemalloc\n{setup}\ntracemalloc.start()\n{run}\nprint(tracemalloc.get_traced_memory()[1])"
 # the lattice build timed in fresh interpreters: (set-up, the statement timed, runs per side)
