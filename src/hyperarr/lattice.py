@@ -266,7 +266,7 @@ class Universe:
                         if k is None:
                             k = key_id[canon] = len(keys)
                             keys.append(canon)
-                        key_id[x] = k  # kept: of H_6's 15,626 blocks to ranks 2-3 only ~2,900 miss
+                        key_id[x] = k  # kept: of the 15,626 blocks of H_6 to ranks 2-3, 399 miss
                     groups[k] = groups.get(k, 0) | block
                 covers: list[int] = []  # the children row of f
                 for k, group in groups.items():

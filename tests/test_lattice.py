@@ -461,7 +461,7 @@ def _node_flat_sets(arr, x_bits, mask):
     return out
 
 
-def test_levels_are_id_ranges_with_atoms_in_hyperplane_order_and_parents_give_one_hyperplane_drops(h5, h6):
+def test_id_range_levels_hyperplane_ordered_atoms_and_one_hyperplane_drops(h5, h6):
     """The lattice facts that stand in for a bits -> id index: every level
     is a range of ids in rank order, the atom of hyperplane h is
     by_rank[1][h], and for h in a flat X, X minus h is a flat exactly when X
