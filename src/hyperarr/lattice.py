@@ -58,9 +58,11 @@ passes, those of inputs with few symmetries among them, read the minors of
 every block, with the cover traces of P transposed into columns once per P.
 Between passes the build keeps the key id of every flat, the short list of
 distinct canonical traces of each pass, the key ids of the last pass's
-children rows and the count of blocks the next pass reads; flat_kernel
-derives the primitive bases from the key chain when one is first read, and a
-lattice nobody asks keeps none.
+children rows and the count of blocks the next pass reads.  flat_kernel
+returns the very bases the build read the traces in, V_X = the minors of
+V_P by the key of X, derived from the key chain by the same _minors when
+one is first read; they are not primitive, and a lattice nobody asks keeps
+none.
 
 Consequently the characteristic polynomial of any (restriction of a)
 subarrangement is an interval Moebius computation over one shared structure,
@@ -177,7 +179,6 @@ class Universe:
         self._frontier: array | None = array("i")
         self._reads = 0  # and the number of blocks it reads
         self._basis: list[tuple[tuple[int, ...], ...]] | None = None  # derived when first read
-        self._content: dict[int, tuple[int, ...]] | None = None
         self.extend(up_to_rank)
 
     def extend(self, up_to_rank: int | None = None) -> None:
@@ -301,17 +302,18 @@ class Universe:
         return len(self.bits)
 
     def flat_kernel(self, f: int) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer vectors spanning the flat in the lattice
-        coordinates: arr_rank - rank[f] vectors of length arr_rank.
+        """Integer vectors spanning the flat in the lattice coordinates:
+        arr_rank - rank[f] vectors of length arr_rank, the basis the build
+        read the traces of the flat's covers in.
 
-        The identity at the ambient flat; below it, the basis of the first
-        parent P cut by the kernel of the flat's trace on P: with q the
-        first nonzero index of that trace, the vector j != q is
-        t_q*k_j - t_j*k_q made primitive, or k_j where t_j = 0.  It is not
-        canonical.  Pair it with the normals, or with an ambient covector
-        through coordinates().  The first read derives the bases of every
-        flat built so far (see _derive_bases); a lattice nobody asks keeps
-        none.
+        The identity at the ambient flat; below it, the basis k of the first
+        parent P cut by the kernel of the flat's trace t on P (its key):
+        with q the first nonzero index of t, the vector j != q is
+        t_q*k_j - t_j*k_q, or k_j where t_j = 0.  It is neither primitive
+        nor canonical, and its entries grow down the ranks like the traces.
+        Pair it with the normals, or with an ambient covector through
+        coordinates().  The first read derives the bases of every flat built
+        so far (see _derive_bases); a lattice nobody asks keeps none.
         """
         if self._basis is None or f >= len(self._basis):
             self._derive_bases()
@@ -319,34 +321,19 @@ class Universe:
 
     def _derive_bases(self) -> None:
         """The bases of the flats built since the last call, in id order,
-        from the key chain alone.
-
-        The build reads the trace of each flat X on its first parent P in a
-        basis V_X of its own, not the primitive one: V_X,j = V_P,j where
-        t_j = 0 and t_q*V_P,j - t_j*V_P,q otherwise, t being the key of X.
-        So V_X,j = mu_j * U_X,j for the primitive basis U_X that flat_kernel
-        returns and a positive content mu_j, and t is proportional to
-        (mu_j * t'_j) for the trace t' of X on U_P.  The cut of U_P by t'
-        is therefore that of U_P by the vectors t_q*mu_j*U_P,j -
-        t_j*mu_q*U_P,q, whose contents are those of V_X.  Contents are kept
-        for the top derived rank only, the next one's parents; a full
-        lattice drops them with the key chain.
-        """
+        from the key chain alone: that of X is the _minors of its first
+        parent's basis by its key.  A full lattice then drops the chain."""
         if self._basis is None:
             r = self.arr_rank
             self._basis = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
-            self._content = {0: (1,) * r}
         bases, key_of = self._basis, self._key
         ups, up_start = self.parents.values, self.parents.start
         for rank in range(self.rank[len(bases) - 1] + 1, len(self.by_rank)):
-            keys, parent_content, content = self._keys[rank - 1], self._content, {}
+            keys = self._keys[rank - 1]
             for x in self.by_rank[rank]:
-                p = ups[up_start[x]]
-                basis, content[x] = _cut(bases[p], parent_content[p], keys[key_of[x]])
-                bases.append(basis)
-            self._content = content
+                bases.append(tuple(map(tuple, _minors(bases[ups[up_start[x]]], keys[key_of[x]]))))
         if self.is_full:
-            self._key = self._keys = self._content = None
+            self._key = self._keys = None
 
     def coordinates(self, covector: Sequence[int]) -> tuple[int, ...] | None:
         """An ambient covector in the lattice coordinates, or None when it is
@@ -538,12 +525,13 @@ def _canonical_trace(trace: tuple[int, ...]) -> tuple[int, ...]:
     return trace if g == 1 else tuple([y // g for y in trace])
 
 
-def _minors(columns: list[Sequence[int]], t: tuple[int, ...]) -> list[Sequence[int]]:
-    """The traces of the covers of a flat P on its cover X, by coordinate,
-    from their canonical traces s on P (columns[j] holds s_j of each cover)
-    and the trace t of X on P: with q the first nonzero index of t,
-    coordinate j != q is t_q*s_j - t_j*s_q, or s_j where t_j = 0 (see
-    Universe._derive_bases for the basis of X this reads them in)."""
+def _minors(columns: Sequence[Sequence[int]], t: tuple[int, ...]) -> list[Sequence[int]]:
+    """The 2x2 minors of the rows columns[j] by the key t of a cover X of a
+    flat P: with q the first nonzero index of t, row j != q becomes
+    t_q*s_j - t_j*s_q, or stays s_j where t_j = 0.  On the basis of P it
+    gives the basis of X (Universe._derive_bases); on the canonical traces
+    of P's covers on P, one coordinate per row, it gives their traces on X
+    in that basis, which the build reads."""
     q = next(i for i, x in enumerate(t) if x)
     tq, sq = t[q], columns[q]
     return [
@@ -551,24 +539,6 @@ def _minors(columns: list[Sequence[int]], t: tuple[int, ...]) -> list[Sequence[i
         for j, (s, tj) in enumerate(zip(columns, t))
         if j != q
     ]
-
-
-def _cut(
-    basis: tuple[tuple[int, ...], ...], content: tuple[int, ...], t: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The primitive basis of X and its contents from those of its first
-    parent and the key t of X (see Universe._derive_bases)."""
-    q = next(i for i, x in enumerate(t) if x)
-    tq, kq, mq = t[q], basis[q], content[q]
-    cut, mu = list(basis), list(content)
-    for j, tj in enumerate(t):
-        if tj and j != q:
-            a, b = tq * mu[j], tj * mq
-            v = [a * x - b * y for x, y in zip(basis[j], kq)]
-            g = mu[j] = gcd(*v)
-            cut[j] = tuple(v) if g == 1 else tuple([x // g for x in v])
-    del cut[q], mu[q]
-    return tuple(cut), tuple(mu)
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:

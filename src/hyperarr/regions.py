@@ -10,11 +10,11 @@ weakly satisfies every sign constraint of a region is an extreme ray of its
 closure: the smallest face of the closure containing the candidate is the
 intersection with the flat it spans, which is one-dimensional.
 
-The candidates come straight from the lattice: Universe.flat_kernel gives a
-primitive integer basis of every flat in the coordinates of the
-essentialization, derived from the build's key chain when first read; a
-one-dimensional flat's basis is one vector, turned so that its first nonzero
-entry is positive.
+The candidates come straight from the lattice: Universe.flat_kernel gives an
+integer basis of every flat in the coordinates of the essentialization, the
+one the build read traces in, derived from its key chain when first read; a
+one-dimensional flat's basis is one vector, not primitive, which is made
+primitive with its first nonzero entry positive.
 
 That gives an exact enumeration with no numeric feasibility solver and no
 linear algebra.  The depth-first search fixes the signs of h_0, h_1, ... in
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, essentialize
-from .lattice import _trace_columns, bit_indices, universe
+from .lattice import _canonical_trace, _trace_columns, bit_indices, universe
 from .polynomials import IntPoly, evaluate, multiply, trim
 
 
@@ -77,10 +77,10 @@ def _candidate_rays(arr: Arrangement) -> list[tuple[int, ...]]:
     """Both signed primitive spanning vectors of every one-dimensional flat of
     the essentialization, in the lattice coordinates of arr.
 
-    flat_kernel gives one primitive basis vector per such flat (a flat of
-    rank rank(A) - 1), derived from the build's key chain on the first read;
-    it is turned so that its first nonzero entry is positive, then listed
-    with its negative.
+    flat_kernel gives one basis vector per such flat (a flat of rank
+    rank(A) - 1), derived from the build's key chain on the first read; it
+    is made primitive with its first nonzero entry positive
+    (_canonical_trace), then listed with its negative.
     """
     uni = universe(arr)
     ell = uni.arr_rank
@@ -88,9 +88,7 @@ def _candidate_rays(arr: Arrangement) -> list[tuple[int, ...]]:
     if ell == 0:
         return out
     for f in uni.by_rank[ell - 1]:
-        (v,) = uni.flat_kernel(f)
-        if next(x for x in v if x) < 0:
-            v = tuple(-x for x in v)
+        v = _canonical_trace(uni.flat_kernel(f)[0])
         out.append(v)
         out.append(tuple(-x for x in v))
     return out
@@ -200,8 +198,11 @@ def separation(a: int, b: int) -> int:
 
 def zeta_polynomial(regs: RegionSet, base_index: int) -> IntPoly:
     """Rank generating function of the poset of regions based at one region:
-    coefficient of t^k counts regions separated from the base by k hyperplanes."""
+    coefficient of t^k counts regions separated from the base by k hyperplanes.
+    A base index outside 0..len(regs) - 1 raises IndexError."""
     masks = regs.masks
+    if not 0 <= base_index < len(masks):
+        raise IndexError(f"base region {base_index} out of range 0..{len(masks) - 1}")
     base = masks[base_index]
     coeffs = [0] * (len(regs.arrangement) + 1)
     for mk in masks:

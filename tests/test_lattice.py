@@ -389,6 +389,12 @@ def _cut_basis(basis, trace):
     return tuple(out)
 
 
+def _primitive_bases(uni):
+    """The flat bases of uni with each vector divided by its content, the
+    gcd of its entries: the primitive bases _cut_basis gives."""
+    return [tuple(tuple(x // math.gcd(*k) for x in k) for k in uni.flat_kernel(f)) for f in range(uni.flat_count())]
+
+
 @functools.cache
 def _trace_grouped_cover_table(arr):
     """The cover table T[f][h] = closure(f + h) of the trace-grouped build
@@ -1005,7 +1011,7 @@ def _check_block_build(arr):
     whole = Universe(arr)
     bits, T, bases = _trace_grouped_cover_table(arr)
     assert whole.bits == bits and _cover_rows(whole) == T
-    assert [whole.flat_kernel(f) for f in range(whole.flat_count())] == bases
+    assert _primitive_bases(whole) == bases
     grown = Universe(arr, up_to_rank=2)
     grown.extend(3)
     grown.extend()
@@ -1048,7 +1054,7 @@ def test_trace_count_is_one_per_block_of_each_first_parent(h5, h6):
 # The build reads the traces of a flat X's covers as 2x2 minors of the cover
 # traces of its first parent P and keeps no flat basis: flat_kernel derives
 # them from the key chain (the trace of each flat on its first parent) when
-# one is first read.
+# one is first read, as the minors of P's basis the build read the traces in.
 
 
 def _sheared_copies(h4, h5):
@@ -1090,8 +1096,48 @@ def test_minors_past_64_bits_give_the_reference_tables_and_bases(h4, h5):
         bits, rank, T, parents, by_rank = _membership_build(arr)
         assert uni.bits == bits == universe(small).bits and uni.rank == rank
         assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
-        assert [uni.flat_kernel(f) for f in range(uni.flat_count())] == _trace_grouped_cover_table(arr)[2]
+        assert _primitive_bases(uni) == _trace_grouped_cover_table(arr)[2]
     assert wide >= 3
+
+
+def _check_bases_are_minors_of_the_first_parent(uni, key, keys):
+    """Every flat X != 0 of uni has the basis _minors(flat_kernel(P), key
+    of X) for its first parent P, with the key chain key, keys read off uni
+    before its first basis read; the count of basis vectors with content
+    > 1 is returned."""
+    from hyperarr.lattice import _minors
+
+    r = uni.arr_rank
+    assert uni.flat_kernel(0) == tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    for x in range(1, uni.flat_count()):
+        p, t = uni.parents[x][0], keys[uni.rank[x] - 1][key[x]]
+        assert uni.flat_kernel(x) == tuple(map(tuple, _minors(uni.flat_kernel(p), t)))
+    return sum(math.gcd(*k) > 1 for f in range(uni.flat_count()) for k in uni.flat_kernel(f))
+
+
+def test_each_flat_basis_is_the_minors_of_its_first_parents_by_its_key(h4, h5, h6):
+    """One-shot builds, and builds grown to ranks 2, 3 and then full with
+    every basis read at each step; the grown bases equal the one-shot ones.
+    The bases are those the build read traces in, not primitive ones."""
+    from hyperarr.lattice import Universe
+
+    contents = 0
+    for arr in _differential_pool() + [h6] + [arr for _, arr in _sheared_copies(h4, h5)]:
+        whole = Universe(arr)
+        contents += _check_bases_are_minors_of_the_first_parent(whole, whole._key, whole._keys)
+        # the build grows the key chain in place, and a full read drops it
+        grown = Universe(arr, up_to_rank=2)
+        key, keys = grown._key, grown._keys
+        for rank in (2, 3):
+            grown.extend(rank)
+            grown.flat_kernel(grown.flat_count() - 1)
+        grown.extend()
+        _check_bases_are_minors_of_the_first_parent(grown, key, keys)
+        assert [grown.flat_kernel(f) for f in range(grown.flat_count())] == [
+            whole.flat_kernel(f) for f in range(whole.flat_count())
+        ]
+        assert whole._key is None and grown._key is None
+    assert contents >= 20
 
 
 # A pass whose last pass left K distinct canonical traces, and which reads B
@@ -1128,7 +1174,7 @@ def _check_both_lookups(arr, monkeypatch):
             assert (list(uni._key), uni._keys) == chain, table
             assert uni.bits == bits and list(map(list, uni.by_rank)) == by_rank and uni.traces == traces
             assert _cover_rows(uni) == T and _rows(uni.parents, uni) == parents
-            assert [uni.flat_kernel(f) for f in range(uni.flat_count())] == bases
+            assert _primitive_bases(uni) == bases
     monkeypatch.undo()
 
 
@@ -1184,7 +1230,7 @@ def _deep_size(obj, seen=None):
 def test_bases_are_derived_when_first_read_and_the_key_chain_is_dropped(h5):
     """Universe(H_5) and its chi keep 95 KB traced (164 KB when the build cut
     every basis); reading the bases adds no more than their own size, as the
-    contents and key ids that derived them are dropped (Python 3.11)."""
+    key ids that derived them are dropped (Python 3.11)."""
     import gc
     import tracemalloc
 
@@ -1204,7 +1250,7 @@ def test_bases_are_derived_when_first_read_and_the_key_chain_is_dropped(h5):
     finally:
         tracemalloc.stop()
     assert unread < 120_000
-    assert uni._key is None and uni._keys is None and uni._content is None
+    assert uni._key is None and uni._keys is None
     assert read - unread <= _deep_size(uni._basis)
 
 
@@ -1218,7 +1264,7 @@ def test_a_partial_build_keeps_the_frontier_and_a_full_one_drops_it(h5):
     assert max(covers) + 1 == len(part._keys[2])
     # bases read from a partial build, then more ranks, then the rest
     first = [part.flat_kernel(f) for f in range(part.flat_count())]
-    assert part._key is not None and set(part._content) == set(part.by_rank[3])
+    assert part._key is not None
     part.extend(4)
     assert part._frontier is not None
     part.extend()

@@ -121,6 +121,15 @@ def test_zeta_polynomial_values(h2):
     assert zeta_polynomial(single, 0) == (1, 1)
 
 
+def test_zeta_polynomial_rejects_a_base_outside_the_regions(h2):
+    """A negative index used to read a region from the end of the list."""
+    regs = enumerate_regions(h2)
+    assert zeta_polynomial(regs, len(regs) - 1) == (1, 2, 2, 2, 1)
+    for base in (-1, -len(regs), len(regs), len(regs) + 5):
+        with pytest.raises(IndexError, match="out of range"):
+            zeta_polynomial(regs, base)
+
+
 def test_zeta_counts_all_regions_and_is_palindromic(h3, bool3):
     for arr in (h3, bool3):
         regs = enumerate_regions(arr)

@@ -71,12 +71,12 @@ def test_bench_pairs_records_traced_peaks_of_cold_processes(monkeypatch, tmp_pat
     assert ran == [parent, change, change, parent]  # sides alternate pair by pair
     record = json.loads(out.read_text())
     assert record["traced_peak_bytes"] == {
-        "parent": {"analyze-h6": 1000, "report-1-6": 2000, "universe-h6": 3000},
-        "change": {"analyze-h6": 4000, "report-1-6": 5000, "universe-h6": 6000},
+        "parent": {"analyze-h6": 1000, "report-1-6": 2000, "universe-h6": 3000, "regions-d5-m14": 4000},
+        "change": {"analyze-h6": 5000, "report-1-6": 6000, "universe-h6": 7000, "regions-d5-m14": 8000},
     }
     # one fresh interpreter per probe, importing the checkout's own package,
     # with tracing started after the set-up and before the traced statement
-    assert [(cwd, path) for _, cwd, path in probes] == [(c, str(c / "src")) for c in 3 * [parent] + 3 * [change]]
+    assert [(cwd, path) for _, cwd, path in probes] == [(c, str(c / "src")) for c in 4 * [parent] + 4 * [change]]
     for (cmd, _, _), (setup, statement) in zip(probes, 2 * list(tool.PEAK_PROBES.values())):
         assert cmd[:2] == [sys.executable, "-c"]
         code = cmd[2]
@@ -119,10 +119,10 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
     out = tmp_path / "BENCH_0.json"
     assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1", "--out", str(out)]) == 0
     monkeypatch.undo()
-    setup, statement, runs = tool.BUILD_PROBE
-    assert "Universe(arr)" in statement and "hyperpolygonal(6)" in setup and runs >= 3
+    setup, statement, builds, runs = tool.BUILD_PROBE
+    assert "Universe(arr)" in statement and "hyperpolygonal(6)" in setup and builds >= 3 and runs >= 3
     build = json.loads(out.read_text())["lattice_build"]
-    assert build["statement"] == statement and build["set_up"] == setup
+    assert build["statement"] == statement and build["set_up"] == setup and build["builds_per_run"] == builds
     # one fresh interpreter per run, the sides taking turns, each importing its own package
     parent, change = probes[0][1], probes[1][1]
     assert parent != change and len(probes) == 2 * runs
@@ -134,7 +134,8 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
     for cmd, _, _ in probes:
         assert cmd[:2] == [sys.executable, "-c"]
         code = cmd[2]
-        assert code.index(setup) < code.index("perf_counter()") < code.index(statement) < code.rindex("perf_counter()")
+        assert code.index(setup) < code.index(f"range({builds})") < code.index("perf_counter()")
+        assert code.index("perf_counter()") < code.index(statement) < code.rindex("perf_counter()")
 
     # a side whose runs disagree on the trace count, or a failing run, raises
     counts = iter([100, 100, 101])
@@ -157,6 +158,13 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
 def test_bench_pairs_build_probe_runs_in_a_fresh_interpreter():
     tool = _bench_pairs()
     root = TOOL.parent.parent
-    setup, statement, _ = tool.BUILD_PROBE
-    seconds, traces = tool.probe(root, tool.BUILD_SCRIPT.format(setup=setup, run=statement), statement)
+    setup, statement, builds, _ = tool.BUILD_PROBE
+    seconds, traces = tool.probe(root, tool.BUILD_SCRIPT.format(setup=setup, run=statement, builds=builds), statement)
     assert 0 < float(seconds) and int(traces) == 143234
+    # the least of the builds in one interpreter: one build of three that sleeps cannot raise it
+    slow = (
+        "import time\nslept = []\n"
+        "def build():\n    if not slept:\n        slept.append(time.sleep(0.5))\n    return Universe(arr)"
+    )
+    script = tool.BUILD_SCRIPT.format(setup=setup + "\n" + slow, run="uni = build()", builds=builds)
+    assert float(tool.probe(root, script, "uni = build()")[0]) < 0.5
