@@ -158,28 +158,29 @@ def _replay(
 ) -> tuple[int, ...]:
     """Exponents of the node (x, mask) by Terao's addition theorem.
 
-    An empty node has all exponents 0.  At a new non-empty node,
-    choose(x, mask) gives a root index h, and the element whose preimage
-    holds h is the chosen hyperplane; the walk derives the restriction, then
-    the deletion, and if exp(deletion) = exp(restriction) + {v} the node has
-    exp(restriction) + {v + 1}.  proved holds the nodes derived so far, so
-    each node takes one choice.  A choice outside the node or a broken
-    pattern raises CertificateError.
+    An empty node, one whose reduced mask is 0, has all exponents 0.  At a
+    new non-empty node, choose(x, mask) gives a root index h, and the cover
+    of x whose bits hold h is the chosen hyperplane, with its bits in mask
+    as its preimage; no list of the node's elements is made.  The walk
+    derives the restriction, then the deletion, and if exp(deletion) =
+    exp(restriction) + {v} the node has exp(restriction) + {v + 1}.  proved
+    holds the nodes derived so far, so each node takes one choice.  A choice
+    outside the node or a broken pattern raises CertificateError.
     """
     key = uni.node_key(x, mask)
     exps = proved.get(key)
     if exps is not None:
         return exps
     x, mask = key
-    elements = uni.node_elements(x, mask)
-    if not elements:
+    if not mask:  # no hyperplane in the node: each would lie in a cover of x
         exps = (0,) * (uni.dim - uni.rank[x])
     else:
         h = choose(x, mask)
-        chosen = [(e, pre) for e, pre in elements if pre >> h & 1]
-        if not chosen:
+        if not mask >> h & 1:
             raise CertificateError(f"hyperplane {h} is not in its node")
-        e, pre = chosen[0]
+        bits = uni.bits
+        e = next(g for g in uni.children[x] if bits[g] >> h & 1)
+        pre = bits[e] & mask
         exps_r = _replay(uni, e, mask, choose, proved)
         exps_d = _replay(uni, x, mask & ~pre, choose, proved)
         v = _extra(exps_r, exps_d)

@@ -39,8 +39,11 @@ of P.  So the pass of X reads one trace per block and groups the blocks of
 equal canonical trace into its covers (cover bits = bits of X | group); the
 ambient flat has one block per hyperplane, whose trace on the identity is
 its normal.  Blocks come in the order of their lowest hyperplane, as rows
-do, so the covers come out in that order too.  A flat of dimension one has
-the centre as its only cover and needs no traces.
+do, so the covers come out in that order too.  So a pass is of one of three
+kinds: the ambient pass groups the normals; each pass below it groups the
+key ids of the blocks of its flats, read as minors or off a table (below);
+and the centre pass, from the flats of dimension one, reads nothing, as a
+line's only cover is the centre, and writes its rows whole.
 
 No normal is read below the ambient flat, and no basis at all.  With t the
 trace of X on P (its key) and q the first nonzero index of t, X has the
@@ -51,11 +54,14 @@ Both s and t are canonical traces of the last pass, so the key of a cover
 on X depends only on the pair of their ids among its K distinct ones, and
 symmetric inputs repeat the pairs: the pass of H_6 to rank 4 reads 56,320
 blocks in 1,397 pairs of K = 40 ids.  A pass that reads B > K^2 blocks keeps
-the new key id of each pair in a K x K table, a flat list at t*K + s, filled
+the new key id of each pair in a K x K table, row t and column s, filled
 with one minor the first time a pair is met and read for every later block;
-it lives for that one pass, and B bounds its size (_reads_table).  Other
-passes, those of inputs with few symmetries among them, read the minors of
-every block, with the cover traces of P transposed into columns once per P.
+it lives for that one pass, and B bounds its size (_reads_table).  The own
+block of a flat of key t is at row t, column t, marked -1, so the pass
+groups the ids it reads and drops that group.  Other passes, those of
+inputs with few symmetries among them, read the minors of every block, with
+the cover traces of P transposed into columns once per P, and look each
+trace up in a dict of the traces met.
 Between passes the build keeps the key id of every flat, the short list of
 distinct canonical traces of each pass, the key ids of the last pass's
 children rows and the count of blocks the next pass reads.  flat_kernel
@@ -193,69 +199,99 @@ class Universe:
     # -- construction ------------------------------------------------------
 
     def _build(self, limit: int) -> None:
-        bits, key_of = self.bits, self._key
-        kids, kid_start = self.children.values, self.children.start
-        ups, up_start = self.parents.values, self.parents.start
+        kid_start = self.children.start
         # the top built rank has empty children rows until this pass fills them
         del kid_start[self.by_rank[self.built_to].start + 1 :]
-        full, line = self._full_mask, self.arr_rank - 1
         while self.built_to < limit:
-            rank = self.built_to + 1
-            first = len(bits)
-            made: dict[int, int] = {}  # bits -> id of the flats this pass makes
-            new_ups: list[list[int]] = []  # parent rows of the new flats
-            keys: list[tuple[int, ...]] = []  # the distinct canonical traces of this pass
-            key_id: dict[tuple[int, ...], int] = {}  # raw and canonical traces to ids
-            cover_keys = array("i")
-            reads = 0  # the blocks the next pass reads
-            table: list[int | None] | None = None
-            if 0 < self.built_to < line:
-                prev_keys, prev_covers = self._keys[-1], self._frontier
-                prev_base = kid_start[self.by_rank[self.built_to - 1][0]]
-                width = len(prev_keys)
-                if _reads_table(width, self._reads):
-                    # the key id of the trace on f of the cover of key s on P,
-                    # at t*width + s for the key t of f; f's own block on the diagonal
-                    table = [None] * (width * width)
-                    table[:: width + 1] = [-1] * width
-            # x below is a block's trace on f, looked up in key_id, or its key id off the table
-            lookup = key_id.get if table is None else int
-            parent = -1  # the flat P whose cover blocks and traces are at hand
-            for f in self.by_rank[self.built_to]:
-                bf = bits[f]
-                if self.built_to == line:
-                    # a line meets every hyperplane not holding it in the centre
-                    xs, blocks = [(1,)], [full & ~bf]
-                elif f:
-                    # one trace per block g - P of the covers g of f's first
-                    # parent P: cl(f + h) = cl(f + g) for h in g - P.  The
-                    # flats P created come one after another, so the blocks
-                    # and the cover traces are read once per P.
-                    p = ups[up_start[f]]
-                    if p != parent:
-                        parent, bp = p, bits[p]
-                        lo, hi = kid_start[p], kid_start[p + 1]
-                        row = prev_covers[lo - prev_base : hi - prev_base]
-                        blocks = [bits[g] & ~bp for g in kids[lo:hi]]
-                        if table is None:
-                            columns = list(zip(*[prev_keys[k] for k in row]))
-                    t = key_of[f]
+            first = len(self.bits)
+            # the ambient pass and the minors or table passes read traces; the
+            # centre pass, from the lines, reads none
+            if self.built_to == self.arr_rank - 1:
+                self._centre_pass()
+            else:
+                self._cover_pass()
+            self.built_to += 1
+            self.rank.extend([self.built_to] * (len(self.bits) - first))
+            self.by_rank.append(range(first, len(self.bits)))
+        kid_start.extend([len(self.children.values)] * (len(self.bits) + 1 - len(kid_start)))  # the new top rank
+        if not self.by_rank[-1]:
+            self.by_rank.pop()
+
+    def _centre_pass(self) -> None:
+        """The pass from the lines, the flats of dimension one, to the centre:
+        a line meets every hyperplane not holding it in the centre, so the
+        centre is its only cover, and no trace is read.  The centre holds
+        every hyperplane and has key (1,) on each line; its parent row is the
+        line level in id order."""
+        lines = self.by_rank[self.built_to]
+        centre = len(self.bits)
+        self.bits.append(self._full_mask)
+        self._key.append(0)
+        self._keys.append([(1,)])
+        kids, kid_start = self.children.values, self.children.start
+        end = len(kids)
+        kids.fromlist([centre] * len(lines))
+        kid_start.fromlist(list(range(end + 1, len(kids) + 1)))
+        ups = self.parents.values
+        ups.fromlist(list(lines))
+        self.parents.start.append(len(ups))
+
+    def _cover_pass(self) -> None:
+        """A pass that reads traces, to a rank below the centre: the ambient
+        pass, or one that reads the traces of the blocks of its flats as the
+        minors of the last pass's cover traces or off a table of key-id pairs
+        (_reads_table).  It writes the children rows of the top built rank
+        and the parent rows of the new one."""
+        bits, key_of, level = self.bits, self._key, self.by_rank[self.built_to]
+        kids, kid_start = self.children.values, self.children.start
+        ups, up_start = self.parents.values, self.parents.start
+        first = len(bits)
+        made: dict[int, int] = {}  # bits -> id of the flats this pass makes
+        get = made.get
+        new_ups: list[list[int]] = []  # parent rows of the new flats
+        keys: list[tuple[int, ...]] = []  # the distinct canonical traces of this pass
+        key_id: dict[tuple[int, ...], int] = {}  # raw and canonical traces to ids
+        lookup = key_id.get
+        cover_keys = array("i")
+        reads = traces = 0  # the blocks the next pass reads, and those this one reads
+        table: list[list[int | None]] | None = None
+        if self.built_to:
+            prev_keys, prev_covers = self._keys[-1], self._frontier
+            prev_base = kid_start[self.by_rank[self.built_to - 1][0]]
+            width = len(prev_keys)
+            if _reads_table(width, self._reads):
+                # row t holds the key id of the trace on f of the cover of key
+                # s on P, at s, for the key t of f; f's own block at t is -1
+                table = [[None] * width for _ in range(width)]
+                for t in range(width):
+                    table[t][t] = -1
+        parent = -1  # the flat P whose cover blocks and traces are at hand
+        for f in level:
+            bf = bits[f]
+            if f:
+                # one trace per block g - P of the covers g of f's first
+                # parent P: cl(f + h) = cl(f + g) for h in g - P.  The flats
+                # P created come one after another, so the blocks and the
+                # cover traces are read once per P.
+                p = ups[up_start[f]]
+                if p != parent:
+                    parent, bp = p, bits[p]
+                    lo, hi = kid_start[p], kid_start[p + 1]
+                    row = prev_covers[lo - prev_base : hi - prev_base]
+                    blocks = [bits[g] & ~bp for g in kids[lo:hi]]
                     if table is None:
-                        xs = zip(*_minors(columns, prev_keys[t]))
-                    else:
-                        at = t * width
-                        xs = [table[at + s] for s in row]
-                        if None in xs:  # pairs met first: their minors, column by column
-                            miss = [s for s, k in zip(row, xs) if k is None]
-                            traces = zip(*_minors(list(zip(*[prev_keys[s] for s in miss])), prev_keys[t]))
-                            for s, trace in zip(miss, traces):
-                                table[at + s] = _key_id(trace, key_id, keys)
-                            xs = [table[at + s] for s in row]
-                    self.traces += len(blocks) - 1
-                else:  # the ambient flat: one block per hyperplane
-                    xs, blocks = self.normals, [1 << h for h in range(self.m)]
-                    self.traces += self.m
-                groups: dict[int, int] = {}  # key id -> the union of its blocks
+                        columns = list(zip(*[prev_keys[k] for k in row]))
+                    else:  # each cover's key id on P with its block
+                        keyed = list(zip(row, blocks))
+                traces += len(blocks) - 1
+                t = key_of[f]
+            else:  # the ambient flat: one block per hyperplane, its normal its trace
+                xs, blocks = self.normals, [1 << h for h in range(self.m)]
+                traces += self.m
+            groups: dict[int | None, int] = {}  # key id -> the union of its blocks
+            if table is None:
+                if f:
+                    xs = zip(*_minors(columns, prev_keys[t]))
                 for x, block in zip(xs, blocks):
                     if block & bf:
                         continue  # f's own block, whose trace is zero
@@ -269,32 +305,43 @@ class Universe:
                             keys.append(canon)
                         key_id[x] = k  # kept: of the 15,626 blocks of H_6 to ranks 2-3, 399 miss
                     groups[k] = groups.get(k, 0) | block
-                covers: list[int] = []  # the children row of f
-                for k, group in groups.items():
-                    nb = bf | group
-                    g = made.get(nb)
-                    if g is None:
-                        g = made[nb] = len(bits)
-                        bits.append(nb)
-                        self.rank.append(rank)
-                        key_of.append(k)
-                        new_ups.append([])
-                        reads += len(groups) - 1  # g reads the blocks of f's row but its own
-                    new_ups[g - first].append(f)
-                    covers.append(g)
-                kids.fromlist(covers)  # fromlist, as extend goes item by item
-                kid_start.append(len(kids))
-                cover_keys.fromlist(list(groups))
-            for up_row in new_ups:
-                ups.fromlist(up_row)
-                up_start.append(len(ups))
-            self._keys.append(keys)
-            self._frontier, self._reads = cover_keys, reads
-            self.by_rank.append(range(first, len(bits)))
-            self.built_to = rank
-        kid_start.extend([len(kids)] * (len(bits) + 1 - len(kid_start)))  # the new top rank
-        if not self.by_rank[-1]:
-            self.by_rank.pop()
+            else:
+                at = table[t]
+                while True:
+                    for s, block in keyed:
+                        k = at[s]
+                        groups[k] = groups.get(k, 0) | block
+                    if None not in groups:
+                        break
+                    # pairs met first: their minors, column by column, then the row again
+                    miss = [s for s in row if at[s] is None]
+                    met = zip(*_minors(list(zip(*[prev_keys[s] for s in miss])), prev_keys[t]))
+                    for s, trace in zip(miss, met):
+                        at[s] = _key_id(trace, key_id, keys)
+                    groups.clear()
+                del groups[-1]  # f's own block
+            n = len(groups) - 1  # a new cover reads the blocks of f's row but its own
+            covers: list[int] = []  # the children row of f
+            for k, group in groups.items():
+                nb = bf | group
+                g = get(nb)
+                if g is None:
+                    g = made[nb] = len(bits)
+                    bits.append(nb)
+                    key_of.append(k)
+                    new_ups.append([])  # not [f], which a second parent grows to 8 slots, not 4
+                    reads += n
+                new_ups[g - first].append(f)
+                covers.append(g)
+            kids.fromlist(covers)  # fromlist, as extend goes item by item
+            kid_start.append(len(kids))
+            cover_keys.fromlist(list(groups))
+        for up_row in new_ups:
+            ups.fromlist(up_row)
+            up_start.append(len(ups))
+        self._keys.append(keys)
+        self._frontier, self._reads = cover_keys, reads
+        self.traces += traces
 
     # -- basic queries -----------------------------------------------------
 
@@ -542,11 +589,15 @@ def _minors(columns: Sequence[Sequence[int]], t: tuple[int, ...]) -> list[Sequen
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:
+    """The set bits of a nonnegative mask in ascending order, read from the
+    top: one xor per bit, where the lowest bit needs a negation and a
+    subtraction of the whole mask as well."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask &= mask - 1
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 

@@ -438,6 +438,8 @@ MALFORMED = {
         r"hyperplane \d+ is not in its node",
     ),
     "witness hyperplane out of range": (_set_witness(lambda w: [-1] + w[1:]), "entry 0 is -1, not a root index"),
+    # a root index past the last hyperplane is in no node's mask
+    "witness hyperplane past the last": (_set_witness(lambda w: [99] + w[1:]), "hyperplane 99 is not in its node"),
     "bool": (_set_witness(lambda w: w[:3] + [True] + w[4:]), "entry 3 is True, not a root index"),
     "string in witness hyperplane": (_set_witness(lambda w: ["5"] + w[1:]), "entry 0 is '5', not a root index"),
     "cut by one entry": (_set_witness(lambda w: w[:-1]), "ends after 2366 entries with nodes left"),

@@ -309,6 +309,15 @@ def test_zaslavsky_count(h2, h3, bool3):
     assert zaslavsky_region_count(bool3) == 8
 
 
+def test_bit_indices_reads_every_set_bit_in_ascending_order():
+    import random
+
+    rng = random.Random(2800)
+    masks = [0, 1, 1 << 1999, (1 << 2000) - 1] + [rng.getrandbits(rng.randrange(1, 2001)) for _ in range(200)]
+    for mask in masks:
+        assert bit_indices(mask) == tuple(sorted(i for i in range(2000) if mask >> i & 1))
+
+
 # -- differential checks of the rewritten layers ------------------------------------
 #
 # The build groups canonical traces, one per block of the covers of a flat's
@@ -1049,6 +1058,51 @@ def test_trace_count_is_one_per_block_of_each_first_parent(h5, h6):
             if len(uni.flat_kernel(f)) >= 2
         )
         assert uni.traces == blocks
+
+
+def _reference_trace_count(arr):
+    """The traces a build reads, counted off the per-hyperplane build's cover
+    table: on each flat of dimension >= 2, one per hyperplane at the ambient
+    flat, then the covers of the flat's first parent but its own."""
+    bits, T, bases = _trace_grouped_cover_table(arr)
+    first_parent = {}
+    for f, row in enumerate(T):
+        for g in row:
+            if g != -1:
+                first_parent.setdefault(g, f)
+    reads = [len(arr)] + [len(set(T[first_parent[f]]) - {-1}) - 1 for f in range(1, len(bits))]
+    return sum(n for n, basis in zip(reads, bases) if len(basis) >= 2)
+
+
+def test_the_centre_pass_writes_whole_rows_and_reads_no_trace(h6):
+    """The pass from the lines, the flats of dimension one, to the centre:
+    each line's children row is [centre], the centre's parent row is the
+    line level in id order and its key is (1,).  On the differential pool,
+    H_6, one hyperplane in dimension 3 (its ambient flat is its line), and
+    pencils of lines in the plane and of planes through a line in space.
+    A build stopped at the lines and then extended equals a one-shot one."""
+    from hyperarr.lattice import Universe
+
+    pencils = [
+        from_vectors(3, [(1, 0, 0)]),
+        from_vectors(2, [(1, 0), (0, 1), (1, 1), (1, -1)]),
+        from_vectors(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)]),
+    ]
+    for arr in _differential_pool() + [h6] + pencils:
+        r = arr.rank
+        whole = Universe(arr)
+        centre, lines = whole.flat_count() - 1, whole.by_rank[r - 1]
+        assert whole.by_rank[r] == range(centre, centre + 1) and whole.bits[centre] == whole._full_mask
+        assert [list(whole.children[f]) for f in lines] == [[centre]] * len(lines)
+        assert list(whole.children[centre]) == [] and list(whole.parents[centre]) == list(lines)
+        assert whole._keys[r - 1][whole._key[centre]] == (1,) and len(whole._keys[r - 1]) == 1
+        assert whole.traces == _reference_trace_count(arr)
+        grown = Universe(arr, up_to_rank=r - 1)
+        assert grown.built_to == r - 1 and not grown.is_full
+        grown.extend()
+        assert (grown.by_rank, grown.rank, grown.traces) == (whole.by_rank, whole.rank, whole.traces)
+        assert (list(grown._key), grown._keys) == (list(whole._key), whole._keys)
+        assert _build_tables(grown) == _build_tables(whole)
 
 
 # The build reads the traces of a flat X's covers as 2x2 minors of the cover
