@@ -119,10 +119,13 @@ def _ind_free(
     if roots is None:
         memo[key] = (False, None, None)
         return memo[key]
-    # order candidate hyperplanes by the size of their restriction (ascending)
+    # order candidate hyperplanes by the size of their restriction (ascending):
+    # the covers of e that meet the node's hyperplanes outside e
+    bits = uni.bits
     sized = []
     for e, pre in elements:
-        rsize = len(uni.node_elements(e, mask))
+        rest = mask & ~bits[e]
+        rsize = sum(1 for g in uni.children[e] if bits[g] & rest)
         sized.append((rsize, e, pre))
     sized.sort()
     for rsize, e, pre in sized:

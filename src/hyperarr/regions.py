@@ -33,7 +33,16 @@ rays.
 
 The rank generating function of the poset of regions based at B counts
 regions by the number of hyperplanes separating them from B; it is compared
-against the product of q-integers built from the exponents.
+against the product of q-integers built from the exponents.  The scan over
+bases keeps every region's distance from a moving sign vector in a
+bit-sliced counter, one lane per region.  The counter starts at the
+all-negative sign vector, where a region's distance is the popcount of its
+mask, and moves by one +-1 update per flipped hyperplane; a distance is
+never below 0 or above m, so m.bit_length() planes hold it.  It visits one
+base per antipodal pair, the one with bit 0 set, in reflected-Gray-code
+order, so consecutive bases differ in few hyperplanes.  The columns it
+reads, the regions' sign bits on each hyperplane, are built in one linear
+pass each, from a string of bits.
 """
 
 from __future__ import annotations
@@ -222,19 +231,30 @@ def zeta_product_bases(regs: RegionSet, exponents: tuple[int, ...]) -> list[int]
     """Indices of base regions whose rank generating function equals the
     product of q-integers of the exponents.
 
-    The distances from one base to all regions are summed lane-wise: region r
-    is bit r of one big integer per hyperplane (its sign bit there, flipped
-    where the base is positive), and the m columns are added into a
-    bit-sliced counter of m.bit_length() planes, so each lane ends up holding
-    the separation of its region from the base.  The coefficient of t^k is
-    the number of lanes whose counter reads k; they are read for k = 0, 1, ...
-    up to the first that differs from the target.  Every base has exactly
-    len(regs) regions at distances 0..m, so a target that is longer than m+1
-    or does not sum to len(regs) matches no base.
+    Region r is lane r of a few big integers.  Column h holds the regions'
+    sign bits on hyperplane h; it is built in one linear pass, by joining
+    those bits into one binary string.  A bit-sliced counter of
+    m.bit_length() planes holds, in lane r, the number of hyperplanes that
+    separate region r from a sign vector s, the current base.  At s = 0, the
+    all-negative sign vector, that is the popcount of the region's mask: the
+    m columns are added once.  The base then moves.  Flipping bit h of s
+    adds 1 to the lanes that agree with the old s on h and subtracts 1 from
+    the others, one bit-sliced +-1 update.  Every lane stays a separation,
+    in 0..m, so the planes never overflow, and s need not be a region on
+    the way.  The coefficient of t^k at a base is the number of lanes whose
+    counter reads k; they are read for k = 0, 1, ... up to the first that
+    differs from the target, each k reading again only the planes up to its
+    highest bit that changed from k - 1.  Every base has exactly len(regs)
+    regions at distances 0..m, so a target that is longer than m+1 or does
+    not sum to len(regs) matches no base.
 
     The regions of a central arrangement come in antipodal pairs {B, -B},
     and negation maps the regions k hyperplanes from B onto those k
-    hyperplanes from -B, so each pair is scanned once.
+    hyperplanes from -B, so only the base of each pair with bit 0 set is
+    scanned; the empty arrangement's one region is its own antipode.  Those
+    bases are visited in reflected-Gray-code order, where neighbouring
+    masks share more bits than in mask order, so the walk makes fewer
+    flips.  The result is ascending.
     """
     target = q_integer_product(exponents)
     masks = regs.masks
@@ -243,35 +263,58 @@ def zeta_product_bases(regs: RegionSet, exponents: tuple[int, ...]) -> list[int]
     if len(target) > m + 1 or sum(target) != n:
         return []
     lanes = (1 << n) - 1
-    cols = [0] * m
-    for r, mk in enumerate(masks):
-        for h in bit_indices(mk):
-            cols[h] |= 1 << r
-    flipped = [c ^ lanes for c in cols]
+    # a row is bits 0..m-1 of one mask, lowest first; the rows run from the
+    # last region to the first, so column h read in binary has region r at bit r
+    rows = [format(mk | 1 << m, "b")[:0:-1] for mk in reversed(masks)]
+    cols = [int("".join(col), 2) for col in zip(*rows)]
     width = m.bit_length()
-    full = (1 << m) - 1
-    index = {mk: i for i, mk in enumerate(masks)}
-    hit = [False] * n
-    for bi, base in enumerate(masks):
-        twin = index.get(base ^ full)
-        if twin is not None and twin < bi:
-            hit[bi] = hit[twin]
-            continue
-        planes = [0] * width
-        for h in range(m):
-            carry = flipped[h] if (base >> h) & 1 else cols[h]
-            for j in range(width):
-                p = planes[j]
-                planes[j] = p ^ carry
-                carry &= p
-                if not carry:
-                    break
-        for k, want in enumerate(target):
-            eq = lanes
-            for j, p in enumerate(planes):
-                eq &= p if (k >> j) & 1 else ~p
-            if eq.bit_count() != want:
+    planes = [0] * width
+
+    def step(move: int, differ: int) -> None:
+        """Add 1 to the lanes of move outside differ, subtract 1 from those
+        in it: a lane's carry or borrow moves up a plane while its old bit
+        there is 1 for a gain, 0 for a loss."""
+        for j in range(width):
+            p = planes[j]
+            planes[j] = p ^ move
+            move &= p ^ differ
+            if not move:
                 break
+
+    for col in cols:
+        step(col, 0)
+    bases = sorted((mk for mk in masks if mk & 1 or not m), key=lambda g: _gray_rank(g, m))
+    hits = set()
+    s = 0
+    for base in bases:
+        flips = s ^ base
+        while flips:
+            low = flips & -flips
+            flips ^= low
+            col = cols[low.bit_length() - 1]
+            step(lanes, col ^ lanes if s & low else col)
+        s = base
+        # eq[j]: the lanes whose planes j.. read as bits j.. of k; k counts
+        # up, so only the planes up to its highest changed bit are read again
+        eq = [lanes] * (width + 1)
+        top = width
+        for k, want in enumerate(target):
+            for j in range(top - 1, -1, -1):
+                eq[j] = eq[j + 1] & (planes[j] if k >> j & 1 else ~planes[j])
+            if eq[0].bit_count() != want:
+                break
+            top = (k ^ (k + 1)).bit_length()
         else:
-            hit[bi] = True
-    return [bi for bi, ok in enumerate(hit) if ok]
+            hits.add(base)
+    full = (1 << m) - 1
+    return [i for i, mk in enumerate(masks) if mk in hits or mk ^ full in hits]
+
+
+def _gray_rank(g: int, m: int) -> int:
+    """Position of the m-bit mask g in the reflected Gray code: the prefix
+    xor of its bits from the top, in log2(m) shifted xors."""
+    shift = 1
+    while shift < m:
+        g ^= g >> shift
+        shift <<= 1
+    return g

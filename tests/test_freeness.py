@@ -174,6 +174,60 @@ def test_witness_tree_replays(random_pool):
     assert free >= 40
 
 
+def _ind_free_sized_by_node_elements(uni, x, mask, memo, counter):
+    """The search as it was before candidates were sized by counting covers:
+    each restriction's size is the length of its node_elements list."""
+    import hyperarr.freeness as freeness
+
+    key = uni.node_key(x, mask)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    counter[0] += 1
+    if counter[0] > freeness.NODE_CAP:
+        raise freeness.CapExhausted("cap")
+    x, mask = key
+    elements = uni.node_elements(x, mask)
+    if not elements:
+        memo[key] = (True, (0,) * (uni.dim - uni.rank[x]), None)
+        return memo[key]
+    roots = uni.node_roots(x, mask)
+    if roots is None:
+        memo[key] = (False, None, None)
+        return memo[key]
+    sized = sorted((len(uni.node_elements(e, mask)), e, pre) for e, pre in elements)
+    for rsize, e, pre in sized:
+        del_mask = mask & ~pre
+        uni.deletion_chi(x, mask, e)
+        droots, rroots = uni.node_roots(x, del_mask), uni.node_roots(e, mask)
+        v = None if droots is None or rroots is None else _extra(rroots, droots)
+        if v is None or _extra(rroots, roots) != v + 1:
+            continue
+        if (
+            _ind_free_sized_by_node_elements(uni, e, mask, memo, counter)[0]
+            and _ind_free_sized_by_node_elements(uni, x, del_mask, memo, counter)[0]
+        ):
+            memo[key] = (True, roots, (pre & -pre).bit_length() - 1)
+            return memo[key]
+    memo[key] = (False, None, None)
+    return memo[key]
+
+
+def test_candidate_sizes_count_covers_as_node_elements_did(monkeypatch):
+    """Counting the covers of e that meet the node's other hyperplanes orders
+    the candidates as the node_elements lists did: the same status,
+    exponents, witness and node count."""
+    import hyperarr.freeness as freeness
+
+    pool = [hyperpolygonal(n) for n in range(1, 6)]
+    pool += [from_vectors(d, covs) for d, covs in oracles.random_arrangements(300, seed=424242, max_dim=5, max_size=11)]
+    got = [is_inductively_free(arr) for arr in pool]
+    monkeypatch.setattr(freeness, "_ind_free", _ind_free_sized_by_node_elements)
+    assert got == [is_inductively_free(arr) for arr in pool]
+    assert sum(res.status is True for res in got) >= 100
+    assert max(res.nodes_visited for res in got) > 100
+
+
 # -- certificates -------------------------------------------------------------------
 
 
@@ -182,6 +236,30 @@ def test_packaged_certificate_replays(h5):
     replay = verify_free_certificate(h5, cert)
     assert replay.exponents == (1, 5, 5, 5, 5)
     assert replay.steps == 5
+
+
+def test_h5_is_free_and_only_its_coordinate_restrictions_are(h5):
+    """Edelman and Reiner's counterexample to Orlik's conjecture: H_5 is
+    free, by its certificate, but a restriction of it is not.  The free_only
+    ladder decides all 21 restrictions: the 5 to coordinate hyperplanes have
+    12 hyperplanes and are free with exponents (1, 3, 3, 5); the 16 others
+    have 15 and a chi with no integer root factorization."""
+    from hyperarr.report import _ladder
+
+    rep = _ladder(h5, "H_5", free_only=True)
+    assert rep.properties["free"].value is True
+    assert rep.properties["free"].provenance.startswith("certificate replay")
+    assert rep.exponents == (1, 5, 5, 5, 5)
+    for i in range(len(h5)):
+        res = restriction_to_hyperplane(h5, i)
+        rep = _ladder(res, f"H_5 restricted to hyperplane {i}", free_only=True)
+        free = rep.properties["free"]
+        if i < 5:  # the coordinate hyperplanes come first
+            assert (len(res), free.value, rep.exponents) == (12, True, (1, 3, 3, 5))
+        else:
+            assert (len(res), free.value, rep.exponents) == (15, False, None)
+            assert free.provenance == "characteristic polynomial has no integer root factorization"
+            assert chi_integer_roots(res) is None
 
 
 def test_packaged_certificate_is_small():

@@ -17,6 +17,7 @@ from hyperarr import (
     zeta_polynomial,
     zeta_product_bases,
 )
+from hyperarr.lattice import bit_indices
 from hyperarr.polynomials import evaluate
 
 
@@ -321,7 +322,10 @@ def _full_scan_zeta_bases(regs, exponents):
     return [bi for bi in range(len(regs)) if zeta_polynomial(regs, bi) == target]
 
 
-def test_zeta_product_bases_matches_full_scan(h2, h3, h4):
+def _zeta_cases(h2, h3, h4):
+    """(arrangement, exponents) pairs: the family's own, random
+    subarrangements of H_4 whose zeta is a q-product at some base, and
+    q-products that are too long, too short or of the right length."""
     import itertools
     import random
 
@@ -343,14 +347,105 @@ def test_zeta_product_bases_matches_full_scan(h2, h3, h4):
     # (all but the last with the right region total, so only the coefficients
     # can tell them apart)
     cases += [(h3, (31,)), (h3, (1, 3, 4)), (h3, (1, 1, 1, 1, 1)), (h3, (3, 1, 1, 1)), (h3, (1, 2, 4))]
+    return cases
+
+
+def test_zeta_product_bases_matches_full_scan(h2, h3, h4):
     partial = 0
-    for arr, exps in cases:
+    for arr, exps in _zeta_cases(h2, h3, h4):
         regs = enumerate_regions(arr)
         got = zeta_product_bases(regs, exps)
         assert got == _full_scan_zeta_bases(regs, exps)
         assert got == sorted(set(got))
         partial += 0 < len(got) < len(regs)
     assert partial >= 5  # only some bases qualify
+
+
+def _recount_zeta_bases(regs, exponents):
+    """The scan before the Gray-order walk: every base of an antipodal pair
+    adds its m columns, flipped where the base is positive, into fresh
+    bit-sliced counters."""
+    target = q_integer_product(exponents)
+    masks = regs.masks
+    n = len(masks)
+    m = len(regs.arrangement)
+    if len(target) > m + 1 or sum(target) != n:
+        return []
+    lanes = (1 << n) - 1
+    cols = [0] * m
+    for r, mk in enumerate(masks):
+        for h in bit_indices(mk):
+            cols[h] |= 1 << r
+    flipped = [c ^ lanes for c in cols]
+    width = m.bit_length()
+    full = (1 << m) - 1
+    index = {mk: i for i, mk in enumerate(masks)}
+    hit = [False] * n
+    for bi, base in enumerate(masks):
+        twin = index.get(base ^ full)
+        if twin is not None and twin < bi:
+            hit[bi] = hit[twin]
+            continue
+        planes = [0] * width
+        for h in range(m):
+            carry = flipped[h] if (base >> h) & 1 else cols[h]
+            for j in range(width):
+                p = planes[j]
+                planes[j] = p ^ carry
+                carry &= p
+                if not carry:
+                    break
+        for k, want in enumerate(target):
+            eq = lanes
+            for j, p in enumerate(planes):
+                eq &= p if (k >> j) & 1 else ~p
+            if eq.bit_count() != want:
+                break
+        else:
+            hit[bi] = True
+    return [bi for bi, ok in enumerate(hit) if ok]
+
+
+def test_zeta_gray_walk_matches_the_recount_per_base(h2, h3, h4, h5):
+    """The Gray-order walk with one +-1 update per flipped hyperplane finds
+    the bases that recounting every base from scratch found."""
+    import itertools
+
+    from hyperarr import chi_integer_roots
+
+    cases = [(h5, (1, 5, 5, 5, 5)), (h4, (1, 3, 3, 5))] + _zeta_cases(h2, h3, h4)
+    empty = from_vectors(3, [])
+    cases += [(empty, ()), (empty, (1,)), (empty, (0, 0, 0))]
+    split = 0
+    for dim, covs in oracles.random_arrangements(1500, seed=2929, max_dim=4, max_size=10):
+        if dim < 3:
+            continue
+        arr = from_vectors(dim, covs)
+        if arr.rank < 3 or len(arr) == arr.rank:  # boolean ones split trivially
+            continue
+        roots = chi_integer_roots(arr)
+        if roots is None:
+            continue
+        split += 1
+        cases.append((arr, roots))
+        # every q-product that is the zeta of some base, so the walk must hit
+        regs = enumerate_regions(arr)
+        zetas = {zeta_polynomial(regs, bi) for bi in range(len(regs))}
+        for exps in itertools.combinations_with_replacement(range(1, len(arr) + 1), arr.rank):
+            if sum(exps) == len(arr) and q_integer_product(exps) in zetas:
+                cases.append((arr, exps))
+    assert split >= 20
+    hits = partial = 0
+    for arr, exps in cases:
+        regs = enumerate_regions(arr)
+        got = zeta_product_bases(regs, exps)
+        assert got == _recount_zeta_bases(regs, exps), (arr, exps)
+        hits += bool(got)
+        partial += 0 < len(got) < len(regs)
+    assert zeta_product_bases(enumerate_regions(empty), ()) == [0]
+    assert zeta_product_bases(enumerate_regions(h5), (1, 5, 5, 5, 5)) == []
+    assert len(zeta_product_bases(enumerate_regions(h4), (1, 3, 3, 5))) == 192
+    assert hits >= 20 and partial >= 5
 
 
 def test_q_integer_product_values():

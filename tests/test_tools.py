@@ -62,7 +62,7 @@ def test_bench_pairs_records_traced_peaks_of_cold_processes(monkeypatch, tmp_pat
     monkeypatch.setattr(tool, "git", lambda *args: "" if args[0] == "status" else "rev")
     monkeypatch.setattr(tool, "export", lambda rev, dest: None)
     monkeypatch.setattr(tool, "run_once", run_once)
-    monkeypatch.setattr(tool, "build_times", lambda checkouts: {})  # covered below
+    monkeypatch.setattr(tool, "timed_runs", lambda checkouts, spec, name, across_sides=False: {})  # covered below
     monkeypatch.setattr(tool.subprocess, "run", run)
     out = tmp_path / "BENCH_0.json"
     assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1,2", "--out", str(out)]) == 0
@@ -108,7 +108,8 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
     def run(cmd, cwd, env, capture_output, text):
         probes.append((cmd, cwd, env["PYTHONPATH"]))
         seconds = [0.3, 0.2, 0.1][len(probes) % 3]
-        return subprocess.CompletedProcess(cmd, 0, stdout=f"noise\n{seconds} 143234\n", stderr="")
+        count = 143234 if "Universe(arr)" in cmd[2] else 0
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"noise\n{seconds} {count}\n", stderr="")
 
     monkeypatch.setattr(tool, "git", lambda *args: "" if args[0] == "status" else "rev")
     monkeypatch.setattr(tool, "export", lambda rev, dest: None)
@@ -119,7 +120,10 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
     out = tmp_path / "BENCH_0.json"
     assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1", "--out", str(out)]) == 0
     monkeypatch.undo()
-    setup, statement, builds, runs = tool.BUILD_PROBE
+    setup, statement, builds, runs, count = tool.BUILD_PROBE
+    assert count == "uni.traces" and len(probes) == 4 * runs  # the zeta probe's runs come after
+    probes = probes[: 2 * runs]
+    assert all(statement in cmd[2] for cmd, _, _ in probes)
     assert "Universe(arr)" in statement and "hyperpolygonal(6)" in setup and builds >= 3 and runs >= 3
     build = json.loads(out.read_text())["lattice_build"]
     assert build["statement"] == statement and build["set_up"] == setup and build["builds_per_run"] == builds
@@ -136,6 +140,7 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
         code = cmd[2]
         assert code.index(setup) < code.index(f"range({builds})") < code.index("perf_counter()")
         assert code.index("perf_counter()") < code.index(statement) < code.rindex("perf_counter()")
+        assert code.rindex("perf_counter()") < code.index(f"print(best, {count})")
 
     # a side whose runs disagree on the trace count, or a failing run, raises
     counts = iter([100, 100, 101])
@@ -145,26 +150,90 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
 
     monkeypatch.setattr(tool.subprocess, "run", disagreeing)
     with pytest.raises(RuntimeError, match="101 traces"):
-        tool.build_times({"parent": tmp_path})
+        tool.timed_runs({"parent": tmp_path}, tool.BUILD_PROBE, "traces")
 
     def failing(cmd, cwd, env, capture_output, text):
         return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="Traceback: boom")
 
     monkeypatch.setattr(tool.subprocess, "run", failing)
     with pytest.raises(RuntimeError, match="boom"):
-        tool.build_times({"parent": tmp_path})
+        tool.timed_runs({"parent": tmp_path}, tool.BUILD_PROBE, "traces")
 
 
 def test_bench_pairs_build_probe_runs_in_a_fresh_interpreter():
     tool = _bench_pairs()
     root = TOOL.parent.parent
-    setup, statement, builds, _ = tool.BUILD_PROBE
-    seconds, traces = tool.probe(root, tool.BUILD_SCRIPT.format(setup=setup, run=statement, builds=builds), statement)
+    setup, statement, builds, _, count = tool.BUILD_PROBE
+    script = tool.TIMED_SCRIPT.format(setup=setup, run=statement, runs=builds, count=count)
+    seconds, traces = tool.probe(root, script, statement)
     assert 0 < float(seconds) and int(traces) == 143234
     # the least of the builds in one interpreter: one build of three that sleeps cannot raise it
     slow = (
         "import time\nslept = []\n"
         "def build():\n    if not slept:\n        slept.append(time.sleep(0.5))\n    return Universe(arr)"
     )
-    script = tool.BUILD_SCRIPT.format(setup=setup + "\n" + slow, run="uni = build()", builds=builds)
+    script = tool.TIMED_SCRIPT.format(setup=setup + "\n" + slow, run="uni = build()", runs=builds, count=count)
     assert float(tool.probe(root, script, "uni = build()")[0]) < 0.5
+
+
+def test_bench_pairs_records_the_zeta_scan_of_fresh_interpreters(monkeypatch, tmp_path):
+    import subprocess
+    import sys
+
+    tool = _bench_pairs()
+    probes = []
+
+    def run(cmd, cwd, env, capture_output, text):
+        probes.append((cmd, cwd, env["PYTHONPATH"]))
+        seconds = [0.03, 0.02, 0.01][len(probes) % 3]
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"noise\n{seconds} 0\n", stderr="")
+
+    monkeypatch.setattr(tool, "git", lambda *args: "" if args[0] == "status" else "rev")
+    monkeypatch.setattr(tool, "export", lambda rev, dest: None)
+    monkeypatch.setattr(tool, "run_once", lambda *args: {"metrics": {}, "attempted": 1, "failed": 0})
+    monkeypatch.setattr(tool, "summarize", lambda pairs, better: {})
+    monkeypatch.setattr(tool, "traced_peaks", lambda checkouts: {})
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    out = tmp_path / "BENCH_0.json"
+    assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    setup, statement, scans, runs, count = tool.ZETA_PROBE
+    assert "zeta_product_bases(regs, (1, 5, 5, 5, 5))" in statement and count == "len(hits)"
+    assert "enumerate_regions(hyperpolygonal(5))" in setup and scans >= 3 and runs >= 3
+    zeta = json.loads(out.read_text())["zeta_bases"]
+    assert zeta["statement"] == statement and zeta["set_up"] == setup and zeta["scans_per_run"] == scans
+    # after the lattice build's runs, one fresh interpreter per run, the sides
+    # taking turns, each importing its own package
+    assert len(probes) == 4 * runs
+    parent, change = probes[0][1], probes[1][1]
+    assert [(cwd, path) for _, cwd, path in probes[2 * runs :]] == runs * [
+        (parent, str(parent / "src")), (change, str(change / "src"))
+    ]
+    times = [[0.03, 0.02, 0.01][(i + 1) % 3] for i in range(2 * runs, 4 * runs)]
+    for side, first in (("parent", 0), ("change", 1)):
+        assert zeta[side]["runs_s"] == times[first::2] and zeta[side]["hits"] == 0
+        assert zeta[side]["median_s"] == sorted(times[first::2])[runs // 2]
+    for cmd, _, _ in probes[2 * runs :]:
+        assert cmd[:2] == [sys.executable, "-c"]
+        code = cmd[2]
+        assert code.index(setup) < code.index(f"range({scans})") < code.index("perf_counter()")
+        assert code.index("perf_counter()") < code.index(statement) < code.rindex("perf_counter()")
+
+    # the hit count is an output: a change side that reads another one raises
+    counts = iter([0, 1])
+
+    def disagreeing(cmd, cwd, env, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"0.01 {next(counts)}\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", disagreeing)
+    with pytest.raises(RuntimeError, match="1 hits on the change side, 0 on the parent side"):
+        tool.timed_runs({"parent": tmp_path, "change": tmp_path}, tool.ZETA_PROBE, "hits", across_sides=True)
+
+
+def test_bench_pairs_zeta_probe_runs_in_a_fresh_interpreter():
+    tool = _bench_pairs()
+    root = TOOL.parent.parent
+    setup, statement, scans, _, count = tool.ZETA_PROBE
+    script = tool.TIMED_SCRIPT.format(setup=setup, run=statement, runs=scans, count=count)
+    seconds, hits = tool.probe(root, script, statement)
+    assert 0 < float(seconds) < 5 and int(hits) == 0

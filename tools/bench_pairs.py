@@ -32,7 +32,10 @@ time of the lattice build ``Universe(hyperpolygonal(6))`` in each of a few
 fresh interpreters that alternate between the sides, each the least of a
 few builds in a row, with their median and the build's ``Universe.traces``:
 the build grows through ``Universe.extend``, which the benchmark's traced
-``lattice.build_s`` does not time.
+``lattice.build_s`` does not time.  The zeta-base scan
+``zeta_product_bases`` of ``hyperpolygonal(5)`` with exponents
+(1, 5, 5, 5, 5) is timed the same way, its regions enumerated before the
+timing, with its hit count, which every run on both sides must agree on.
 """
 
 from __future__ import annotations
@@ -59,13 +62,16 @@ PEAK_PROBES = {
                        "enumerate_regions(arr)"),
 }
 PEAK_SCRIPT = "import tracemalloc\n{setup}\ntracemalloc.start()\n{run}\nprint(tracemalloc.get_traced_memory()[1])"
-# the lattice build timed in fresh interpreters:
-# (set-up, the statement timed, builds per interpreter, interpreters per side)
+# statements timed in fresh interpreters: (set-up, the statement timed, runs
+# per interpreter, interpreters per side, a count printed after the runs)
 BUILD_PROBE = ("from hyperarr import hyperpolygonal\nfrom hyperarr.lattice import Universe\narr = hyperpolygonal(6)",
-               "uni = Universe(arr)", 3, 5)
-BUILD_SCRIPT = ("import time\n{setup}\nbest = float('inf')\nfor _ in range({builds}):\n"
+               "uni = Universe(arr)", 3, 5, "uni.traces")
+ZETA_PROBE = ("from hyperarr import enumerate_regions, hyperpolygonal, zeta_product_bases\n"
+              "regs = enumerate_regions(hyperpolygonal(5))",
+              "hits = zeta_product_bases(regs, (1, 5, 5, 5, 5))", 3, 5, "len(hits)")
+TIMED_SCRIPT = ("import time\n{setup}\nbest = float('inf')\nfor _ in range({runs}):\n"
                 "    start = time.perf_counter()\n    {run}\n    best = min(best, time.perf_counter() - start)\n"
-                "print(best, uni.traces)")
+                "print(best, {count})")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -109,21 +115,23 @@ def traced_peaks(checkouts: dict[str, Path]) -> dict[str, dict[str, int]]:
     }
 
 
-def build_times(checkouts: dict[str, Path]) -> dict[str, dict]:
-    """Per side, the least wall time of a few runs of BUILD_PROBE's
-    statement in each of a few fresh interpreters, the sides taking turns;
-    their median; and the trace count, which every run of a side must agree
-    on."""
-    setup, run, builds, runs = BUILD_PROBE
-    code = BUILD_SCRIPT.format(setup=setup, run=run, builds=builds)
-    out = {side: {"runs_s": [], "traces": None} for side in checkouts}
+def timed_runs(checkouts: dict[str, Path], spec: tuple, name: str, across_sides: bool = False) -> dict[str, dict]:
+    """Per side, the least wall time of a few runs of spec's statement in
+    each of a few fresh interpreters, the sides taking turns; their median;
+    and the count spec prints, stored under name, which every run of a side
+    must agree on, and with across_sides every run of both sides."""
+    setup, run, repeats, runs, count = spec
+    code = TIMED_SCRIPT.format(setup=setup, run=run, runs=repeats, count=count)
+    out = {side: {"runs_s": [], name: None} for side in checkouts}
     for _ in range(runs):
         for side, checkout in checkouts.items():
-            seconds, traces = probe(checkout, code, run)
-            if out[side]["traces"] not in (None, int(traces)):
-                raise RuntimeError(f"probe {run!r} read {traces} traces on the {side} side, {out[side]['traces']} before")
+            seconds, got = probe(checkout, code, run)
+            for other in checkouts if across_sides else [side]:
+                if out[other][name] not in (None, int(got)):
+                    raise RuntimeError(f"probe {run!r} read {got} {name} on the {side} side, "
+                                       f"{out[other][name]} on the {other} side before")
             out[side]["runs_s"].append(float(seconds))
-            out[side]["traces"] = int(traces)
+            out[side][name] = int(got)
     for side in out.values():
         side["median_s"] = statistics.median(side["runs_s"])
     return out
@@ -219,8 +227,10 @@ def main(argv=None) -> int:
         export(args.parent_rev, Path(parent))
         export("HEAD", Path(change))
         workloads = record(Path(parent), Path(change), plan, bench)
-        peaks = traced_peaks({"parent": Path(parent), "change": Path(change)})
-        builds = build_times({"parent": Path(parent), "change": Path(change)})
+        checkouts = {"parent": Path(parent), "change": Path(change)}
+        peaks = traced_peaks(checkouts)
+        builds = timed_runs(checkouts, BUILD_PROBE, "traces")
+        zeta = timed_runs(checkouts, ZETA_PROBE, "hits", across_sides=True)
     out = {
         "number": args.number,
         "command": "perfbench/run.py --trace 0",
@@ -231,6 +241,7 @@ def main(argv=None) -> int:
         "traced_peak_bytes": peaks,
         "lattice_build": {"statement": BUILD_PROBE[1], "set_up": BUILD_PROBE[0], "builds_per_run": BUILD_PROBE[2],
                           **builds},
+        "zeta_bases": {"statement": ZETA_PROBE[1], "set_up": ZETA_PROBE[0], "scans_per_run": ZETA_PROBE[2], **zeta},
     }
     path = args.out or ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
