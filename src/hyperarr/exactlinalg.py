@@ -4,14 +4,16 @@ There is one elimination: a fraction-free integer row echelon (IntEchelon),
 with a back-substitution step for the reduced row echelon form.  Rational
 input enters through canonicalize and clear_denominators, which read
 `.numerator` and `.denominator` of any numbers.Rational and scale to
-integers.  A subspace is stored as its reduced row echelon form times one
-common denominator D, the least positive integer that makes every entry an
-integer, so the stored rows are canonical integers.  No floating point
-anywhere.
+integers.  One primitive form (primitive) serves canonicalize, the echelon
+rows, the lattice's traces and the chamber rays.  A subspace is stored as
+its reduced row echelon form times one common denominator D, the least
+positive integer that makes every entry an integer, so the stored rows are
+canonical integers.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
@@ -33,39 +35,35 @@ def clear_denominators(values: Sequence[Rational]) -> list[int]:
 def canonicalize(vector: Sequence[Rational]) -> tuple[int, ...]:
     """Canonical primitive integer form of a rational covector.
 
-    Scales by the common denominator, divides by the gcd, and flips signs so
-    the first nonzero entry is positive.  Two covectors define the same
-    hyperplane iff they canonicalize identically.
+    Scales by the common denominator and takes the primitive form.  Two
+    covectors define the same hyperplane iff they canonicalize identically.
     """
-    ints = clear_denominators(vector)
-    g = gcd(*ints)
-    if not g:
+    canon = primitive(clear_denominators(vector))
+    if not any(canon):
         raise ValueError("zero covector does not define a hyperplane")
-    for x in ints:
+    return canon
+
+
+def primitive(vector: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries, signed so that
+    its first nonzero entry is positive (zero stays zero).  A tuple already
+    in that form comes back itself, as tuple() returns a tuple unchanged."""
+    g = gcd(*vector)
+    for x in vector:
         if x:
             if x < 0:
                 g = -g
             break
-    return tuple(x // g for x in ints)
-
-
-def _reduce_primitive(vector: list[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = 0
-    for x in vector:
-        g = gcd(g, x)
-    if g > 1:
-        vector = [x // g for x in vector]
-    return tuple(vector)
+    return tuple(vector) if g in (0, 1) else tuple([x // g for x in vector])
 
 
 class IntEchelon:
     """Division-free integer row echelon; supports rank and membership tests.
 
-    Rows are primitive integer vectors with strictly increasing pivot columns
+    Rows are primitive integer tuples with strictly increasing pivot columns
     and positive pivots.  Reduction of v against a row r with pivot p at column
-    c replaces v by p*v - v[c]*r, then strips the content, so all arithmetic
-    stays in Z.
+    c replaces v by p*v - v[c]*r, then takes the primitive form, so all
+    arithmetic stays in Z.
     """
 
     __slots__ = ("n", "rows", "pivots")
@@ -86,14 +84,15 @@ class IntEchelon:
         return len(self.rows)
 
     def residue(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Reduce vector against the stored rows; zero iff in the row space."""
+        """Reduce vector against the stored rows, in primitive form; zero iff
+        in the row space."""
         v = list(vector)
         for r, c in zip(self.rows, self.pivots):
             vc = v[c]
             if vc:
                 p = r[c]
                 v = [p * a - vc * b for a, b in zip(v, r)]
-        return _reduce_primitive(v)
+        return primitive(v)
 
     def contains(self, vector: Sequence[int]) -> bool:
         return not any(self.residue(vector))
@@ -103,11 +102,7 @@ class IntEchelon:
         res = self.residue(vector)
         for c, x in enumerate(res):
             if x:
-                if x < 0:
-                    res = tuple(-y for y in res)
-                pos = 0
-                while pos < len(self.pivots) and self.pivots[pos] < c:
-                    pos += 1
+                pos = bisect_left(self.pivots, c)
                 self.rows.insert(pos, res)
                 self.pivots.insert(pos, c)
                 return True
@@ -130,7 +125,7 @@ class IntEchelon:
                 if rc:
                     p = s[c]
                     r = [p * a - rc * b for a, b in zip(r, s)]
-            prim.append(_reduce_primitive(list(r)))
+            prim.append(primitive(r))
         d = lcm(*(r[c] for r, c in zip(prim, self.pivots)))
         return [tuple(x * (d // r[c]) for x in r) for r, c in zip(prim, self.pivots)]
 

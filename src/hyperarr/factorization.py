@@ -22,26 +22,28 @@ lattice, as in the inductive-freeness search: the deletion shrinks the mask,
 the restriction moves to the element's flat, and a block is the mask of one
 representative hyperplane per element, the lowest bit of its preimage.  No
 sub-arrangement is rebuilt and no lattice other than the master's is read.
+
+Independence, a rank condition, is read off the lattice too: the blocks are
+placed in order from the flat x of the node, each hyperplane outside the
+join f of those before it, and the join with it is the cover of f holding
+it.  A flat reached from x by k blocks has rank rank(x) + k, and what is
+left to check depends on it alone, so it is walked once however many
+transversals lead to it.
 """
 
 from __future__ import annotations
 
-import math
-from operator import mul
 from typing import Iterable, Literal
 
 from .arrangement import Arrangement
-from .exactlinalg import IntEchelon
 from .formality import rank2_flats
 from .freeness import chi_integer_roots
 from .lattice import Universe, bit_indices, mask_of, universe
 
 Partition = tuple[tuple[int, ...], ...]
 
-# hyperplanes of the largest input the nice-partition search takes on, and
-# transversals of the largest partition whose independence is tested
+# hyperplanes of the largest input the nice-partition search takes on
 PARTITION_CAP = 16
-TRANSVERSAL_CAP = 10**6
 
 
 def canonical_partition(blocks: Iterable[Iterable[int]]) -> Partition:
@@ -61,28 +63,38 @@ def poincare_block_sizes(arr: Arrangement) -> tuple[int, ...] | None:
 
 
 def is_independent_partition(arr: Arrangement, blocks: Partition) -> bool:
-    """Every transversal of the blocks has rank equal to the number of blocks."""
-    return _transversals_independent([[arr.covectors[i] for i in b] for b in blocks], arr.dim)
+    """Every transversal of the blocks has rank equal to the number of blocks.
+    An index out of range raises IndexError."""
+    bad = [i for b in blocks for i in b if not 0 <= i < len(arr)]
+    if bad:
+        raise IndexError(f"hyperplane index {bad[0]} out of range")
+    masks = [mask_of(b) for b in blocks]
+    if not masks or not all(masks):
+        return True  # no block: the empty transversal has rank 0; an empty block: none
+    return _independent_above(universe(arr, up_to_rank=len(masks) - 1), 0, masks)
 
 
-def _transversals_independent(blocks: list[list[tuple[int, ...]]], dim: int) -> bool:
-    """Every choice of one vector per block has rank len(blocks): depth first,
-    each vector must enlarge a copy of the echelon of its prefix.  More than
-    TRANSVERSAL_CAP transversals raise RuntimeError."""
-    total = math.prod(len(b) for b in blocks)
-    if total > TRANSVERSAL_CAP:
-        raise RuntimeError(f"{total} transversals exceed cap {TRANSVERSAL_CAP}")
-
-    def extends(prefix: IntEchelon, k: int) -> bool:
-        if k == len(blocks):
-            return True
-        for v in blocks[k]:
-            ech = prefix.copy()
-            if not ech.add(v) or not extends(ech, k + 1):
-                return False
-        return True
-
-    return not total or extends(IntEchelon(dim), 0)  # with an empty block, no transversal
+def _independent_above(uni: Universe, x: int, blocks: list[int]) -> bool:
+    """Whether every transversal of the nonempty hyperplane masks blocks
+    raises the rank above the flat x by one per block, by the walk up the
+    covers of the module docstring, which reads the children rows of the
+    ranks below rank[x] + len(blocks) - 1."""
+    bits, rank = uni.bits, uni.rank
+    kids, kid_start = uni.children.values, uni.children.start
+    last = rank[x] + len(blocks) - 1
+    seen = {x}
+    stack = [x]
+    while stack:
+        f = stack.pop()
+        block = blocks[rank[f] - rank[x]]
+        if bits[f] & block:
+            return False  # a hyperplane of the block lies in the join of the ones before it
+        if rank[f] < last:
+            for g in kids[kid_start[f] : kid_start[f + 1]]:
+                if bits[g] & block and g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return True
 
 
 def is_nice(arr: Arrangement, blocks: Iterable[Iterable[int]]) -> bool:
@@ -104,17 +116,11 @@ def _is_nice_node(uni: Universe, x: int, mask: int, blocks: list[int]) -> bool:
     hyperplane per element.
 
     An element lies below a flat Y of the node exactly when bits[Y] holds its
-    representative.  Independence is read on the traces of the
-    representatives' normals on the basis of x, all in the lattice
-    coordinates (at the ambient flat, whose basis is the identity, the
-    normals themselves).
+    representative, and its rank in the node is that of the cover of x
+    holding the representative, so independence is the walk up the covers
+    from x (_independent_above).
     """
-    basis = uni.flat_kernel(x)
-    traces = [
-        [tuple(sum(map(mul, uni.normals[r], k)) for k in basis) for r in bit_indices(b)]
-        for b in blocks
-    ]
-    if not _transversals_independent(traces, len(basis)):
+    if not _independent_above(uni, x, blocks):
         return False
     bits = uni.bits
     order = uni.node_walk(x, mask)[0]

@@ -175,8 +175,13 @@ def _rank_and_connected(arr: Arrangement, idx: Sequence[int]) -> tuple[int, bool
 
 def is_matroid_connected(arr: Arrangement, subset: Iterable[int]) -> bool:
     """Connectivity of the matroid of the chosen covectors (a coloop among
-    two or more elements disconnects it)."""
-    return _rank_and_connected(arr, sorted(set(subset)))[1]
+    two or more elements disconnects it).  An index out of range raises
+    IndexError."""
+    idx = sorted(set(subset))
+    for i in idx:
+        if not 0 <= i < len(arr):
+            raise IndexError(f"hyperplane index {i} out of range")
+    return _rank_and_connected(arr, idx)[1]
 
 
 @dataclass(frozen=True)

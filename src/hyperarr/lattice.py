@@ -96,17 +96,15 @@ the meet of two modular flats is modular (T. Brylawski, Trans. AMS 203
 
 from __future__ import annotations
 
-import sys
 import weakref
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from math import comb, gcd
-from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, essentialize, restrict_to_subspace
-from .exactlinalg import SubspaceBasis, primitive_kernel_basis
+from .exactlinalg import SubspaceBasis, primitive, primitive_kernel_basis
 from .polynomials import IntPoly, add, monic_linear_roots, trim
 
 
@@ -297,7 +295,7 @@ class Universe:
                         continue  # f's own block, whose trace is zero
                     k = lookup(x)
                     if k is None:  # a trace not met yet
-                        canon = _canonical_trace(x)
+                        canon = primitive(x)
                         # a trace that is its own canonical form has just missed
                         k = key_id.get(canon) if canon is not x else None
                         if k is None:
@@ -507,40 +505,6 @@ class Universe:
         return self.node_chi(0, self._full_mask)
 
 
-def _trace_columns(
-    normals: list[tuple[int, ...]], dim: int
-) -> Callable[[tuple[int, ...]], Sequence[int]]:
-    """Column reader: the dot products of every normal with one vector k.
-
-    The normals are packed once, coordinate by coordinate, into one integer
-    per coordinate with a signed 64-bit lane per normal.  Then sum k_i * P_i
-    holds every dot product in its lane; a bias of 2^63 per lane keeps the
-    lanes free of borrows, and flipping the bias bit back leaves each lane in
-    two's complement, which array('q') reads in one call.  That is exact when
-    no dot product reaches 2^63, which max|c| * sum|k_i| bounds; a wider k
-    takes the dot products one by one.
-    """
-    m = len(normals)
-    packed = [sum(c[i] << (64 * h) for h, c in enumerate(normals)) for i in range(dim)]
-    bias = sum(1 << (64 * h + 63) for h in range(m))
-    entry = max((abs(x) for c in normals for x in c), default=0)
-
-    def column(k: tuple[int, ...]) -> Sequence[int]:
-        if entry * sum(map(abs, k)) >> 63:
-            return [sum(map(mul, c, k)) for c in normals]
-        acc = bias
-        for ki, p in zip(k, packed):
-            if ki:
-                acc += ki * p
-        lanes = array("q")
-        lanes.frombytes((acc ^ bias).to_bytes(8 * m, "little"))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        return lanes
-
-    return column
-
-
 def _reads_table(keys: int, reads: int) -> bool:
     """Whether a pass reads the key id of each block off a table of key-id
     pairs: keys is the count of distinct canonical traces the last pass left
@@ -553,23 +517,12 @@ def _key_id(trace: tuple[int, ...], key_id: dict, keys: list) -> int:
     """The key id of the trace of a pair met first in a pass that reads the
     table: that of its canonical form, or the next id for a canonical form
     met first."""
-    canon = _canonical_trace(trace)
+    canon = primitive(trace)
     k = key_id.get(canon)
     if k is None:
         k = key_id[canon] = len(keys)
         keys.append(canon)
     return k
-
-
-def _canonical_trace(trace: tuple[int, ...]) -> tuple[int, ...]:
-    """The nonzero trace made primitive with its first nonzero entry positive."""
-    g = gcd(*trace)
-    for x in trace:
-        if x:
-            break
-    if x < 0:
-        g = -g
-    return trace if g == 1 else tuple([y // g for y in trace])
 
 
 def _minors(columns: Sequence[Sequence[int]], t: tuple[int, ...]) -> list[Sequence[int]]:

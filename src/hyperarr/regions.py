@@ -47,10 +47,15 @@ pass each, from a string of bits.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import mul
+from typing import Callable, Sequence
 
 from .arrangement import Arrangement, essentialize
-from .lattice import _canonical_trace, _trace_columns, bit_indices, universe
+from .exactlinalg import primitive
+from .lattice import bit_indices, universe
 from .polynomials import IntPoly, evaluate, multiply, trim
 
 
@@ -89,7 +94,7 @@ def _candidate_rays(arr: Arrangement) -> list[tuple[int, ...]]:
     flat_kernel gives one basis vector per such flat (a flat of rank
     rank(A) - 1), derived from the build's key chain on the first read; it
     is made primitive with its first nonzero entry positive
-    (_canonical_trace), then listed with its negative.
+    (exactlinalg.primitive), then listed with its negative.
     """
     uni = universe(arr)
     ell = uni.arr_rank
@@ -97,10 +102,44 @@ def _candidate_rays(arr: Arrangement) -> list[tuple[int, ...]]:
     if ell == 0:
         return out
     for f in uni.by_rank[ell - 1]:
-        v = _canonical_trace(uni.flat_kernel(f)[0])
+        v = primitive(uni.flat_kernel(f)[0])
         out.append(v)
         out.append(tuple(-x for x in v))
     return out
+
+
+def _trace_columns(
+    normals: list[tuple[int, ...]], dim: int
+) -> Callable[[tuple[int, ...]], Sequence[int]]:
+    """Column reader: the dot products of every normal with one vector k.
+
+    The normals are packed once, coordinate by coordinate, into one integer
+    per coordinate with a signed 64-bit lane per normal.  Then sum k_i * P_i
+    holds every dot product in its lane; a bias of 2^63 per lane keeps the
+    lanes free of borrows, and flipping the bias bit back leaves each lane in
+    two's complement, which array('q') reads in one call.  That is exact when
+    no dot product reaches 2^63, which max|c| * sum|k_i| bounds; a wider k
+    takes the dot products one by one.
+    """
+    m = len(normals)
+    packed = [sum(c[i] << (64 * h) for h, c in enumerate(normals)) for i in range(dim)]
+    bias = sum(1 << (64 * h + 63) for h in range(m))
+    entry = max((abs(x) for c in normals for x in c), default=0)
+
+    def column(k: tuple[int, ...]) -> Sequence[int]:
+        if entry * sum(map(abs, k)) >> 63:
+            return [sum(map(mul, c, k)) for c in normals]
+        acc = bias
+        for ki, p in zip(k, packed):
+            if ki:
+                acc += ki * p
+        lanes = array("q")
+        lanes.frombytes((acc ^ bias).to_bytes(8 * m, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
+
+    return column
 
 
 def enumerate_regions(arr: Arrangement) -> RegionSet:

@@ -26,7 +26,6 @@ from hyperarr.factorization import (
     _ifac_node,
     _is_nice_node,
     _restricted_blocks,
-    _transversals_independent,
     canonical_partition,
 )
 from hyperarr.polynomials import evaluate, monic_linear_roots, multiply
@@ -85,29 +84,60 @@ def test_independent_partition_examples(h2, bool3):
     assert is_independent_partition(h2, ((0,), (1, 2, 3)))
     singles = tuple((i,) for i in range(len(bool3)))
     assert is_independent_partition(bool3, singles)
+    assert is_independent_partition(h2, ())  # the empty transversal has rank 0
     dependent = from_vectors(2, [(1, 0), (0, 1), (1, 1)])
     assert not is_independent_partition(dependent, ((0,), (1,), (2,)))
+    for bad in (((-1,), (3,)), ((0,), (1, 4))):
+        with pytest.raises(IndexError):
+            is_independent_partition(h2, bad)
 
 
-def test_independent_partition_transversal_cap(monkeypatch, h2):
-    monkeypatch.setattr(factorization, "TRANSVERSAL_CAP", 2)
-    with pytest.raises(RuntimeError):
-        is_independent_partition(h2, ((0,), (1, 2, 3)))
+def test_independent_partition_past_a_million_transversals():
+    """Three blocks of 101 lines in the plane have 101^3 > 10^6 transversals,
+    and the walk up the covers refutes them at the second block's first
+    cover: three lines in the plane are dependent."""
+    lines = from_vectors(2, [(1, i) for i in range(303)])
+    blocks = tuple(tuple(range(k, k + 101)) for k in (0, 101, 202))
+    assert not is_independent_partition(lines, blocks)
+    assert is_independent_partition(lines, blocks[:2])
+
+
+def _transversal_ranks_full(arr, blocks):
+    """The product form: the rank of every transversal, one echelon each."""
+    return all(
+        rank_of([arr.covectors[i] for i in pick], arr.dim) == len(blocks)
+        for pick in itertools.product(*blocks)
+    )
 
 
 def test_transversals_by_prefix_match_the_product_form():
-    """The depth-first transversal test against the rank of every transversal
-    on random blocks of small integer vectors, empty blocks included."""
+    """is_independent_partition against the rank of every transversal, on
+    random arrangements and H_2-H_4 with random disjoint blocks: partial
+    covers of the hyperplanes, empty blocks and more blocks than the rank
+    included.  A fresh arrangement starts from a lattice built only to the
+    rank the walk reads."""
     rng = random.Random(1402)
+    randoms = oracles.random_arrangements(150, seed=1403, max_dim=5, max_size=10)
+    pool = [from_vectors(d, c) for d, c in randoms]
+    pool += [from_vectors(n, hyperpolygonal(n).covectors) for n in (2, 3, 4) for _ in range(40)]
     outcomes = set()
-    for _ in range(400):
-        dim = rng.randint(1, 5)
-        sizes = [rng.choice((0, 1, 1, 2, 2, 3, 3)) for _ in range(rng.randint(0, dim))]
-        blocks = [[tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(k)] for k in sizes]
-        product = all(rank_of(pick, dim) == len(blocks) for pick in itertools.product(*blocks))
-        assert _transversals_independent(blocks, dim) == product, blocks
-        outcomes.add(product)
+    partial = empty = 0
+    for arr in pool:
+        for _ in range(3):
+            m = len(arr)
+            used = rng.sample(range(m), rng.randint(1, m))
+            labels = [rng.randrange(rng.randint(1, arr.rank + 1)) for _ in used]
+            blocks = [tuple(sorted(i for i, lb in zip(used, labels) if lb == b)) for b in sorted(set(labels))]
+            if rng.random() < 0.1:
+                blocks.insert(rng.randint(0, len(blocks)), ())
+            blocks = tuple(blocks)
+            product = _transversal_ranks_full(arr, blocks)
+            assert is_independent_partition(arr, blocks) == product, (arr, blocks)
+            outcomes.add(product)
+            partial += len(used) < m
+            empty += () in blocks
     assert outcomes == {True, False}
+    assert partial >= 500 and empty >= 50
 
 
 def test_is_nice_rejects_non_partitions(h2):
@@ -228,7 +258,7 @@ def _old_restrict_with_traces(arr, h0):
 def _old_is_nice(arr, blocks, lattice):
     if sorted(i for b in blocks for i in b) != list(range(len(arr))) or any(not b for b in blocks):
         return False
-    if not is_independent_partition(arr, blocks):
+    if not _transversal_ranks_full(arr, blocks):
         return False
     uni = lattice(arr)
     masks = [sum(1 << i for i in b) for b in blocks]

@@ -134,6 +134,8 @@ def test_matroid_connected(h2, h3, h4, bool3, generic4):
         assert is_matroid_connected(arr, range(len(arr)))
     assert not is_matroid_connected(bool3, range(3))
     assert not is_matroid_connected(h3, (0, 1))
+    with pytest.raises(IndexError, match="hyperplane index -1 out of range"):
+        is_matroid_connected(h3, [-1, 0, 1])
 
 
 def test_projective_uniqueness_witness(h2, h3, h4, bool3):

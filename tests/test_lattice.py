@@ -905,7 +905,8 @@ def test_top_down_supersolvability_matches_bottom_up_search(h6):
 def test_wide_entry_build_matches_membership_build(h3):
     import random
 
-    from hyperarr.lattice import Universe, _trace_columns
+    from hyperarr.lattice import Universe
+    from hyperarr.regions import _trace_columns
 
     rng = random.Random(41)
     big = 1 << 40
