@@ -82,12 +82,18 @@ class Arrangement:
     def index_of(self, covector: Sequence[int]) -> int:
         return self.covectors.index(canonicalize(covector))
 
+    def checked_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
+        """The distinct hyperplane indices in increasing order; an index
+        outside 0..m-1 raises IndexError, so -1 is never the last one."""
+        idx = sorted(set(indices))
+        if idx and (idx[0] < 0 or idx[-1] >= len(self.covectors)):
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            raise IndexError(f"hyperplane index {bad} out of range 0..{len(self.covectors) - 1}")
+        return tuple(idx)
+
     def subset(self, indices: Iterable[int]) -> "Arrangement":
         """Subarrangement keeping the original relative order and ambient space."""
-        idx = sorted(set(indices))
-        if idx and not (0 <= idx[0] and idx[-1] < len(self.covectors)):
-            raise IndexError(f"hyperplane indices {idx} out of range 0..{len(self.covectors) - 1}")
-        return Arrangement(self.dim, tuple(self.covectors[i] for i in idx))
+        return Arrangement(self.dim, tuple(self.covectors[i] for i in self.checked_indices(indices)))
 
     def with_hyperplane(self, covector: Sequence[int]) -> "Arrangement":
         """Arrangement extended by one new hyperplane (appended last).
@@ -106,8 +112,7 @@ class Arrangement:
         return extended
 
     def delete(self, index: int) -> "Arrangement":
-        if not 0 <= index < len(self.covectors):
-            raise IndexError(f"hyperplane index {index} out of range 0..{len(self.covectors) - 1}")
+        self.checked_indices((index,))
         return Arrangement(
             self.dim, self.covectors[:index] + self.covectors[index + 1 :]
         )
@@ -175,6 +180,7 @@ def restrict_to_subspace(arr: Arrangement, subspace: SubspaceBasis) -> Arrangeme
 
 def restriction_to_hyperplane(arr: Arrangement, index: int) -> Arrangement:
     """The restriction of arr to its index-th hyperplane."""
+    arr.checked_indices((index,))
     return restrict_to_subspace(arr, hyperplane_subspace(arr.covectors[index], arr.dim))
 
 

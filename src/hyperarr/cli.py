@@ -21,14 +21,13 @@ import sys
 from pathlib import Path
 
 from .arrangement import Arrangement, ParseError, format_arrangement_text, hyperpolygonal, parse_arrangement_text
-from .factorization import find_nice_partition, is_inductively_factored, is_nice
+from .factorization import find_nice_partition, is_inductively_factored
 from .formality import gen_closure, is_formal, is_lc_basis, line_closure, relation_space_dim
 from .freeness import CertificateError, chi_integer_roots, is_inductively_free, verify_free_certificate
 from .lattice import build_lattice, universe
 from .polynomials import format_poly
 from .regions import (
     enumerate_regions,
-    is_simplicial,
     is_simplicial_geometric,
     q_integer_product,
     simplicial_defect,
@@ -51,11 +50,18 @@ def _load(path: str) -> Arrangement:
     return parse_arrangement_text(text)
 
 
-def _indices(raw: str) -> list[int]:
+def _indices(raw: str, arr: Arrangement) -> list[int]:
+    """The hyperplane indices of raw, as typed; an index arr does not have is
+    a ParseError."""
     try:
-        return [int(tok) for tok in raw.replace(",", " ").split()]
+        idx = [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"bad index list {raw!r}") from exc
+    try:
+        arr.checked_indices(idx)
+    except IndexError as exc:
+        raise ParseError(str(exc)) from exc
+    return idx
 
 
 def cmd_build(args) -> int:
@@ -186,10 +192,7 @@ def cmd_factor(args) -> int:
 def cmd_formal(args) -> int:
     arr = _load(args.file)
     if args.lc_basis is not None:
-        seed = _indices(args.lc_basis)
-        for i in seed:
-            if not 0 <= i < len(arr):
-                raise ParseError(f"lc-basis index {i} out of range for {len(arr)} hyperplanes")
+        seed = _indices(args.lc_basis, arr)
         ok = is_lc_basis(arr, seed)
         print(f"lc-basis {seed}: {ok}")
         closed, rounds = line_closure(arr, seed)
@@ -202,10 +205,7 @@ def cmd_formal(args) -> int:
 
 def cmd_genclose(args) -> int:
     arr = _load(args.file)
-    seed = _indices(args.seed)
-    for i in seed:
-        if not 0 <= i < len(arr):
-            raise ParseError(f"seed index {i} out of range for {len(arr)} hyperplanes")
+    seed = _indices(args.seed, arr)
     gc = gen_closure(arr, seed)
     print(json.dumps({
         "schema": "hyperarr/genclose-v2",

@@ -64,10 +64,8 @@ def poincare_block_sizes(arr: Arrangement) -> tuple[int, ...] | None:
 
 def is_independent_partition(arr: Arrangement, blocks: Partition) -> bool:
     """Every transversal of the blocks has rank equal to the number of blocks.
-    An index out of range raises IndexError."""
-    bad = [i for b in blocks for i in b if not 0 <= i < len(arr)]
-    if bad:
-        raise IndexError(f"hyperplane index {bad[0]} out of range")
+    An index outside 0..m-1 raises IndexError."""
+    arr.checked_indices(i for b in blocks for i in b)
     masks = [mask_of(b) for b in blocks]
     if not masks or not all(masks):
         return True  # no block: the empty transversal has rank 0; an empty block: none

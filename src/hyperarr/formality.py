@@ -95,13 +95,9 @@ def line_closure(
     first reached after k+1 rounds of adding every hyperplane lying on a
     rank-2 flat spanned by two current ones.
     """
-    m = len(arr)
-    current = set(seed)
-    for i in current:
-        if not 0 <= i < m:
-            raise IndexError(f"hyperplane index {i} out of range")
-    lines = [mask_of(members) for members in rank2_flats(arr)]
-    cur = mask_of(current)
+    cur = mask_of(arr.checked_indices(seed))
+    uni = universe(arr, up_to_rank=2)
+    lines = [uni.bits[f] for level in uni.by_rank[2:3] for f in level]  # none below rank 2
     rounds: list[tuple[int, ...]] = []
     while True:
         new = 0
@@ -118,12 +114,9 @@ def line_closure(
 
 def is_lc_basis(arr: Arrangement, seed: Iterable[int]) -> bool:
     """A line-closure basis: rank-many independent hyperplanes whose line
-    closure is the whole arrangement.  An index out of range raises
+    closure is the whole arrangement.  An index outside 0..m-1 raises
     IndexError."""
-    seed = tuple(sorted(set(seed)))
-    for i in seed:
-        if not 0 <= i < len(arr):
-            raise IndexError(f"hyperplane index {i} out of range")
+    seed = arr.checked_indices(seed)
     r = arr.rank
     if len(seed) != r:
         return False
@@ -175,13 +168,9 @@ def _rank_and_connected(arr: Arrangement, idx: Sequence[int]) -> tuple[int, bool
 
 def is_matroid_connected(arr: Arrangement, subset: Iterable[int]) -> bool:
     """Connectivity of the matroid of the chosen covectors (a coloop among
-    two or more elements disconnects it).  An index out of range raises
+    two or more elements disconnects it).  An index outside 0..m-1 raises
     IndexError."""
-    idx = sorted(set(subset))
-    for i in idx:
-        if not 0 <= i < len(arr):
-            raise IndexError(f"hyperplane index {i} out of range")
-    return _rank_and_connected(arr, idx)[1]
+    return _rank_and_connected(arr, arr.checked_indices(subset))[1]
 
 
 @dataclass(frozen=True)
@@ -253,10 +242,7 @@ def gen_closure(arr: Arrangement, seed: Iterable[int]) -> GenClosure:
     one line instead.
     """
     m = len(arr)
-    seed = tuple(sorted(set(seed)))
-    for i in seed:
-        if not 0 <= i < m:
-            raise IndexError(f"hyperplane index {i} out of range")
+    seed = arr.checked_indices(seed)
     master = universe(arr, up_to_rank=2)
     current = set(seed)
     rounds: list[tuple[int, ...]] = []

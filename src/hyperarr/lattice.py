@@ -105,7 +105,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, essentialize, restrict_to_subspace
 from .exactlinalg import SubspaceBasis, primitive, primitive_kernel_basis
-from .polynomials import IntPoly, add, monic_linear_roots, trim
+from .polynomials import IntPoly, add, evaluate, monic_linear_roots, trim
 
 
 @dataclass(frozen=True)
@@ -295,13 +295,8 @@ class Universe:
                         continue  # f's own block, whose trace is zero
                     k = lookup(x)
                     if k is None:  # a trace not met yet
-                        canon = primitive(x)
-                        # a trace that is its own canonical form has just missed
-                        k = key_id.get(canon) if canon is not x else None
-                        if k is None:
-                            k = key_id[canon] = len(keys)
-                            keys.append(canon)
-                        key_id[x] = k  # kept: of the 15,626 blocks of H_6 to ranks 2-3, 399 miss
+                        # the raw trace is kept too: of the 15,626 blocks of H_6 to ranks 2-3, 399 miss
+                        k = key_id[x] = _key_id(x, key_id, keys)
                     groups[k] = groups.get(k, 0) | block
             else:
                 at = table[t]
@@ -514,9 +509,9 @@ def _reads_table(keys: int, reads: int) -> bool:
 
 
 def _key_id(trace: tuple[int, ...], key_id: dict, keys: list) -> int:
-    """The key id of the trace of a pair met first in a pass that reads the
-    table: that of its canonical form, or the next id for a canonical form
-    met first."""
+    """The key id of a trace a pass meets first (by its raw form in the
+    minors pass, by its pair of key ids in the table pass): that of its
+    canonical form, or the next id for a canonical form met first."""
     canon = primitive(trace)
     k = key_id.get(canon)
     if k is None:
@@ -636,8 +631,6 @@ def chi(arr: Arrangement) -> IntPoly:
 
 def zaslavsky_region_count(arr: Arrangement) -> int:
     """Number of chambers of a real central arrangement: (-1)^dim chi(-1)."""
-    from .polynomials import evaluate
-
     return (-1) ** arr.dim * evaluate(chi(arr), -1)
 
 

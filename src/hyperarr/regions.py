@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 
 from .arrangement import Arrangement, essentialize
 from .exactlinalg import primitive
-from .lattice import bit_indices, universe
+from .lattice import bit_indices, universe, zaslavsky_region_count
 from .polynomials import IntPoly, evaluate, multiply, trim
 
 
@@ -197,8 +197,6 @@ def enumerate_regions(arr: Arrangement) -> RegionSet:
 
 def region_count(arr: Arrangement) -> int:
     """Number of regions, by evaluation of the characteristic polynomial."""
-    from .lattice import zaslavsky_region_count
-
     return zaslavsky_region_count(arr)
 
 

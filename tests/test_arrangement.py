@@ -12,8 +12,13 @@ from hyperarr import (
     essentialize,
     format_arrangement_text,
     from_vectors,
+    gen_closure,
     hyperpolygonal,
     is_generic,
+    is_independent_partition,
+    is_lc_basis,
+    is_matroid_connected,
+    line_closure,
     parse_arrangement_text,
     restriction_to_hyperplane,
     triple,
@@ -338,3 +343,39 @@ def test_subset_and_delete_reject_out_of_range_indices_and_construction_checks()
     for bad in (len(arr), -1):
         with pytest.raises(IndexError):
             arr.delete(bad)
+
+
+# -- hyperplane indices --------------------------------------------------------
+
+
+INDEX_TAKERS = {
+    "subset": lambda arr, i: arr.subset([0, i]),
+    "delete": lambda arr, i: arr.delete(i),
+    "restriction_to_hyperplane": restriction_to_hyperplane,
+    "triple": triple,
+    "line_closure": lambda arr, i: line_closure(arr, [0, i]),
+    "is_lc_basis": lambda arr, i: is_lc_basis(arr, [i]),
+    "gen_closure": lambda arr, i: gen_closure(arr, [0, 1, i]),
+    "is_matroid_connected": lambda arr, i: is_matroid_connected(arr, [i, 0, 1]),
+    "is_independent_partition": lambda arr, i: is_independent_partition(arr, ((0,), (i,))),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 7])
+@pytest.mark.parametrize("name", INDEX_TAKERS)
+def test_every_index_taker_rejects_an_index_outside_the_arrangement(name, bad):
+    """-1 is not the last hyperplane and 7 is not a hyperplane of H_3: each
+    raises the one IndexError of Arrangement.checked_indices."""
+    with pytest.raises(IndexError, match=rf"^hyperplane index {bad} out of range 0\.\.6$"):
+        INDEX_TAKERS[name](hyperpolygonal(3), bad)
+
+
+def test_checked_indices_sorts_and_dedupes_and_names_the_extreme_bad_index():
+    arr = hyperpolygonal(3)
+    assert arr.checked_indices([3, 1, 3, 0]) == (0, 1, 3)
+    assert arr.checked_indices(iter([6, 0])) == (0, 6)
+    assert arr.checked_indices([]) == ()
+    with pytest.raises(IndexError, match="hyperplane index -2 out of range 0..6"):
+        arr.checked_indices([9, -1, -2])
+    with pytest.raises(IndexError, match="hyperplane index 0 out of range 0..-1"):
+        Arrangement(3, ()).checked_indices([0])

@@ -339,6 +339,15 @@ def test_formal_lc_basis_out_of_range_exit_code(tmp_path, capsys):
     _assert_parse_exit(capsys, ["formal", path, "--lc-basis", "0,1,-1"])
 
 
+def test_lc_basis_and_seed_indices_print_as_typed_and_fail_with_the_one_message(tmp_path, capsys):
+    path = write_family(tmp_path, 3)
+    assert cli.main(["formal", path, "--lc-basis", "3,1,0"]) == 0
+    assert capsys.readouterr().out.startswith("lc-basis [3, 1, 0]: ")
+    for argv in (["formal", path, "--lc-basis", "0,1,-1"], ["genclose", path, "--seed", "0,1,-1"]):
+        assert cli.main(argv) == 2
+        assert "hyperplane index -1 out of range 0..6" in capsys.readouterr().err
+
+
 def test_regions_zeta_base_out_of_range_exit_code(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     _assert_parse_exit(capsys, ["regions", path, "--zeta", "--base", "8"])
