@@ -14,7 +14,6 @@ import itertools
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from numbers import Rational
 from typing import Iterable, Sequence
@@ -35,23 +34,47 @@ class ParseError(ValueError):
     """Malformed arrangement text input."""
 
 
-@dataclass(frozen=True)
 class Arrangement:
-    """An ordered central arrangement given by canonical integer covectors."""
+    """An ordered central arrangement given by canonical integer covectors.
+
+    A frozen value: equal arrangements hash alike, and assigning or deleting
+    an attribute raises AttributeError.  The instance dict holds dim,
+    covectors and the cached properties; the lattice cache keys on weak
+    references to it.
+    """
 
     dim: int
     covectors: tuple[Covector, ...]
 
-    def __post_init__(self):
+    def __init__(self, dim: int, covectors: tuple[Covector, ...]):
         seen = set()
-        for c in self.covectors:
-            if len(c) != self.dim:
-                raise ValueError(f"covector {c} has length {len(c)}, expected {self.dim}")
+        for c in covectors:
+            if len(c) != dim:
+                raise ValueError(f"covector {c} has length {len(c)}, expected {dim}")
             if c != canonicalize(c):
                 raise ValueError(f"covector {c} is not canonical")
             if c in seen:
                 raise ValueError(f"duplicate hyperplane {c}")
             seen.add(c)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "covectors", covectors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.covectors == other.covectors
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.covectors))
+
+    def __repr__(self) -> str:
+        return f"Arrangement(dim={self.dim!r}, covectors={self.covectors!r})"
 
     def __len__(self) -> int:
         return len(self.covectors)

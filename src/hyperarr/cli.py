@@ -117,13 +117,14 @@ def cmd_regions(args) -> int:
         print(f"simplicial (facet-count defect {defect}): {defect == 0}")
         print(f"simplicial (extreme-ray geometry): {geo}")
     if args.zeta:
-        exps = chi_integer_roots(arr)
         if args.base is not None:
-            if not 0 <= args.base < len(regs):
-                raise ParseError(f"base index {args.base} out of range for {len(regs)} regions")
-            z = zeta_polynomial(regs, args.base)
+            try:
+                z = zeta_polynomial(regs, args.base)
+            except IndexError as exc:
+                raise ParseError(str(exc)) from exc
             print(json.dumps({"base_index": args.base, "coefficients": list(z)}))
         elif args.all_bases:
+            exps = chi_integer_roots(arr)
             if exps is None:
                 print("characteristic polynomial has no integer roots; no product target")
                 return EXIT_OK

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .arrangement import Arrangement
 from .exactlinalg import IntEchelon, canonicalize, primitive_kernel_basis
@@ -173,8 +172,7 @@ def is_matroid_connected(arr: Arrangement, subset: Iterable[int]) -> bool:
     return _rank_and_connected(arr, arr.checked_indices(subset))[1]
 
 
-@dataclass(frozen=True)
-class GenClosure:
+class GenClosure(NamedTuple):
     """Result of a generation-closure run inside an ambient arrangement."""
 
     seed: tuple[int, ...]
@@ -267,14 +265,12 @@ def gen_closure(arr: Arrangement, seed: Iterable[int]) -> GenClosure:
     return GenClosure(seed, tuple(sorted(current)), tuple(rounds))
 
 
-@dataclass(frozen=True)
-class UniquenessWitness:
+class UniquenessWitness(NamedTuple):
     indices: tuple[int, ...]
     closure: GenClosure
 
 
-@dataclass(frozen=True)
-class MotionRefutation:
+class MotionRefutation(NamedTuple):
     """Hyperplane `hyperplane` moved to the canonical covector `covector`
     without changing the labelled intersection lattice."""
 

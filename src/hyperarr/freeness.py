@@ -22,8 +22,7 @@ search, feeds the same walk from the stored list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 from .arrangement import Arrangement, restriction_to_hyperplane
 from .lattice import Universe, universe
@@ -47,8 +46,7 @@ def _chi_roots(uni: Universe) -> tuple[int, ...] | None:
     return uni.node_roots(0, uni._full_mask)
 
 
-@dataclass
-class InductiveFreenessResult:
+class InductiveFreenessResult(NamedTuple):
     status: Literal[True, False, "undecided"]
     exponents: tuple[int, ...] | None
     witness: list[int] | None
@@ -206,8 +204,7 @@ class CertificateError(ValueError):
     """A freeness certificate failed to replay."""
 
 
-@dataclass
-class CertificateReplay:
+class CertificateReplay(NamedTuple):
     exponents: tuple[int, ...]
     cited_leaves: list[str]
     steps: int

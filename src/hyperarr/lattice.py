@@ -98,18 +98,16 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement, essentialize, restrict_to_subspace
 from .exactlinalg import SubspaceBasis, primitive, primitive_kernel_basis
 from .polynomials import IntPoly, add, evaluate, monic_linear_roots, trim
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A flat of the intersection lattice.
 
     contains: indices of the hyperplanes whose covector vanishes on the flat.

@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .arrangement import Arrangement, essentialize
 from .exactlinalg import primitive
@@ -59,8 +58,7 @@ from .lattice import bit_indices, universe, zaslavsky_region_count
 from .polynomials import IntPoly, evaluate, multiply, trim
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """One region: sign bitmask (bit i set = positive side of form i) and the
     primitive direction vectors of its extreme rays."""
 
@@ -72,12 +70,36 @@ class Region:
         return len(self.rays)
 
 
-@dataclass(frozen=True)
 class RegionSet:
-    """All regions of (the essentialization of) an arrangement."""
+    """All regions of (the essentialization of) an arrangement.
+
+    A frozen value: equal sets hash alike, and assigning an attribute raises
+    AttributeError.
+    """
 
     arrangement: Arrangement  # essential model; hyperplane order preserved
     regions: tuple[Region, ...]
+
+    def __init__(self, arrangement: Arrangement, regions: tuple[Region, ...]):
+        object.__setattr__(self, "arrangement", arrangement)
+        object.__setattr__(self, "regions", regions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arrangement == other.arrangement and self.regions == other.regions
+
+    def __hash__(self) -> int:
+        return hash((self.arrangement, self.regions))
+
+    def __repr__(self) -> str:
+        return f"RegionSet(arrangement={self.arrangement!r}, regions={self.regions!r})"
 
     def __len__(self) -> int:
         return len(self.regions)

@@ -22,10 +22,9 @@ CLI's `free` command runs the same ladder and stops once free is decided.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from math import comb
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from . import formality, freeness
 from .arrangement import Arrangement, hyperpolygonal
@@ -73,22 +72,47 @@ IMPLICATIONS: tuple[tuple[str, TriBool | str, str, TriBool | str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class PropertyDecision:
+class PropertyDecision(NamedTuple):
     value: TriBool | str
     provenance: str
 
 
-@dataclass
 class PropertyReport:
-    label: str
-    dim: int
-    hyperplanes: int
-    rank: int
-    properties: dict[str, PropertyDecision] = field(default_factory=dict)
-    exponents: tuple[int, ...] | None = None
-    chi: tuple[int, ...] | None = None
-    regions: int | None = None
+    """The flags of one arrangement with their provenance, and the exponents,
+    characteristic polynomial and region count where the ladder set them.
+
+    Mutable, as the ladder fills it in; reports compare equal field by field.
+    """
+
+    _FIELDS = ("label", "dim", "hyperplanes", "rank", "properties", "exponents", "chi", "regions")
+
+    def __init__(
+        self,
+        label: str,
+        dim: int,
+        hyperplanes: int,
+        rank: int,
+        properties: dict[str, PropertyDecision] | None = None,
+        exponents: tuple[int, ...] | None = None,
+        chi: tuple[int, ...] | None = None,
+        regions: int | None = None,
+    ):
+        self.label = label
+        self.dim = dim
+        self.hyperplanes = hyperplanes
+        self.rank = rank
+        self.properties = {} if properties is None else properties
+        self.exponents = exponents
+        self.chi = chi
+        self.regions = regions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
+
+    def __repr__(self) -> str:
+        return f"PropertyReport({', '.join(f'{k}={getattr(self, k)!r}' for k in self._FIELDS)})"
 
     PROPERTY_NAMES = (
         "supersolvable",

@@ -353,6 +353,29 @@ def test_regions_zeta_base_out_of_range_exit_code(tmp_path, capsys):
     _assert_parse_exit(capsys, ["regions", path, "--zeta", "--base", "8"])
 
 
+def test_regions_zeta_base_reads_no_chi_roots(tmp_path, capsys, monkeypatch):
+    """Only --all-bases needs the exponents, so a single base builds no chi."""
+    path = write_family(tmp_path, 4)
+    calls = []
+    real = cli.chi_integer_roots
+    monkeypatch.setattr(cli, "chi_integer_roots", lambda arr: calls.append(arr) or real(arr))
+    assert cli.main(["regions", path, "--zeta", "--base", "0"]) == 0
+    assert capsys.readouterr().out == (
+        'regions: 192\n{"base_index": 0, "coefficients": [1, 4, 9, 16, 23, 28, 30, 28, 23, 16, 9, 4, 1]}\n'
+    )
+    assert calls == []
+    assert cli.main(["regions", path, "--zeta", "--all-bases"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["exponents"] == [1, 3, 3, 5]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("base", [192, -1])
+def test_regions_zeta_base_out_of_range_has_the_one_message(tmp_path, capsys, base):
+    path = write_family(tmp_path, 4)
+    assert cli.main(["regions", path, "--zeta", "--base", str(base)]) == 2
+    assert capsys.readouterr().err == f"parse error: base region {base} out of range 0..191\n"
+
+
 def test_regions_zeta_without_base_choice_exit_code(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     _assert_parse_exit(capsys, ["regions", path, "--zeta"])

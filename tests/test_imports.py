@@ -1,4 +1,5 @@
-"""Every module-level import of the package is read somewhere in its module.
+"""Every module-level import of the package is read somewhere in its module,
+and importing the package and its CLI stays cheap.
 
 Standard library only: each module but __init__ (whose imports are its
 exports) is parsed with ast, and a name bound by an import must appear as a
@@ -6,6 +7,9 @@ name node somewhere in the module.  A line marked `# noqa: F401` is exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,13 @@ def test_the_checker_finds_an_unread_import_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
+    """Each CLI run and each benchmark sample starts a cold interpreter, so a
+    module pulled in at import costs every one of them: dataclasses alone
+    brings inspect, ast, dis and tokenize.  -S keeps site hooks out of it."""
+    code = "import sys, hyperarr, hyperarr.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -121,7 +121,8 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
     assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1", "--out", str(out)]) == 0
     monkeypatch.undo()
     setup, statement, builds, runs, count = tool.BUILD_PROBE
-    assert count == "uni.traces" and len(probes) == 4 * runs  # the zeta probe's runs come after
+    # the zeta and import probes' runs come after
+    assert count == "uni.traces" and len(probes) == 4 * runs + 2 * tool.IMPORT_PROBE[3]
     probes = probes[: 2 * runs]
     assert all(statement in cmd[2] for cmd, _, _ in probes)
     assert "Universe(arr)" in statement and "hyperpolygonal(6)" in setup and builds >= 3 and runs >= 3
@@ -203,12 +204,20 @@ def test_bench_pairs_records_the_zeta_scan_of_fresh_interpreters(monkeypatch, tm
     zeta = json.loads(out.read_text())["zeta_bases"]
     assert zeta["statement"] == statement and zeta["set_up"] == setup and zeta["scans_per_run"] == scans
     # after the lattice build's runs, one fresh interpreter per run, the sides
-    # taking turns, each importing its own package
-    assert len(probes) == 4 * runs
+    # taking turns, each importing its own package; the import probe's runs last
+    imports = tool.IMPORT_PROBE[3]
+    assert len(probes) == 4 * runs + 2 * imports
     parent, change = probes[0][1], probes[1][1]
-    assert [(cwd, path) for _, cwd, path in probes[2 * runs :]] == runs * [
+    assert [(cwd, path) for _, cwd, path in probes[2 * runs :]] == (runs + imports) * [
         (parent, str(parent / "src")), (change, str(change / "src"))
     ]
+    import_time = json.loads(out.read_text())["import_time"]
+    assert import_time["statement"] == "import hyperarr" and import_time["set_up"] == tool.IMPORT_PROBE[0]
+    assert len(import_time["parent"]["runs_s"]) == len(import_time["change"]["runs_s"]) == imports
+    for cmd, _, _ in probes[4 * runs :]:
+        code = cmd[2]
+        assert code.index("import sample") < code.index("before = ") < code.index("import hyperarr")
+    probes = probes[: 4 * runs]
     times = [[0.03, 0.02, 0.01][(i + 1) % 3] for i in range(2 * runs, 4 * runs)]
     for side, first in (("parent", 0), ("change", 1)):
         assert zeta[side]["runs_s"] == times[first::2] and zeta[side]["hits"] == 0
@@ -237,3 +246,14 @@ def test_bench_pairs_zeta_probe_runs_in_a_fresh_interpreter():
     script = tool.TIMED_SCRIPT.format(setup=setup, run=statement, runs=scans, count=count)
     seconds, hits = tool.probe(root, script, statement)
     assert 0 < float(seconds) < 5 and int(hits) == 0
+
+
+def test_bench_pairs_import_probe_runs_in_a_fresh_interpreter():
+    tool = _bench_pairs()
+    root = TOOL.parent.parent
+    setup, statement, runs, interpreters, count = tool.IMPORT_PROBE
+    assert statement == "import hyperarr" and runs == 1 and interpreters == 9
+    seconds, modules = tool.probe(root, tool.TIMED_SCRIPT.format(setup=setup, run=statement, runs=runs, count=count),
+                                  statement)
+    # the package's own ten modules at least, after the benchmark sample's imports
+    assert 0 < float(seconds) and int(modules) >= 10

@@ -36,6 +36,10 @@ the build grows through ``Universe.extend``, which the benchmark's traced
 ``zeta_product_bases`` of ``hyperpolygonal(5)`` with exponents
 (1, 5, 5, 5, 5) is timed the same way, its regions enumerated before the
 timing, with its hit count, which every run on both sides must agree on.
+And ``import hyperarr`` is timed in nine fresh interpreters per side, the
+sides taking turns, each after the imports of ``perfbench/sample.py`` (the
+module every benchmark sample runs), with the number of modules the import
+added: the part of the benchmark's ``setup_s`` that the package sets.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ BUILD_PROBE = ("from hyperarr import hyperpolygonal\nfrom hyperarr.lattice impor
 ZETA_PROBE = ("from hyperarr import enumerate_regions, hyperpolygonal, zeta_product_bases\n"
               "regs = enumerate_regions(hyperpolygonal(5))",
               "hits = zeta_product_bases(regs, (1, 5, 5, 5, 5))", 3, 5, "len(hits)")
+IMPORT_PROBE = ("import sys\nsys.path.insert(0, 'perfbench')\nimport sample\nbefore = len(sys.modules)",
+                "import hyperarr", 1, 9, "len(sys.modules) - before")
 TIMED_SCRIPT = ("import time\n{setup}\nbest = float('inf')\nfor _ in range({runs}):\n"
                 "    start = time.perf_counter()\n    {run}\n    best = min(best, time.perf_counter() - start)\n"
                 "print(best, {count})")
@@ -231,6 +237,7 @@ def main(argv=None) -> int:
         peaks = traced_peaks(checkouts)
         builds = timed_runs(checkouts, BUILD_PROBE, "traces")
         zeta = timed_runs(checkouts, ZETA_PROBE, "hits", across_sides=True)
+        imports = timed_runs(checkouts, IMPORT_PROBE, "modules")
     out = {
         "number": args.number,
         "command": "perfbench/run.py --trace 0",
@@ -242,6 +249,7 @@ def main(argv=None) -> int:
         "lattice_build": {"statement": BUILD_PROBE[1], "set_up": BUILD_PROBE[0], "builds_per_run": BUILD_PROBE[2],
                           **builds},
         "zeta_bases": {"statement": ZETA_PROBE[1], "set_up": ZETA_PROBE[0], "scans_per_run": ZETA_PROBE[2], **zeta},
+        "import_time": {"statement": IMPORT_PROBE[1], "set_up": IMPORT_PROBE[0], **imports},
     }
     path = args.out or ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
