@@ -259,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("free", help="the ladder's freeness decision, search, or certificate replay")
     sp.add_argument("file")
-    sp.add_argument("--inductive", action="store_true")
-    sp.add_argument("--certificate", default=None)
+    mode = sp.add_mutually_exclusive_group()  # a search or a replay, never both
+    mode.add_argument("--inductive", action="store_true")
+    mode.add_argument("--certificate", default=None)
     sp.set_defaults(func=cmd_free)
 
     sp = sub.add_parser("factor", help="nice partitions / inductive factoredness")

@@ -237,11 +237,10 @@ def simplicial_defect(arr: Arrangement) -> int:
     if m == 0:
         return 0
     uni = universe(arr)
-    full = (1 << m) - 1
-    total_regions = abs(evaluate(uni.chi(), -1))
+    total_regions = zaslavsky_region_count(arr)
     walls = 0
     for atom in uni.by_rank[1]:
-        walls += abs(evaluate(uni.node_chi(atom, full), -1))
+        walls += abs(evaluate(uni.node_chi(atom, uni._full_mask), -1))
     defect = 2 * walls - ell * total_regions
     if defect < 0:
         raise AssertionError("facet count below the simplicial minimum")

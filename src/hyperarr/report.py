@@ -8,12 +8,11 @@ asphericity, and a simplicial or supersolvable arrangement is aspherical.
 The ladder fills every flag a step forces from that table, and validate()
 checks a finished report against the same rows.
 
-analyze and report share the ladder, which runs the cheap refuters first:
-the rank-3 generic-localization scan (only ranks <= 3 of the lattice are
-built), then, while freeness is open, the splitting of the characteristic
-polynomial.  A search runs only for a flag still open after them:
-supersolvability, inductive freeness, nice partitions, certificate replay
-and the simplicial facet-count defect.  From H_6 on the scan decides every
+analyze and report share the ladder: one loop over the rows of _STEPS,
+which lists its steps in order, cheap refuters first (the rank-3
+generic-localization scan, which builds only ranks <= 3 of the lattice,
+and the splitting of the characteristic polynomial), then the searches.  A
+step runs only for a flag still open.  From H_6 on the scan decides every
 flag downstream of freeness, so report(n) skips the characteristic
 polynomial there; analyze always reports it and the region count.  The
 CLI's `free` command runs the same ladder and stops once free is decided.
@@ -42,8 +41,8 @@ from .freeness import (
     is_inductively_free,
     verify_free_certificate,
 )
-from .lattice import find_generic_rank3_localization, is_supersolvable, universe
-from .polynomials import evaluate, format_poly
+from .lattice import find_generic_rank3_localization, is_supersolvable, universe, zaslavsky_region_count
+from .polynomials import format_poly
 from .regions import simplicial_defect
 
 REPORT_SCHEMA = "hyperarr/report-v1"
@@ -219,22 +218,88 @@ def _uniqueness_decision(arr: Arrangement) -> PropertyDecision:
 def _set_chi_and_regions(rep: PropertyReport, arr: Arrangement) -> None:
     """Set the characteristic polynomial and the Zaslavsky region count."""
     rep.chi = universe(arr).chi()
-    rep.regions = abs(evaluate(rep.chi, -1))
+    rep.regions = zaslavsky_region_count(arr)
+
+
+def _rank3_scan(arr: Arrangement) -> tuple[bool, str]:
+    loc = find_generic_rank3_localization(arr)
+    where = "" if loc is None else f": hyperplanes {list(loc.contains)}"
+    return loc is not None, "rank-3 flat scan" + where
+
+
+def _chi_splits(arr: Arrangement) -> tuple[bool, str] | None:
+    """Refute freeness when chi does not split; a split leaves free open."""
+    if chi_integer_roots(arr) is None:
+        return False, "characteristic polynomial has no integer root factorization"
+    return None
+
+
+def _inductive_freeness(arr: Arrangement) -> tuple[TriBool, str]:
+    res = is_inductively_free(arr)
+    if res.status != "undecided":
+        return res.status, "addition-deletion search"
+    bound = "node cap" if res.nodes_visited > freeness.NODE_CAP else "recursion depth"
+    return res.status, f"addition-deletion search ({bound} exhausted)"
+
+
+def _inductive_factoredness(arr: Arrangement) -> tuple[TriBool, str]:
+    status = is_inductively_factored(arr)[0]
+    cap = " (size cap exhausted)" if status == "undecided" else ""
+    return status, "nice partition recursion" + cap
+
+
+def _certificate_replay(arr: Arrangement) -> tuple[TriBool, str]:
+    cert = matching_packaged_certificate(arr)
+    if cert is None:
+        return "undecided", "no decision route succeeded"
+    try:
+        cited = verify_free_certificate(arr, cert).cited_leaves
+    except CertificateError as exc:
+        return "undecided", f"certificate rejected: {exc}"
+    return True, f"certificate replay (cited: {'; '.join(cited)})" if cited else "certificate replay"
+
+
+def _simpliciality(arr: Arrangement) -> tuple[bool, str]:
+    defect = simplicial_defect(arr)
+    return defect == 0, f"facet-count defect = {defect}"
+
+
+# (flag, step) in the order the ladder runs them: the cheap refuters, then the
+# searches.  step(arr) returns (value, provenance), or None to leave the flag
+# open.  Steps read the searches as module globals when they run, so a
+# function replaced on this module reaches the ladder.
+_STEPS = (
+    ("has_generic_rank3_localization", _rank3_scan),
+    ("free", _chi_splits),
+    ("supersolvable", lambda arr: (is_supersolvable(arr)[0], "modular chain search")),
+    ("inductively_free", _inductive_freeness),
+    ("inductively_factored", _inductive_factoredness),
+    ("free", _certificate_replay),
+    ("simplicial", _simpliciality),
+    ("aspherical", lambda arr: ("unknown", "no decision rule applies")),
+    ("formal", lambda arr: (is_formal(arr), "rank-2 relation span")),
+    ("projectively_unique", _uniqueness_decision),
+)
 
 
 def _ladder(arr: Arrangement, label: str, free_only: bool = False) -> PropertyReport:
-    """The decision ladder: cheap refuters, then searches for the open flags.
+    """The decision ladder: the rows of _STEPS, each only for an open flag.
 
     A flag is open while it has no entry; after every step the implications
     fill what the step forces, so no search runs for a decided flag.  With
-    free_only the ladder returns as soon as free is decided, with the free
-    exponents but without the steps for the other flags.
+    free_only the ladder stops as soon as free is decided.  The
+    characteristic polynomial and the region count are set when the rank-3
+    scan found no generic localization (the chi row then ran), and the
+    exponents when the arrangement is free.
     """
     rep = PropertyReport(label, arr.dim, len(arr), arr.rank)
     props = rep.properties
-
-    def decide(name: str, value: TriBool, provenance: str) -> None:
-        props[name] = PropertyDecision(value, provenance)
+    for name, step in _STEPS:
+        if free_only and "free" in props:
+            break
+        if name in props or (decision := step(arr)) is None:
+            continue
+        props[name] = PropertyDecision(*decision)
         changed = True
         while changed:  # until every flag the implications force is filled
             changed = False
@@ -242,61 +307,11 @@ def _ladder(arr: Arrangement, label: str, free_only: bool = False) -> PropertyRe
                 if conclusion not in props and premise in props and props[premise].value == pv:
                     props[conclusion] = PropertyDecision(cv, why)
                     changed = True
-
-    def is_open(name: str) -> bool:
-        return name not in props and not (free_only and "free" in props)
-
-    loc = find_generic_rank3_localization(arr)
-    decide(
-        "has_generic_rank3_localization",
-        loc is not None,
-        "rank-3 flat scan" if loc is None else f"rank-3 flat scan: hyperplanes {list(loc.contains)}",
-    )
-    roots = None
-    if is_open("free"):
+    if props["has_generic_rank3_localization"].value is False:
         _set_chi_and_regions(rep, arr)
-        roots = chi_integer_roots(arr)
-        if roots is None:
-            decide("free", False, "characteristic polynomial has no integer root factorization")
-
-    if is_open("supersolvable"):
-        decide("supersolvable", is_supersolvable(arr)[0], "modular chain search")
-    if is_open("inductively_free"):
-        res = is_inductively_free(arr)
-        cap = ""
-        if res.status == "undecided":
-            bound = "node cap" if res.nodes_visited > freeness.NODE_CAP else "recursion depth"
-            cap = f" ({bound} exhausted)"
-        decide("inductively_free", res.status, "addition-deletion search" + cap)
-    if is_open("inductively_factored"):
-        status = is_inductively_factored(arr)[0]
-        cap = " (size cap exhausted)" if status == "undecided" else ""
-        decide("inductively_factored", status, "nice partition recursion" + cap)
-    if is_open("free"):
-        cert = matching_packaged_certificate(arr)
-        if cert is None:
-            decide("free", "undecided", "no decision route succeeded")
-        else:
-            try:
-                cited = verify_free_certificate(arr, cert).cited_leaves
-                why = f"certificate replay (cited: {'; '.join(cited)})" if cited else "certificate replay"
-                decide("free", True, why)
-            except CertificateError as exc:
-                decide("free", "undecided", f"certificate rejected: {exc}")
     if props["free"].value is True:
         # free exponents are the roots of chi (Terao's factorization theorem)
-        rep.exponents = roots
-    if free_only:
-        rep.validate()
-        return rep
-    if "simplicial" not in props:
-        defect = simplicial_defect(arr)
-        decide("simplicial", defect == 0, f"facet-count defect = {defect}")
-    if "aspherical" not in props:
-        props["aspherical"] = PropertyDecision("unknown", "no decision rule applies")
-
-    props["formal"] = PropertyDecision(is_formal(arr), "rank-2 relation span")
-    props["projectively_unique"] = _uniqueness_decision(arr)
+        rep.exponents = chi_integer_roots(arr)
     rep.validate()
     return rep
 

@@ -171,6 +171,17 @@ def test_free_certificate_replay(tmp_path, capsys):
     assert "exponents: [1, 5, 5, 5, 5]" in out
 
 
+def test_free_inductive_with_certificate_exit_code(tmp_path, capsys):
+    """A search and a replay do not fit together: neither is silently dropped."""
+    path = write_family(tmp_path, 4)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(packaged_certificate()))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["free", path, "--inductive", "--certificate", str(cert)])
+    assert exc.value.code == 2
+    assert "not allowed with argument --inductive" in capsys.readouterr().err
+
+
 def test_free_rejected_certificate(tmp_path, capsys):
     path = write_family(tmp_path, 4)
     cert = tmp_path / "cert.json"
@@ -450,10 +461,12 @@ def test_main_reuses_one_parser_without_carry_over(tmp_path, capsys):
     assert cli.main(["chi", path]) == 0
     assert "coefficients (ascending)" in capsys.readouterr().out
     parser = cli.build_parser()
-    first = parser.parse_args(["free", path, "--inductive", "--certificate", "c.json"])
-    second = parser.parse_args(["free", path])
-    assert (first.inductive, first.certificate) == (True, "c.json")
-    assert (second.inductive, second.certificate) == (False, None)
+    first = parser.parse_args(["free", path, "--inductive"])
+    second = parser.parse_args(["free", path, "--certificate", "c.json"])
+    plain = parser.parse_args(["free", path])
+    assert (first.inductive, first.certificate) == (True, None)
+    assert (second.inductive, second.certificate) == (False, "c.json")
+    assert (plain.inductive, plain.certificate) == (False, None)
     third = parser.parse_args(["chi", path])
     assert third.func is cli.cmd_chi and not hasattr(third, "json")
 

@@ -7,6 +7,7 @@ from hyperarr import (
     enumerate_regions,
     from_vectors,
     hyperpolygonal,
+    is_simplicial,
     is_simplicial_geometric,
     q_integer_product,
     region_count,
@@ -77,6 +78,7 @@ def test_geometric_simpliciality_matches_defect(h2, h3, h4, bool3, generic4, ran
             continue
         regs = enumerate_regions(arr)
         assert is_simplicial_geometric(regs) == (simplicial_defect(arr) == 0)
+        assert is_simplicial(arr) == is_simplicial_geometric(regs)
 
 
 def test_simplicial_regions_have_rank_many_rays(h2, h4):

@@ -299,6 +299,42 @@ def test_ladder_pins_no_lattice():
         lattice._universe_cache.update(saved)
 
 
+def _tracer_module():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_reaches_every_search_the_ladder_runs():
+    """The traced benchmark replaces functions on their calling module, so a
+    renamed import or a search bound at import time would drop its span
+    silently; and a flag the implications decided opens no span."""
+    import importlib
+
+    tracer = _tracer_module()
+    for module, attr, _, _ in tracer.FUNCTION_SPANS:
+        assert hasattr(importlib.import_module(f"hyperarr.{module}"), attr), (module, attr)
+    names = {name for _, _, name, _ in tracer.FUNCTION_SPANS}
+    opened = {}
+    for n in range(1, 7):
+        t = tracer.Tracer()
+        t.install()
+        try:
+            report(n)
+        finally:
+            t.uninstall()
+        opened[n] = {span[0] for span in t.spans} & names
+    assert opened[6] == {"lattice.rank3_scan", "formality.formal", "formality.witness"}
+    searches = {"lattice.supersolvable", "freeness.indfree", "freeness.replay", "regions.simplicial_defect"}
+    assert searches <= opened[5] and "factorization.ifac" not in opened[5]
+    assert "factorization.ifac" in opened[4]
+
+
 def test_long_lived_process_keeps_no_lattice():
     import gc
     import tracemalloc
