@@ -62,13 +62,13 @@ groups the ids it reads and drops that group.  Other passes, those of
 inputs with few symmetries among them, read the minors of every block, with
 the cover traces of P transposed into columns once per P, and look each
 trace up in a dict of the traces met.
-Between passes the build keeps the key id of every flat, the short list of
-distinct canonical traces of each pass, the key ids of the last pass's
-children rows and the count of blocks the next pass reads.  flat_kernel
-returns the very bases the build read the traces in, V_X = the minors of
-V_P by the key of X, derived from the key chain by the same _minors when
-one is first read; they are not primitive, and a lattice nobody asks keeps
-none.
+The lattice keeps the key id of every flat and the short list of distinct
+canonical traces of each pass, and between passes the key ids of the last
+pass's children rows and the count of blocks the next pass reads.
+flat_kernel returns the very bases the build read the traces in, V_X = the
+minors of V_P by the key of X: the first read of X derives V_X by the same
+_minors from V_P, read the same way, and keeps it.  They are not primitive,
+and only the flats read and their first-parent ancestors keep one.
 
 Consequently the characteristic polynomial of any (restriction of a)
 subarrangement is an interval Moebius computation over one shared structure,
@@ -151,8 +151,8 @@ class Universe:
     arr_rank.  dim stays the ambient dimension, so chi and the flat
     dimensions are those of the arrangement itself; coordinates() carries an
     ambient covector over.  The build keeps the key chain (each flat's trace
-    on its first parent) in place of flat bases; flat_kernel derives the
-    bases from it when one is first read, and a full lattice then drops it.
+    on its first parent) in place of flat bases; flat_kernel derives a
+    flat's basis from it and its first parent's when it is first read.
     by_rank[k] is the range of ids of the rank-k flats; no global index from
     bits to ids is kept, only one per pass, for the flats it makes.
     """
@@ -175,12 +175,16 @@ class Universe:
         self.traces = 0  # traces the build grouped, one per block read
         # the key chain: the trace of each flat on its first parent, as an id
         # into the distinct canonical traces of that parent's pass
-        self._key: array | None = array("i", [0])
-        self._keys: list[list[tuple[int, ...]]] | None = []
+        self._key = array("i", [0])
+        self._keys: list[list[tuple[int, ...]]] = []
         # what the next pass reads of the last one: the key ids of its children rows
         self._frontier: array | None = array("i")
         self._reads = 0  # and the number of blocks it reads
-        self._basis: list[tuple[tuple[int, ...], ...]] | None = None  # derived when first read
+        r = self.arr_rank
+        # each flat's basis, derived when first read
+        self._basis: list[tuple[tuple[int, ...], ...] | None] = [
+            tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+        ]
         self.extend(up_to_rank)
 
     def extend(self, up_to_rank: int | None = None) -> None:
@@ -350,28 +354,17 @@ class Universe:
         t_q*k_j - t_j*k_q, or k_j where t_j = 0.  It is neither primitive
         nor canonical, and its entries grow down the ranks like the traces.
         Pair it with the normals, or with an ambient covector through
-        coordinates().  The first read derives the bases of every flat built
-        so far (see _derive_bases); a lattice nobody asks keeps none.
+        coordinates().  The first read of a flat derives its basis from its
+        first parent's, read the same way, at most rank[f] calls deep, and
+        keeps it; a lattice nobody asks keeps none but the identity.
         """
-        if self._basis is None or f >= len(self._basis):
-            self._derive_bases()
-        return self._basis[f]
-
-    def _derive_bases(self) -> None:
-        """The bases of the flats built since the last call, in id order,
-        from the key chain alone: that of X is the _minors of its first
-        parent's basis by its key.  A full lattice then drops the chain."""
-        if self._basis is None:
-            r = self.arr_rank
-            self._basis = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
-        bases, key_of = self._basis, self._key
-        ups, up_start = self.parents.values, self.parents.start
-        for rank in range(self.rank[len(bases) - 1] + 1, len(self.by_rank)):
-            keys = self._keys[rank - 1]
-            for x in self.by_rank[rank]:
-                bases.append(tuple(map(tuple, _minors(bases[ups[up_start[x]]], keys[key_of[x]]))))
-        if self.is_full:
-            self._key = self._keys = None
+        bases = self._basis
+        if f >= len(bases):
+            bases.extend([None] * (len(self.bits) - len(bases)))
+        if bases[f] is None:
+            p = self.parents.values[self.parents.start[f]]
+            bases[f] = tuple(map(tuple, _minors(self.flat_kernel(p), self._keys[self.rank[f] - 1][self._key[f]])))
+        return bases[f]
 
     def coordinates(self, covector: Sequence[int]) -> tuple[int, ...] | None:
         """An ambient covector in the lattice coordinates, or None when it is
@@ -522,7 +515,7 @@ def _minors(columns: Sequence[Sequence[int]], t: tuple[int, ...]) -> list[Sequen
     """The 2x2 minors of the rows columns[j] by the key t of a cover X of a
     flat P: with q the first nonzero index of t, row j != q becomes
     t_q*s_j - t_j*s_q, or stays s_j where t_j = 0.  On the basis of P it
-    gives the basis of X (Universe._derive_bases); on the canonical traces
+    gives the basis of X (Universe.flat_kernel); on the canonical traces
     of P's covers on P, one coordinate per row, it gives their traces on X
     in that basis, which the build reads."""
     q = next(i for i, x in enumerate(t) if x)
@@ -641,11 +634,13 @@ def restriction(arr: Arrangement, flat: Flat) -> Arrangement:
     """The restriction of arr to the flat, in canonical RREF coordinates.
 
     The flat as an ambient subspace is the kernel of its member covectors.
-    A Flat that is not a flat of arr of its rank raises KeyError.
+    An index in flat.contains outside 0..m-1 raises the IndexError of
+    Arrangement.checked_indices; a set of hyperplanes in range that is not a
+    flat of arr of its rank raises KeyError.
     """
     uni = universe(arr, up_to_rank=flat.rank)
     level = uni.by_rank[flat.rank] if 0 <= flat.rank < len(uni.by_rank) else ()
-    if mask_of(flat.contains) not in map(uni.bits.__getitem__, level):
+    if mask_of(arr.checked_indices(flat.contains)) not in map(uni.bits.__getitem__, level):
         raise KeyError(flat.contains)
     kernel = primitive_kernel_basis([arr.covectors[i] for i in flat.contains], arr.dim)
     return restrict_to_subspace(arr, SubspaceBasis.from_vectors(kernel, arr.dim))

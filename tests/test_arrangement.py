@@ -7,6 +7,7 @@ import pytest
 import hyperarr
 from hyperarr import (
     Arrangement,
+    Flat,
     ParseError,
     boolean,
     essentialize,
@@ -20,6 +21,7 @@ from hyperarr import (
     is_matroid_connected,
     line_closure,
     parse_arrangement_text,
+    restriction,
     restriction_to_hyperplane,
     triple,
     verify_linear_isomorphism,
@@ -358,6 +360,7 @@ INDEX_TAKERS = {
     "gen_closure": lambda arr, i: gen_closure(arr, [0, 1, i]),
     "is_matroid_connected": lambda arr, i: is_matroid_connected(arr, [i, 0, 1]),
     "is_independent_partition": lambda arr, i: is_independent_partition(arr, ((0,), (i,))),
+    "restriction": lambda arr, i: restriction(arr, Flat(0, 1, (i,), 2, -1)),
 }
 
 

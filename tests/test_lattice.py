@@ -1171,27 +1171,28 @@ def _check_bases_are_minors_of_the_first_parent(uni, key, keys):
 
 
 def test_each_flat_basis_is_the_minors_of_its_first_parents_by_its_key(h4, h5, h6):
-    """One-shot builds, and builds grown to ranks 2, 3 and then full with
-    every basis read at each step; the grown bases equal the one-shot ones.
-    The bases are those the build read traces in, not primitive ones."""
+    """One-shot builds read in id order, and builds grown to ranks 2, 3 and
+    then full with the last basis read at each step and every basis read in
+    reverse id order at the end, so most flats are read before their first
+    parent; the grown bases equal the one-shot ones.  The bases are those the
+    build read traces in, not primitive ones."""
     from hyperarr.lattice import Universe
 
     contents = 0
     for arr in _differential_pool() + [h6] + [arr for _, arr in _sheared_copies(h4, h5)]:
         whole = Universe(arr)
         contents += _check_bases_are_minors_of_the_first_parent(whole, whole._key, whole._keys)
-        # the build grows the key chain in place, and a full read drops it
+        # the build grows the key chain in place and keeps it
         grown = Universe(arr, up_to_rank=2)
         key, keys = grown._key, grown._keys
         for rank in (2, 3):
             grown.extend(rank)
             grown.flat_kernel(grown.flat_count() - 1)
         grown.extend()
+        backwards = [grown.flat_kernel(f) for f in reversed(range(grown.flat_count()))]
         _check_bases_are_minors_of_the_first_parent(grown, key, keys)
-        assert [grown.flat_kernel(f) for f in range(grown.flat_count())] == [
-            whole.flat_kernel(f) for f in range(whole.flat_count())
-        ]
-        assert whole._key is None and grown._key is None
+        assert backwards[::-1] == [whole.flat_kernel(f) for f in range(whole.flat_count())]
+        assert (list(grown._key), grown._keys) == (list(whole._key), whole._keys)
     assert contents >= 20
 
 
@@ -1282,10 +1283,11 @@ def _deep_size(obj, seen=None):
     return sys.getsizeof(obj) + sum(_deep_size(x, seen) for x in inner)
 
 
-def test_bases_are_derived_when_first_read_and_the_key_chain_is_dropped(h5):
-    """Universe(H_5) and its chi keep 95 KB traced (164 KB when the build cut
-    every basis); reading the bases adds no more than their own size, as the
-    key ids that derived them are dropped (Python 3.11)."""
+def test_bases_are_derived_when_first_read_and_the_key_chain_is_kept(h5):
+    """Universe(H_5) and its chi keep 63 KB traced (164 KB when the build cut
+    every basis); reading the bases adds no more than the size of the basis
+    list, which holds them, and the key chain that derived them stays as it
+    was (Python 3.11)."""
     import gc
     import tracemalloc
 
@@ -1297,7 +1299,8 @@ def test_bases_are_derived_when_first_read_and_the_key_chain_is_dropped(h5):
         uni.chi()
         gc.collect()
         unread = tracemalloc.get_traced_memory()[0]
-        assert uni._basis is None  # nothing asked for one
+        assert len(uni._basis) == 1  # the identity: nothing asked for one
+        chain = uni._key, uni._keys
         for f in range(uni.flat_count()):
             uni.flat_kernel(f)
         gc.collect()
@@ -1305,7 +1308,7 @@ def test_bases_are_derived_when_first_read_and_the_key_chain_is_dropped(h5):
     finally:
         tracemalloc.stop()
     assert unread < 120_000
-    assert uni._key is None and uni._keys is None
+    assert uni._key is chain[0] and uni._keys is chain[1]
     assert read - unread <= _deep_size(uni._basis)
 
 
@@ -1328,7 +1331,30 @@ def test_a_partial_build_keeps_the_frontier_and_a_full_one_drops_it(h5):
     assert whole._frontier is None
     bases = [whole.flat_kernel(f) for f in range(whole.flat_count())]
     assert [part.flat_kernel(f) for f in range(part.flat_count())] == bases
-    assert bases[: len(first)] == first and part._key is None
+    assert bases[: len(first)] == first and part._key is not None
+
+
+def test_the_candidate_rays_of_h5_derive_the_lines_and_their_first_parent_ancestors(h5):
+    """regions._candidate_rays reads the basis of each line of H_5; the
+    bases derived are those of the lines and of their first parents, up to
+    the ambient flat: 324 of the 568 flats."""
+    from hyperarr import lattice
+    from hyperarr.regions import _candidate_rays
+
+    saved = dict(lattice._universe_cache)
+    lattice._universe_cache.clear()
+    try:
+        _candidate_rays(h5)
+        uni = lattice._universe_cache[h5]
+    finally:
+        lattice._universe_cache.update(saved)
+    chain = {0}  # the lines and their first-parent ancestors
+    for f in uni.by_rank[uni.arr_rank - 1]:
+        while f not in chain:
+            chain.add(f)
+            f = uni.parents[f][0]
+    derived = {f for f, basis in enumerate(uni._basis) if basis is not None}
+    assert derived == chain and (len(derived), uni.flat_count()) == (324, 568)
 
 
 def test_analyze_h6_derives_no_basis_of_its_master_lattice():
@@ -1340,6 +1366,6 @@ def test_analyze_h6_derives_no_basis_of_its_master_lattice():
         arr = hyperpolygonal(6)
         analyze(arr)
         uni = lattice._universe_cache[arr]
-        assert uni.is_full and uni._basis is None and uni._frontier is None
+        assert uni.is_full and len(uni._basis) == 1 and uni._frontier is None
     finally:
         lattice._universe_cache.update(saved)

@@ -136,6 +136,7 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
     for side, first in (("parent", 0), ("change", 1)):
         assert build[side]["runs_s"] == times[first::2] and build[side]["traces"] == 143234
         assert build[side]["median_s"] == sorted(times[first::2])[runs // 2]
+        assert build[side]["least_s"] == min(times[first::2]) == 0.1
     for cmd, _, _ in probes:
         assert cmd[:2] == [sys.executable, "-c"]
         code = cmd[2]
@@ -222,6 +223,7 @@ def test_bench_pairs_records_the_zeta_scan_of_fresh_interpreters(monkeypatch, tm
     for side, first in (("parent", 0), ("change", 1)):
         assert zeta[side]["runs_s"] == times[first::2] and zeta[side]["hits"] == 0
         assert zeta[side]["median_s"] == sorted(times[first::2])[runs // 2]
+        assert zeta[side]["least_s"] == min(times[first::2]) == 0.01
     for cmd, _, _ in probes[2 * runs :]:
         assert cmd[:2] == [sys.executable, "-c"]
         code = cmd[2]

@@ -28,11 +28,11 @@ hyperplanes with entries in [-2, 2] (the ``chambers`` workload's generator),
 each in one cold process of its own with tracing started after the imports
 and inputs: a count of live Python allocations, which does not move with
 process layout as ``peak_rss_mb`` does.  And it holds, per side, the wall
-time of the lattice build ``Universe(hyperpolygonal(6))`` in each of a few
-fresh interpreters that alternate between the sides, each the least of a
-few builds in a row, with their median and the build's ``Universe.traces``:
-the build grows through ``Universe.extend``, which the benchmark's traced
-``lattice.build_s`` does not time.  The zeta-base scan
+time of the lattice build ``Universe(hyperpolygonal(6))`` in each of nine
+fresh interpreters that alternate between the sides, each the least of
+three builds in a row, with their median, their least and the build's
+``Universe.traces``: the build grows through ``Universe.extend``, which the
+benchmark's traced ``lattice.build_s`` does not time.  The zeta-base scan
 ``zeta_product_bases`` of ``hyperpolygonal(5)`` with exponents
 (1, 5, 5, 5, 5) is timed the same way, its regions enumerated before the
 timing, with its hit count, which every run on both sides must agree on.
@@ -69,10 +69,10 @@ PEAK_SCRIPT = "import tracemalloc\n{setup}\ntracemalloc.start()\n{run}\nprint(tr
 # statements timed in fresh interpreters: (set-up, the statement timed, runs
 # per interpreter, interpreters per side, a count printed after the runs)
 BUILD_PROBE = ("from hyperarr import hyperpolygonal\nfrom hyperarr.lattice import Universe\narr = hyperpolygonal(6)",
-               "uni = Universe(arr)", 3, 5, "uni.traces")
+               "uni = Universe(arr)", 3, 9, "uni.traces")
 ZETA_PROBE = ("from hyperarr import enumerate_regions, hyperpolygonal, zeta_product_bases\n"
               "regs = enumerate_regions(hyperpolygonal(5))",
-              "hits = zeta_product_bases(regs, (1, 5, 5, 5, 5))", 3, 5, "len(hits)")
+              "hits = zeta_product_bases(regs, (1, 5, 5, 5, 5))", 3, 9, "len(hits)")
 IMPORT_PROBE = ("import sys\nsys.path.insert(0, 'perfbench')\nimport sample\nbefore = len(sys.modules)",
                 "import hyperarr", 1, 9, "len(sys.modules) - before")
 TIMED_SCRIPT = ("import time\n{setup}\nbest = float('inf')\nfor _ in range({runs}):\n"
@@ -123,9 +123,10 @@ def traced_peaks(checkouts: dict[str, Path]) -> dict[str, dict[str, int]]:
 
 def timed_runs(checkouts: dict[str, Path], spec: tuple, name: str, across_sides: bool = False) -> dict[str, dict]:
     """Per side, the least wall time of a few runs of spec's statement in
-    each of a few fresh interpreters, the sides taking turns; their median;
-    and the count spec prints, stored under name, which every run of a side
-    must agree on, and with across_sides every run of both sides."""
+    each of a few fresh interpreters, the sides taking turns; their median
+    and their least; and the count spec prints, stored under name, which
+    every run of a side must agree on, and with across_sides every run of
+    both sides."""
     setup, run, repeats, runs, count = spec
     code = TIMED_SCRIPT.format(setup=setup, run=run, runs=repeats, count=count)
     out = {side: {"runs_s": [], name: None} for side in checkouts}
@@ -140,6 +141,7 @@ def timed_runs(checkouts: dict[str, Path], spec: tuple, name: str, across_sides:
             out[side][name] = int(got)
     for side in out.values():
         side["median_s"] = statistics.median(side["runs_s"])
+        side["least_s"] = min(side["runs_s"])
     return out
 
 
