@@ -31,6 +31,17 @@ strictly on its side, and the search visits exactly the prefixes of genuine
 regions.  At a full sign vector the alive candidates are the region's extreme
 rays.
 
+The bit tests read two sign rows per hyperplane: the candidates strictly on
+its positive side and those strictly on its negative side.  Both come from
+one packed product per hyperplane.  The lines' rays are packed into 64-bit
+lanes, one integer per coordinate, so one multiply-add per coordinate gives
+the dot products of a normal with every ray, and the rows are read off the
+lanes' sign bits.  The lanes are exact while every dot product stays below
+the lane bound 2^62 in absolute value, which max|c| * max sum|v_i| over the
+normals c and rays v bounds; an input at or past it (sheared normals with
+entries near 2^40, say) takes the dot products one by one, and the rows are
+the same either way.
+
 The rank generating function of the poset of regions based at B counts
 regions by the number of hyperplanes separating them from B; it is compared
 against the product of q-integers built from the exponents.  The scan over
@@ -50,7 +61,7 @@ from __future__ import annotations
 import sys
 from array import array
 from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement, essentialize
 from .exactlinalg import primitive
@@ -130,38 +141,65 @@ def _candidate_rays(arr: Arrangement) -> list[tuple[int, ...]]:
     return out
 
 
-def _trace_columns(
-    normals: list[tuple[int, ...]], dim: int
-) -> Callable[[tuple[int, ...]], Sequence[int]]:
-    """Column reader: the dot products of every normal with one vector k.
+def _sign_rows(
+    normals: Sequence[tuple[int, ...]], cands: list[tuple[int, ...]]
+) -> tuple[list[int], list[int]]:
+    """The candidates strictly on the positive and on the negative side of
+    each normal, as two lists of bit rows: bit k of pos[i] is set when
+    normal i has a positive dot product with candidate k, of neg[i] when a
+    negative one.  Candidates come in pairs, v at 2t and -v at 2t + 1, so
+    one dot product d_t = c . v serves both bits of a pair.
 
-    The normals are packed once, coordinate by coordinate, into one integer
-    per coordinate with a signed 64-bit lane per normal.  Then sum k_i * P_i
-    holds every dot product in its lane; a bias of 2^63 per lane keeps the
-    lanes free of borrows, and flipping the bias bit back leaves each lane in
-    two's complement, which array('q') reads in one call.  That is exact when
-    no dot product reaches 2^63, which max|c| * sum|k_i| bounds; a wider k
-    takes the dot products one by one.
+    The L rays v are packed once, coordinate by coordinate, into one integer
+    per coordinate with a 64-bit lane per ray, from an array('q') of the
+    coordinates biased by 2^62.  For a normal c, one multiply-add per
+    coordinate, with the bias taken back out and 2^63 put into every lane,
+    leaves 2^63 + d_t in lane t, free of borrows.  A lane's top bit is set
+    exactly when d_t >= 0 and, once 1 is taken from every lane, exactly when
+    d_t > 0; to_bytes lays the lanes out highest first, every eighth byte is
+    a lane's top byte, and translate turns those into the '0'/'1' digits of
+    the two rows, interleaved pair by pair and read by int(..., 2).  That is
+    exact while every |d_t| < 2^62, which max|c| * max sum|v_i| below 2^62
+    bounds; at or past that bound the digits come from the dot products one
+    by one.  The normals are nonzero, so below the bound every biased
+    coordinate fits its lane too.
     """
-    m = len(normals)
-    packed = [sum(c[i] << (64 * h) for h, c in enumerate(normals)) for i in range(dim)]
-    bias = sum(1 << (64 * h + 63) for h in range(m))
+    rays = cands[0::2]
+    n = len(rays)
     entry = max((abs(x) for c in normals for x in c), default=0)
-
-    def column(k: tuple[int, ...]) -> Sequence[int]:
-        if entry * sum(map(abs, k)) >> 63:
-            return [sum(map(mul, c, k)) for c in normals]
-        acc = bias
-        for ki, p in zip(k, packed):
-            if ki:
-                acc += ki * p
-        lanes = array("q")
-        lanes.frombytes((acc ^ bias).to_bytes(8 * m, "little"))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        return lanes
-
-    return column
+    if entry * max((sum(map(abs, v)) for v in rays), default=0) >> 62:
+        # highest ray first, as the rows read in binary
+        dots = [[sum(map(mul, c, v)) for v in reversed(rays)] for c in normals]
+        digits = [(bytes(48 + (d > 0) for d in row), bytes(48 + (d < 0) for d in row)) for row in dots]
+    else:
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
+        packed = []
+        for col in zip(*rays):
+            lanes = array("q", [x + (1 << 62) for x in col])
+            if sys.byteorder == "big":
+                lanes.byteswap()
+            packed.append(int.from_bytes(lanes.tobytes(), "little"))
+        is_one = bytes(48 + (b >> 7) for b in range(256))  # '1' where a byte's top bit is set
+        is_zero = bytes(49 - (b >> 7) for b in range(256))
+        digits = []
+        for c in normals:
+            acc = ((1 << 63) - (sum(c) << 62)) * ones
+            for ci, p in zip(c, packed):
+                if ci:
+                    acc += ci * p
+            gt = (acc - ones).to_bytes(8 * n, "big")[0::8].translate(is_one)
+            lt = acc.to_bytes(8 * n, "big")[0::8].translate(is_zero)
+            digits.append((gt, lt))
+    pos: list[int] = []
+    neg: list[int] = []
+    row = bytearray(2 * n)
+    for gt, lt in digits:
+        # -v, candidate 2t + 1, comes before v in the highest-first digits
+        row[0::2], row[1::2] = lt, gt
+        pos.append(int(row, 2))
+        row[0::2], row[1::2] = gt, lt
+        neg.append(int(row, 2))
+    return pos, neg
 
 
 def enumerate_regions(arr: Arrangement) -> RegionSet:
@@ -180,39 +218,35 @@ def enumerate_regions(arr: Arrangement) -> RegionSet:
     if m == 0:
         return RegionSet(ess, (Region(0, ()),))
     cands = _candidate_rays(arr)
-    # candidates strictly on the positive / negative side of each hyperplane;
-    # v is candidate 2t and -v is 2t+1, so one packed product serves both
-    pos = [0] * m
-    neg = [0] * m
-    column = _trace_columns(list(ess.covectors), ess.dim)  # the normals of universe(arr)
-    for t in range(0, len(cands), 2):
-        plus, minus = 1 << t, 2 << t
-        for i, d in enumerate(column(cands[t])):
-            if d > 0:
-                pos[i] |= plus
-                neg[i] |= minus
-            elif d < 0:
-                pos[i] |= minus
-                neg[i] |= plus
+    everything = (1 << len(cands)) - 1
+    # the normals of universe(arr); a child's alive set drops the candidates
+    # strictly on the other side of its hyperplane, so the search keeps the
+    # complements of the sign rows
+    stay_neg, stay_pos = ([everything ^ row for row in rows] for rows in _sign_rows(ess.covectors, cands))
+    # a pointed cone never holds both v and -v, so a region's rays read
+    # through the pair swap keep the order of the antipodal region's rays
+    antipodes = [cands[k ^ 1] for k in range(len(cands))]
+    pick, pick_antipode = cands.__getitem__, antipodes.__getitem__
 
     full_m = (1 << m) - 1
     regions: list[Region] = []
     # antipodal symmetry fixes the first hyperplane positive and mirrors each
     # region found; h_0 is nonzero, so the root cone h_0 > 0 is nonempty
-    stack = [(1, 1, ((1 << len(cands)) - 1) & ~neg[0])]
+    stack = [(1, 1, stay_pos[0])]
     while stack:
         i, smask, alive = stack.pop()
         if i == m:
             idx = bit_indices(alive)
-            regions.append(Region(smask, tuple(cands[k] for k in idx)))
-            # a pointed cone never holds both v and -v, so swapping each pair
-            # keeps the order of the antipodal region's rays
-            regions.append(Region(smask ^ full_m, tuple(cands[k ^ 1] for k in idx)))
+            regions.append(Region(smask, tuple(map(pick, idx))))
+            regions.append(Region(smask ^ full_m, tuple(map(pick_antipode, idx))))
             continue
-        if alive & pos[i]:
-            stack.append((i + 1, smask | 1 << i, alive & ~neg[i]))
-        if alive & neg[i]:
-            stack.append((i + 1, smask, alive & ~pos[i]))
+        up, down = alive & stay_pos[i], alive & stay_neg[i]
+        # an alive candidate lies strictly on one side exactly when the other
+        # side's child drops it
+        if down != alive:
+            stack.append((i + 1, smask | 1 << i, up))
+        if up != alive:
+            stack.append((i + 1, smask, down))
     regions.sort(key=lambda r: r.mask)
     return RegionSet(ess, tuple(regions))
 

@@ -906,25 +906,41 @@ def test_wide_entry_build_matches_membership_build(h3):
     import random
 
     from hyperarr.lattice import Universe
-    from hyperarr.regions import _trace_columns
+    from hyperarr.regions import _sign_rows
+
+    def direct_rows(normals, cands):
+        dots = [[sum(x * y for x, y in zip(c, v)) for v in cands] for c in normals]
+        return (
+            [sum(1 << k for k, d in enumerate(row) if d > 0) for row in dots],
+            [sum(1 << k for k, d in enumerate(row) if d < 0) for row in dots],
+        )
 
     rng = random.Random(41)
     big = 1 << 40
-    # the lanes hold dot products below 2^63 exactly, in both signs
-    normals = [(big - 1, 1 - big), (-(1 << 62) + 1, (1 << 62) - 1), (3, -5)]
-    column = _trace_columns(normals, 2)
-    for k in [(1, 0), (0, 1), (1, 1), (-1, 1), (2, -1), (3, -2), (big, big + 3), (1 << 30, -(1 << 33))]:
-        assert list(column(k)) == [sum(x * y for x, y in zip(c, k)) for c in normals]
+    # the lanes hold dot products below 2^62 exactly, in both signs and at 0;
+    # at or past the lane bound the kernel takes them one by one
+    wide_normals = [(big - 1, 1 - big), (-(1 << 62) + 1, (1 << 62) - 1), (3, -5)]
+    narrow_normals = [(3, -5), (1, -1), (-7, 2), (0, 1)]
+    rays = [(1, 0), (0, 1), (1, 1), (-1, 1), (2, -1), (3, -2), (big, big + 3), (1 << 30, -(1 << 33))]
+    cases = [
+        (wide_normals, [(1, 0), (0, 1)]),  # dot products up to 2^62 - 1 in lanes
+        (narrow_normals, rays),  # 7 * (2^41 + 3) < 2^62: lanes
+        ([((1 << 62) - 1, 0)], [(1, 0), (0, 1)]),  # one below the bound: lanes
+        (wide_normals, rays),  # past the bound: one by one
+        ([(1 << 61, -1)], [(2, 0), (0, 1)]),  # at the bound: one by one
+        ([(1, -1)], [(1 << 62, 0), (0, 1)]),  # a ray entry that no biased lane holds
+    ]
+    lanes = 0
+    for normals, picked in cases:
+        cands = [w for v in picked for w in (v, tuple(-x for x in v))]
+        assert _sign_rows(normals, cands) == direct_rows(normals, cands)
+        lanes += max(abs(x) for c in normals for x in c) * max(sum(map(abs, v)) for v in picked) < 1 << 62
+    assert lanes == 3
     routes = {"packed": 0, "wide": 0}
     randoms = oracles.random_arrangements(12, seed=43, max_size=7)
     pool = [h3] + [from_vectors(d, covs) for d, covs in randoms]
     for small in [arr for arr in pool if arr.rank >= 2]:
-        d = small.dim
-        # a unipotent change of coordinates with entries >= 2^40 keeps the matroid
-        shear = [[int(i == j) + (big + rng.randrange(99)) * (i < j) for j in range(d)] for i in range(d)]
-        arr = from_vectors(
-            d, [[sum(c[i] * shear[i][j] for i in range(d)) for j in range(d)] for c in small.covectors]
-        )
+        arr = from_vectors(small.dim, oracles.wide_shear(small.dim, small.covectors, rng))
         assert max(abs(x) for c in arr.covectors for x in c) >= big
         uni = Universe(arr)
         bits, rank, T, parents, by_rank = _membership_build(arr)

@@ -265,6 +265,8 @@ def _low_prefix_dim5_arrangement(seed, size):
 
 
 def test_bit_test_dfs_matches_rank_test_dfs():
+    import random
+
     from hyperarr.lattice import universe
     from hyperarr.regions import _candidate_rays
 
@@ -278,8 +280,15 @@ def test_bit_test_dfs_matches_rank_test_dfs():
     for arr in low:
         assert arr.rank == 5 and oracles.frac_rank(arr.covectors[:5]) < 5
     pool += low
+    # sheared copies with entries past 2^40, whose sign rows take the dot
+    # products one by one past the lane bound
+    rng = random.Random(41)
+    pool += [
+        from_vectors(a.dim, oracles.wide_shear(a.dim, a.covectors, rng)) for a in (hyperpolygonal(3), hyperpolygonal(4))
+    ]
     assert {arr.dim for arr in pool} >= {2, 3, 4, 5}
     flipped = 0
+    routes = {"lanes": 0, "one by one": 0}
     for arr in pool:
         got = enumerate_regions(arr)
         want, cands = _rank_test_regions(arr)
@@ -290,9 +299,12 @@ def test_bit_test_dfs_matches_rank_test_dfs():
             # a region holds one ray of each pair, so only this list shows
             # whether each pair is listed positive-first
             assert _candidate_rays(ess) == cands
+            reach = max(abs(x) for c in ess.covectors for x in c) * max(sum(map(abs, v)) for v in cands)
+            routes["lanes" if reach < 1 << 62 else "one by one"] += 1
             uni = universe(ess)
             flipped += sum(next(x for x in uni.flat_kernel(f)[0] if x) < 0 for f in uni.by_rank[ess.dim - 1])
     assert flipped  # some stored line bases start negative and get turned
+    assert routes["lanes"] and routes["one by one"] == 2
 
 
 def test_dim5_regions_are_pointed_and_open():

@@ -90,6 +90,39 @@ def test_bench_pairs_records_traced_peaks_of_cold_processes(monkeypatch, tmp_pat
         tool.traced_peak(tmp_path, "x = 1", "x + 1")
 
 
+def test_bench_pairs_verdicts_read_wins_spread_and_bound():
+    tool = _bench_pairs()
+    bench = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    assert metrics["solve_s"]["better"] == "lower" and metrics["solve_s"]["bound"] == 0.25
+    assert metrics["decided_frac"]["better"] == "higher" and metrics["decided_frac"]["bound"] == 0.02
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # median 1.0, q3 - q1 0.04
+
+    def verdicts(change, before=parent):
+        pairs = [
+            {side: {"metrics": dict.fromkeys(tool.END_TO_END, x)} for side, x in (("parent", b), ("change", a))}
+            for b, a in zip(before, change)
+        ]
+        out = tool.summarize(pairs, metrics)
+        return {k: (out[k]["gain_shown"], out[k]["within_bound"]) for k in ("solve_s", "decided_frac")}
+
+    # 10 of 10 pairs lower by 0.1, past the spread: a gain where lower is
+    # better, a loss of 10 % where higher is, past decided_frac's bound of 2 %
+    assert verdicts([x - 0.1 for x in parent]) == {"solve_s": (True, True), "decided_frac": (False, False)}
+    # 9 of 10 wins still show a gain; 8 of 10 do not
+    assert verdicts([x - 0.1 for x in parent[:9]] + [1.5])["solve_s"] == (True, True)
+    assert verdicts([x - 0.1 for x in parent[:8]] + [1.5, 1.5])["solve_s"] == (False, True)
+    # every pair won, but by less than the parent's q3 - q1
+    assert verdicts([x - 0.03 for x in parent])["solve_s"] == (False, True)
+    # worse by 20 % keeps solve_s within its bound of 25 %, by 30 % does not
+    assert verdicts([x * 1.2 for x in parent])["solve_s"] == (False, True)
+    assert verdicts([x * 1.3 for x in parent])["solve_s"] == (False, False)
+    assert verdicts([x + 0.01 for x in parent])["decided_frac"] == (False, True)
+    assert verdicts([x - 0.03 for x in parent])["decided_frac"] == (False, False)
+    # one pair has no quartiles, so it shows no gain
+    assert verdicts([0.5], [1.0])["solve_s"] == (False, True)
+
+
 def test_bench_pairs_peak_probe_runs_in_a_fresh_interpreter():
     tool = _bench_pairs()
     root = TOOL.parent.parent
@@ -121,8 +154,9 @@ def test_bench_pairs_records_the_lattice_build_of_fresh_interpreters(monkeypatch
     assert tool.main(["--number", "0", "--parent-rev", "HEAD~1", "--pairs", "chambers:1", "--out", str(out)]) == 0
     monkeypatch.undo()
     setup, statement, builds, runs, count = tool.BUILD_PROBE
-    # the zeta and import probes' runs come after
-    assert count == "uni.traces" and len(probes) == 4 * runs + 2 * tool.IMPORT_PROBE[3]
+    # the zeta, regions and import probes' runs come after
+    after = 2 * (tool.ZETA_PROBE[3] + tool.REGIONS_PROBE[3] + tool.IMPORT_PROBE[3])
+    assert count == "uni.traces" and len(probes) == 2 * runs + after
     probes = probes[: 2 * runs]
     assert all(statement in cmd[2] for cmd, _, _ in probes)
     assert "Universe(arr)" in statement and "hyperpolygonal(6)" in setup and builds >= 3 and runs >= 3
@@ -205,19 +239,39 @@ def test_bench_pairs_records_the_zeta_scan_of_fresh_interpreters(monkeypatch, tm
     zeta = json.loads(out.read_text())["zeta_bases"]
     assert zeta["statement"] == statement and zeta["set_up"] == setup and zeta["scans_per_run"] == scans
     # after the lattice build's runs, one fresh interpreter per run, the sides
-    # taking turns, each importing its own package; the import probe's runs last
+    # taking turns, each importing its own package; the regions probe's runs
+    # follow, and the import probe's runs come last
+    enum_setup, enum_statement, enums, enum_runs, enum_count = tool.REGIONS_PROBE
     imports = tool.IMPORT_PROBE[3]
-    assert len(probes) == 4 * runs + 2 * imports
+    assert len(probes) == 4 * runs + 2 * enum_runs + 2 * imports
     parent, change = probes[0][1], probes[1][1]
-    assert [(cwd, path) for _, cwd, path in probes[2 * runs :]] == (runs + imports) * [
+    assert [(cwd, path) for _, cwd, path in probes[2 * runs :]] == (runs + enum_runs + imports) * [
         (parent, str(parent / "src")), (change, str(change / "src"))
     ]
     import_time = json.loads(out.read_text())["import_time"]
     assert import_time["statement"] == "import hyperarr" and import_time["set_up"] == tool.IMPORT_PROBE[0]
     assert len(import_time["parent"]["runs_s"]) == len(import_time["change"]["runs_s"]) == imports
-    for cmd, _, _ in probes[4 * runs :]:
+    for cmd, _, _ in probes[4 * runs + 2 * enum_runs :]:
         code = cmd[2]
         assert code.index("import sample") < code.index("before = ") < code.index("import hyperarr")
+    # the regions probe: the regions-d5-m14 input with its lattice built
+    # before the timing, the least of a few enumerations per interpreter
+    assert enum_statement == "regs = enumerate_regions(arr)" and enum_count == "len(regs)"
+    assert "random_arrangement(random.Random(2714), 5, 14)" in enum_setup and "universe(arr)" in enum_setup
+    assert enums >= 3 and enum_runs >= 9
+    regions = json.loads(out.read_text())["regions_enum"]
+    assert regions["statement"] == enum_statement and regions["set_up"] == enum_setup
+    assert regions["enumerations_per_run"] == enums
+    enum_probes = probes[4 * runs : 4 * runs + 2 * enum_runs]
+    enum_times = [[0.03, 0.02, 0.01][(i + 1) % 3] for i in range(4 * runs, 4 * runs + 2 * enum_runs)]
+    for side, first in (("parent", 0), ("change", 1)):
+        assert regions[side]["runs_s"] == enum_times[first::2] and regions[side]["regions"] == 0
+        assert regions[side]["median_s"] == sorted(enum_times[first::2])[enum_runs // 2]
+        assert regions[side]["least_s"] == min(enum_times[first::2]) == 0.01
+    for cmd, _, _ in enum_probes:
+        code = cmd[2]
+        assert code.index(enum_setup) < code.index(f"range({enums})") < code.index("perf_counter()")
+        assert code.index("perf_counter()") < code.index(enum_statement) < code.rindex("perf_counter()")
     probes = probes[: 4 * runs]
     times = [[0.03, 0.02, 0.01][(i + 1) % 3] for i in range(2 * runs, 4 * runs)]
     for side, first in (("parent", 0), ("change", 1)):
@@ -239,6 +293,9 @@ def test_bench_pairs_records_the_zeta_scan_of_fresh_interpreters(monkeypatch, tm
     monkeypatch.setattr(tool.subprocess, "run", disagreeing)
     with pytest.raises(RuntimeError, match="1 hits on the change side, 0 on the parent side"):
         tool.timed_runs({"parent": tmp_path, "change": tmp_path}, tool.ZETA_PROBE, "hits", across_sides=True)
+    counts = iter([2104, 2105])
+    with pytest.raises(RuntimeError, match="2105 regions on the change side, 2104 on the parent side"):
+        tool.timed_runs({"parent": tmp_path, "change": tmp_path}, tool.REGIONS_PROBE, "regions", across_sides=True)
 
 
 def test_bench_pairs_zeta_probe_runs_in_a_fresh_interpreter():
@@ -248,6 +305,16 @@ def test_bench_pairs_zeta_probe_runs_in_a_fresh_interpreter():
     script = tool.TIMED_SCRIPT.format(setup=setup, run=statement, runs=scans, count=count)
     seconds, hits = tool.probe(root, script, statement)
     assert 0 < float(seconds) < 5 and int(hits) == 0
+
+
+def test_bench_pairs_regions_probe_runs_in_a_fresh_interpreter():
+    tool = _bench_pairs()
+    root = TOOL.parent.parent
+    setup, statement, enums, _, count = tool.REGIONS_PROBE
+    script = tool.TIMED_SCRIPT.format(setup=setup, run=statement, runs=enums, count=count)
+    seconds, regions = tool.probe(root, script, statement)
+    # the regions-d5-m14 input has 2,104 regions, Zaslavsky's count
+    assert 0 < float(seconds) < 5 and int(regions) == 2104
 
 
 def test_bench_pairs_import_probe_runs_in_a_fresh_interpreter():

@@ -18,10 +18,14 @@ anything is exported.
 
 The output file holds, per workload: the seeds; for every pair the
 end-to-end metric values and the failed-operation counts of both sides; per
-metric the medians and quartiles of each side over the pairs and the number
+metric the medians and quartiles of each side over the pairs, the number
 of pairs the change wins and loses (in the direction BENCHMARK.json gives the
-metric, ties counting for neither); and the total failed counts.  It also
-holds, per side, the tracemalloc peak in bytes of ``analyze(H_6)``, of
+metric, ties counting for neither) and two verdicts, ``gain_shown`` (at least
+9 wins in 10 pairs, and medians apart in the better direction by more than
+the parent's q3 - q1) and ``within_bound`` (the change median worse than the
+parent's by at most BENCHMARK.json's bound, a fraction of the parent
+median); and the total failed counts.  It also holds, per side, the
+tracemalloc peak in bytes of ``analyze(H_6)``, of
 ``report(n)`` for n = 1..6, of the lattice build ``Universe(H_6)`` and of
 ``enumerate_regions`` on one seeded random dimension-5 input of 14
 hyperplanes with entries in [-2, 2] (the ``chambers`` workload's generator),
@@ -36,6 +40,10 @@ benchmark's traced ``lattice.build_s`` does not time.  The zeta-base scan
 ``zeta_product_bases`` of ``hyperpolygonal(5)`` with exponents
 (1, 5, 5, 5, 5) is timed the same way, its regions enumerated before the
 timing, with its hit count, which every run on both sides must agree on.
+So is ``enumerate_regions`` on the ``regions-d5-m14`` input, its lattice
+built before the timing, with the region count, which every run on both
+sides must agree on: the chamber search that the ``chambers`` workload
+times along with the builds, zeta scans and checks around it.
 And ``import hyperarr`` is timed in nine fresh interpreters per side, the
 sides taking turns, each after the imports of ``perfbench/sample.py`` (the
 module every benchmark sample runs), with the number of modules the import
@@ -73,6 +81,10 @@ BUILD_PROBE = ("from hyperarr import hyperpolygonal\nfrom hyperarr.lattice impor
 ZETA_PROBE = ("from hyperarr import enumerate_regions, hyperpolygonal, zeta_product_bases\n"
               "regs = enumerate_regions(hyperpolygonal(5))",
               "hits = zeta_product_bases(regs, (1, 5, 5, 5, 5))", 3, 9, "len(hits)")
+REGIONS_PROBE = ("import random, sys\nsys.path.insert(0, 'perfbench')\nfrom sample import random_arrangement\n"
+                 "from hyperarr import enumerate_regions\nfrom hyperarr.lattice import universe\n"
+                 "arr = random_arrangement(random.Random(2714), 5, 14)\nuniverse(arr)",
+                 "regs = enumerate_regions(arr)", 3, 9, "len(regs)")
 IMPORT_PROBE = ("import sys\nsys.path.insert(0, 'perfbench')\nimport sample\nbefore = len(sys.modules)",
                 "import hyperarr", 1, 9, "len(sys.modules) - before")
 TIMED_SCRIPT = ("import time\n{setup}\nbest = float('inf')\nfor _ in range({runs}):\n"
@@ -171,23 +183,36 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": quartiles[0], "q3": quartiles[2]}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per end-to-end metric, with metrics its BENCHMARK.json entry by name:
+    each side's spread, the pairs the change wins and loses in the metric's
+    direction, and two verdicts.  gain_shown: the change wins at least 9 in
+    10 of the pairs, and its median is better than the parent's by more than
+    the parent's q3 - q1.  within_bound: the change median is worse than the
+    parent median by no more than the metric's bound, a fraction of the
+    parent median."""
     out = {}
     for k in END_TO_END:
         before = [p["parent"]["metrics"][k] for p in pairs]
         after = [p["change"]["metrics"][k] for p in pairs]
-        sign = 1 if better[k] == "higher" else -1
+        sign = 1 if metrics[k]["better"] == "higher" else -1
+        parent, change = spread(before), spread(after)
+        wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
+        gain = sign * (change["median"] - parent["median"])
         out[k] = {
-            "parent": spread(before),
-            "change": spread(after),
-            "change_wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+            "parent": parent,
+            "change": change,
+            "change_wins": wins,
             "change_losses": sum(sign * (a - b) < 0 for a, b in zip(after, before)),
+            "gain_shown": 10 * wins >= 9 * len(pairs) and parent["q1"] is not None
+            and gain > parent["q3"] - parent["q1"],
+            "within_bound": -gain <= metrics[k]["bound"] * abs(parent["median"]),
         }
     return out
 
 
 def record(parent: Path, change: Path, plan: dict[str, list[int]], bench: dict) -> dict:
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     workloads = {}
     count = 0
@@ -205,7 +230,7 @@ def record(parent: Path, change: Path, plan: dict[str, list[int]], bench: dict) 
             print(f"{name} seed {seed}: parent {pair['parent']['metrics']} change {pair['change']['metrics']}",
                   file=sys.stderr)
         failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
-        workloads[name] = {"seeds": seeds, "pairs": pairs, "metrics": summarize(pairs, better), "failed": failed}
+        workloads[name] = {"seeds": seeds, "pairs": pairs, "metrics": summarize(pairs, metrics), "failed": failed}
     return workloads
 
 
@@ -239,6 +264,7 @@ def main(argv=None) -> int:
         peaks = traced_peaks(checkouts)
         builds = timed_runs(checkouts, BUILD_PROBE, "traces")
         zeta = timed_runs(checkouts, ZETA_PROBE, "hits", across_sides=True)
+        regions = timed_runs(checkouts, REGIONS_PROBE, "regions", across_sides=True)
         imports = timed_runs(checkouts, IMPORT_PROBE, "modules")
     out = {
         "number": args.number,
@@ -251,6 +277,8 @@ def main(argv=None) -> int:
         "lattice_build": {"statement": BUILD_PROBE[1], "set_up": BUILD_PROBE[0], "builds_per_run": BUILD_PROBE[2],
                           **builds},
         "zeta_bases": {"statement": ZETA_PROBE[1], "set_up": ZETA_PROBE[0], "scans_per_run": ZETA_PROBE[2], **zeta},
+        "regions_enum": {"statement": REGIONS_PROBE[1], "set_up": REGIONS_PROBE[0],
+                         "enumerations_per_run": REGIONS_PROBE[2], **regions},
         "import_time": {"statement": IMPORT_PROBE[1], "set_up": IMPORT_PROBE[0], **imports},
     }
     path = args.out or ROOT / f"BENCH_{args.number}.json"
