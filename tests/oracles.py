@@ -165,8 +165,8 @@ def random_arrangements(count: int, seed: int, max_dim: int = 4, max_size: int =
 
 def wide_shear(dim: int, covectors, rng: random.Random) -> list[list[int]]:
     """The covectors under a unipotent change of coordinates whose entries
-    above the diagonal are 2^40 or more: the same matroid, with entries past
-    2^40 in every covector that has a nonzero entry before its last."""
+    above the diagonal are 2^40 plus a small random offset: the same matroid,
+    with entries near 2^40 and beyond."""
     big = 1 << 40
     shear = [[int(i == j) + (big + rng.randrange(99)) * (i < j) for j in range(dim)] for i in range(dim)]
     return [[sum(c[i] * shear[i][j] for i in range(dim)) for j in range(dim)] for c in covectors]
